@@ -56,16 +56,6 @@
 //                  verdict fingerprint (equivalent/exact per circuit).
 //                  tools/ci.sh fails on verdict drift and on a >tolerance
 //                  SAT wall-time regression.
-//   * exact_sat  — SAT-based exact synthesis of 5-6 input cones: direct
-//                  exact_sat_synthesize calls on a named deterministic
-//                  suite (MAJ-5, parity, a 4:1 MUX) plus seeded
-//                  structured-random 5-var cones and one uniform-random
-//                  function that deterministically exhausts the default
-//                  conflict budget (the clean-fallback path). Verdict,
-//                  gate count, and conflict total are pure functions of
-//                  (tt, n, params), so the whole block fingerprints;
-//                  tools/ci.sh fails on any drift and on a fallback-rate
-//                  increase.
 //
 // Fingerprints (gate counts, EngineStats) are recorded alongside the wall
 // times so that perf work can be checked to leave synthesis results
@@ -80,7 +70,6 @@
 // must not clobber it. To refresh the committed file, merge a fresh run
 // into the appropriate block (see docs/performance.md).
 
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -92,7 +81,6 @@
 
 #include "bdd/bdd.hpp"
 #include "decomp/cone_cache.hpp"
-#include "decomp/exact_sat.hpp"
 #include "mdom_sweep.hpp"
 #include "benchgen/arith.hpp"
 #include "benchgen/mcnc.hpp"
@@ -871,171 +859,6 @@ std::vector<OracleEntry> bench_oracle(bool smoke) {
 }
 
 // ---------------------------------------------------------------------------
-// SAT-based exact synthesis of 5-6 input cones. Everything below is a
-// deterministic function of (tt, n, params) — verdicts, gate counts, and
-// conflict totals fingerprint exactly; only wall times float.
-// ---------------------------------------------------------------------------
-
-struct ExactSatEntry {
-    std::string name;
-    int inputs = 0;
-    const char* status = "unknown";  ///< "found" / "unsat" / "unknown"
-    int gates = -1;                  ///< -1: no structure emitted
-    long long conflicts = 0;
-    int sat_calls = 0;
-    double seconds = 0;
-};
-
-struct ExactSatBenchResult {
-    std::vector<ExactSatEntry> entries;
-    int found = 0;
-    int fallbacks = 0;  ///< kUnknown verdicts: budget exhausted, clean fallback
-    long long conflicts = 0;
-    double fallback_rate = 0;  ///< fingerprinted: ci.sh fails on an increase
-    double seconds = 0;
-};
-
-std::uint64_t bench_parity_tt(int n) {
-    std::uint64_t tt = 0;
-    for (int m = 0; m < (1 << n); ++m) {
-        if (std::popcount(static_cast<unsigned>(m)) & 1) tt |= 1ULL << m;
-    }
-    return tt;
-}
-
-std::uint64_t bench_maj5_tt() {
-    std::uint64_t tt = 0;
-    for (int m = 0; m < 32; ++m) {
-        if (std::popcount(static_cast<unsigned>(m)) >= 3) tt |= 1ULL << m;
-    }
-    return tt;
-}
-
-/// 4:1 multiplexer as a 6-var function: x4/x5 select among data x0..x3.
-std::uint64_t mux41_tt() {
-    std::uint64_t tt = 0;
-    for (int m = 0; m < 64; ++m) {
-        if ((m >> ((m >> 4) & 3)) & 1) tt |= 1ULL << m;
-    }
-    return tt;
-}
-
-/// A random 5-var function guaranteed to be a short chain over the gate
-/// alphabet AND to depend on all five variables: either two 3-operand
-/// gates (MAJ/MUX) covering the shuffled literals, or a fanin-2
-/// AND/OR/XOR fold over all five — the representative case for cones the
-/// strategy pipeline extracts (mirrors the generator in
-/// tests/decomp/exact_sat_test.cpp; uniform random 5-var functions
-/// usually need 5+ steps and exhaust any sane budget on the intermediate
-/// UNSAT proofs).
-std::uint64_t bench_structured_tt5(std::mt19937_64& rng) {
-    constexpr std::uint64_t kMask = 0xffffffffULL;
-    const std::uint64_t lits[5] = {0xaaaaaaaaULL, 0xccccccccULL, 0xf0f0f0f0ULL,
-                                   0xff00ff00ULL, 0xffff0000ULL};
-    for (int attempt = 0; attempt < 64; ++attempt) {
-        int order[5] = {0, 1, 2, 3, 4};
-        for (int i = 4; i > 0; --i) {
-            std::swap(order[i], order[static_cast<int>(rng() % (i + 1))]);
-        }
-        std::uint64_t a[5];
-        for (int i = 0; i < 5; ++i) {
-            a[i] = lits[order[i]];
-            if (rng() & 1) a[i] = ~a[i] & kMask;
-        }
-        const auto op3 = [&](std::uint64_t x, std::uint64_t y,
-                             std::uint64_t z) {
-            return (rng() & 1) ? ((x & y) | (x & z) | (y & z))
-                               : ((x & y) | (~x & z & kMask));
-        };
-        std::uint64_t tt;
-        if (rng() & 1) {
-            std::uint64_t g1 = op3(a[0], a[1], a[2]);
-            if (rng() & 1) g1 = ~g1 & kMask;
-            tt = op3(g1, a[3], a[4]);
-        } else {
-            tt = a[0];
-            for (int i = 1; i < 5; ++i) {
-                if (rng() & 1) tt = ~tt & kMask;
-                switch (rng() % 3) {
-                    case 0: tt &= a[i]; break;
-                    case 1: tt |= a[i]; break;
-                    default: tt ^= a[i]; break;
-                }
-            }
-        }
-        // MAJ/MUX composition can still swallow a variable; verify.
-        bool full_support = true;
-        for (int i = 0; i < 5; ++i) {
-            if ((((tt >> (1u << i)) ^ tt) & ~lits[i] & kMask) == 0) {
-                full_support = false;
-                break;
-            }
-        }
-        if (full_support) return tt;
-    }
-    return bench_maj5_tt();  // effectively unreachable fallback
-}
-
-ExactSatBenchResult bench_exact_sat() {
-    // The suite is identical in smoke and full mode: the whole block runs
-    // in well under a second at the default budget, and a single shape
-    // means the committed smoke_reference fingerprint gates full runs too.
-    struct Case {
-        std::string name;
-        std::uint64_t tt;
-        int inputs;
-    };
-    std::vector<Case> cases = {
-        {"maj5", bench_maj5_tt(), 5},
-        {"parity5", bench_parity_tt(5), 5},
-        {"parity6", bench_parity_tt(6), 6},
-        {"mux41", mux41_tt(), 6},
-    };
-    std::mt19937_64 rng(20260809);
-    for (int i = 0; i < 6; ++i) {
-        cases.push_back(
-            {"structured" + std::to_string(i), bench_structured_tt5(rng), 5});
-    }
-    // One uniform-random 5-var function: at the default conflict budget
-    // this deterministically exhausts mid-search — the clean kUnknown
-    // fallback the strategy pipeline degrades through on hard cones.
-    cases.push_back({"uniform0", rng() & 0xffffffffULL, 5});
-
-    ExactSatBenchResult out;
-    for (const Case& c : cases) {
-        ExactSatEntry e;
-        e.name = c.name;
-        e.inputs = c.inputs;
-        const auto start = Clock::now();
-        const decomp::ExactSatResult res =
-            decomp::exact_sat_synthesize(c.tt, c.inputs);
-        e.seconds = seconds_since(start);
-        e.conflicts = res.conflicts;
-        e.sat_calls = res.sat_calls;
-        switch (res.status) {
-            case decomp::ExactSatStatus::kFound:
-                e.status = "found";
-                e.gates = res.structure->gate_count();
-                ++out.found;
-                break;
-            case decomp::ExactSatStatus::kUnsat:
-                e.status = "unsat";
-                break;
-            case decomp::ExactSatStatus::kUnknown:
-                e.status = "unknown";
-                ++out.fallbacks;
-                break;
-        }
-        out.conflicts += e.conflicts;
-        out.seconds += e.seconds;
-        out.entries.push_back(std::move(e));
-    }
-    out.fallback_rate = static_cast<double>(out.fallbacks) /
-                        static_cast<double>(out.entries.size());
-    return out;
-}
-
-// ---------------------------------------------------------------------------
 // Resilience: deadline shedding, graceful degradation, resource guards.
 // Every check here is an exact invariant of the failure-containment layer
 // (no timing comparisons), so ci.sh gates the fresh section directly
@@ -1284,18 +1107,6 @@ int main(int argc, char** argv) {
         }
     }
 
-    std::printf("bench_core: exact SAT synthesis (5-6 var cones)...\n");
-    const ExactSatBenchResult es = bench_exact_sat();
-    for (const ExactSatEntry& e : es.entries) {
-        std::printf("  %-12s %d vars: %-7s %2d gates, %6lld conflicts, "
-                    "%2d calls, %6.1f ms\n",
-                    e.name.c_str(), e.inputs, e.status, e.gates, e.conflicts,
-                    e.sat_calls, e.seconds * 1e3);
-    }
-    std::printf("  %d/%d found, fallback rate %.0f%%, %lld conflicts, %.2f s\n",
-                es.found, static_cast<int>(es.entries.size()),
-                100.0 * es.fallback_rate, es.conflicts, es.seconds);
-
     std::printf("bench_core: resilience (shed / degrade / guard)...\n");
     const ResilienceBenchResult rs = bench_resilience(smoke);
     std::printf("  shed %d/%d, degraded jobs %d/%d verified (%lld supernodes), "
@@ -1322,7 +1133,7 @@ int main(int argc, char** argv) {
         return 1;
     }
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"bdsmaj-bench-core-v11\",\n");
+    std::fprintf(f, "  \"schema\": \"bdsmaj-bench-core-v12\",\n");
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     // Honesty marker: on a 1-hardware-thread container the scaling and
     // service sections can only demonstrate determinism, never speedup.
@@ -1454,31 +1265,24 @@ int main(int argc, char** argv) {
     std::fprintf(f, "    \"entries\": [\n");
     for (std::size_t i = 0; i < presets.size(); ++i) {
         const PresetEntry& p = presets[i];
-        // npn hits/misses and the exact_sat synthesized/fallback split are
-        // recorded for telemetry but are NOT part of the fingerprint: they
-        // depend on what earlier sections already pushed into the
-        // process-wide caches. exact_wide_steps IS fingerprinted — a wide
-        // cache hit replays the identical program, so the served-step
-        // count is deterministic.
+        // npn hits/misses are recorded for telemetry but are NOT part of
+        // the fingerprint: they depend on what earlier sections already
+        // pushed into the process-wide exact cache.
         std::fprintf(f,
                      "      {\"preset\": \"%s\", \"seconds\": %.3f, "
                      "\"equivalent\": %d, \"fingerprint\": "
                      "{\"decomposed_gates\": %ld, \"mapped_gates\": %ld, "
                      "\"mapped_area\": %.4f, \"engine_steps\": "
                      "[%d, %d, %d, %d, %d, %d, %d, %d], "
-                     "\"exact_wide_steps\": %d, "
                      "\"symmetric_steps\": %d}, "
-                     "\"npn_hits\": %lld, \"npn_misses\": %lld, "
-                     "\"exact_sat_synthesized\": %lld, "
-                     "\"exact_sat_fallbacks\": %lld}%s\n",
+                     "\"npn_hits\": %lld, \"npn_misses\": %lld}%s\n",
                      p.preset.c_str(), p.seconds, p.equivalent,
                      p.decomposed_gates, p.mapped_gates, p.mapped_area,
                      p.stats.and_steps, p.stats.or_steps, p.stats.xor_steps,
                      p.stats.maj_steps, p.stats.mux_steps, p.stats.exact_steps,
                      p.stats.gen_xor_steps, p.stats.literal_leaves,
-                     p.stats.exact_wide_steps, p.stats.symmetric_steps,
+                     p.stats.symmetric_steps,
                      p.stats.npn_cache_hits, p.stats.npn_cache_misses,
-                     p.stats.exact_sat_synthesized, p.stats.exact_sat_fallbacks,
                      i + 1 < presets.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n");
@@ -1537,30 +1341,6 @@ int main(int argc, char** argv) {
         std::fprintf(f, "    ],\n");
         std::fprintf(f, "    \"sat_total_seconds\": %.4f\n", sat_total);
     }
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"exact_sat\": {\n");
-    std::fprintf(f, "    \"seconds\": %.4f,\n", es.seconds);
-    std::fprintf(f, "    \"functions\": %d,\n",
-                 static_cast<int>(es.entries.size()));
-    std::fprintf(f, "    \"found\": %d,\n", es.found);
-    std::fprintf(f, "    \"fallbacks\": %d,\n", es.fallbacks);
-    std::fprintf(f, "    \"fallback_rate\": %.4f,\n", es.fallback_rate);
-    std::fprintf(f, "    \"conflicts\": %lld,\n", es.conflicts);
-    std::fprintf(f, "    \"entries\": [\n");
-    for (std::size_t i = 0; i < es.entries.size(); ++i) {
-        const ExactSatEntry& e = es.entries[i];
-        // Wall time and sat_calls are telemetry; status/gates/conflicts
-        // are the deterministic fingerprint ci.sh compares.
-        std::fprintf(f,
-                     "      {\"name\": \"%s\", \"inputs\": %d, "
-                     "\"seconds\": %.4f, \"sat_calls\": %d, "
-                     "\"fingerprint\": {\"status\": \"%s\", \"gates\": %d, "
-                     "\"conflicts\": %lld}}%s\n",
-                     e.name.c_str(), e.inputs, e.seconds, e.sat_calls,
-                     e.status, e.gates, e.conflicts,
-                     i + 1 < es.entries.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]\n");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"resilience\": {\n");
     std::fprintf(f, "    \"seconds\": %.4f,\n", rs.seconds);

@@ -461,9 +461,7 @@ private:
     Edge xor_rec(Edge f, Edge g);
     Edge constrain_rec(Edge f, Edge c);
     Edge restrict_rec(Edge f, Edge c);
-    Edge replace_rec(Edge f, NodeIndex v, Edge replacement,
-                     std::vector<Edge>& memo_reg, std::vector<Edge>& memo_comp,
-                     std::vector<NodeIndex>& touched);
+    Edge replace_rec(Edge f, NodeIndex v, Edge replacement, std::uint32_t gen);
     void cofactors_at(Edge e, std::uint32_t level, Edge* hi, Edge* lo) const;
 
     void auto_gc_if_needed();
@@ -563,6 +561,10 @@ private:
     std::vector<std::uint32_t> map_value_;
     std::uint32_t map_gen_ = 0;
     std::vector<double> sat_memo_;  // valid where visit_stamp_ matches
+    // replace_node_with_const memo, one slot per (node, polarity).
+    std::vector<std::uint32_t> replace_stamp_;
+    std::vector<Edge> replace_memo_;
+    std::uint32_t replace_gen_ = 0;
 };
 
 }  // namespace bdsmaj::bdd

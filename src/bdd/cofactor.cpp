@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -122,27 +123,24 @@ Bdd Manager::restrict_to(const Bdd& f, const Bdd& c) {
 // by the 0-/1-/x-dominator decompositions.
 // ---------------------------------------------------------------------------
 
-Edge Manager::replace_rec(Edge f, NodeIndex v, Edge replacement,
-                          std::vector<Edge>& memo_reg, std::vector<Edge>& memo_comp,
-                          std::vector<NodeIndex>& touched) {
+Edge Manager::replace_rec(Edge f, NodeIndex v, Edge replacement, std::uint32_t gen) {
     if (edge_is_constant(f)) return f;
     const NodeIndex idx = edge_index(f);
     if (idx == v) return edge_complemented(f) ? edge_not(replacement) : replacement;
-    std::vector<Edge>& memo = edge_complemented(f) ? memo_comp : memo_reg;
-    if (memo[idx] != kEdgeInvalid) return memo[idx];
+    // One memo slot per node polarity, valid where its stamp is `gen`.
+    const std::size_t slot = 2 * static_cast<std::size_t>(idx) + (edge_complemented(f) ? 1 : 0);
+    if (replace_stamp_[slot] == gen) return replace_memo_[slot];
     // Copy fields before recursing: make_node may reallocate nodes_.
     const Edge n_hi = nodes_[idx].hi;
     const Edge n_lo = nodes_[idx].lo;
     const std::uint32_t n_level = nodes_[idx].level;
     const Edge t = replace_rec(edge_complemented(f) ? edge_not(n_hi) : n_hi, v,
-                               replacement, memo_reg, memo_comp, touched);
+                               replacement, gen);
     const Edge e = replace_rec(edge_complemented(f) ? edge_not(n_lo) : n_lo, v,
-                               replacement, memo_reg, memo_comp, touched);
+                               replacement, gen);
     const Edge r = make_node(n_level, t, e);
-    if (memo_reg[idx] == kEdgeInvalid && memo_comp[idx] == kEdgeInvalid) {
-        touched.push_back(idx);
-    }
-    memo[idx] = r;
+    replace_stamp_[slot] = gen;
+    replace_memo_[slot] = r;
     return r;
 }
 
@@ -152,50 +150,22 @@ Bdd Manager::replace_node_with_const(const Bdd& f, NodeIndex v, bool value) {
     Edge r;
     {
         OpGuard guard(op_depth_);
-        // Dense per-call memo tables would cost O(|nodes_|) to clear; use
-        // lazily-grown vectors and reset only the touched entries.
-        //
-        // Multi-manager / multi-thread audit: `thread_local` isolates the
-        // scratch between threads, so concurrent calls on different
-        // managers (the parallel supernode pipeline: one manager per
-        // worker task) never share it. Within one thread the scratch is
-        // safe across managers of different sizes because every touched
-        // entry is reset to kEdgeInvalid before this function exits —
-        // including by exception: make_node can throw (max_live_nodes
-        // guard, injected fault), and a stale memo entry surviving into
-        // the next manager's call would be returned as a wild edge. The
-        // `resize` below only ever grows with fresh kEdgeInvalid entries.
-        // What would NOT be safe is re-entrancy (two replace calls live
-        // on one thread's stack); replace_rec never calls back into
-        // public Manager ops, so that cannot happen.
-        static thread_local std::vector<Edge> memo_reg, memo_comp;
-        static thread_local std::vector<NodeIndex> touched;
-        if (memo_reg.size() < nodes_.size()) {
-            memo_reg.resize(nodes_.size(), kEdgeInvalid);
-            memo_comp.resize(nodes_.size(), kEdgeInvalid);
+        // The memo is Manager-owned, generation-stamped scratch: a new call
+        // bumps the generation instead of clearing, so an entry left by a
+        // call that threw (max_live_nodes guard, injected fault) is simply
+        // stale, and reset() or another manager can never observe it. Only
+        // nodes that exist now are memoized (make_node never recycles a
+        // slot reachable from f), so sizing to nodes_ here suffices.
+        const std::size_t slots = 2 * nodes_.size();
+        if (replace_stamp_.size() < slots) {
+            replace_stamp_.resize(slots, 0);
+            replace_memo_.resize(slots, kEdgeInvalid);
         }
-        touched.clear();
-        struct MemoReset {
-            std::vector<Edge>& memo_reg;
-            std::vector<Edge>& memo_comp;
-            const std::vector<NodeIndex>& touched;
-            NodeIndex root;
-            ~MemoReset() {
-                for (const NodeIndex idx : touched) {
-                    memo_reg[idx] = kEdgeInvalid;
-                    memo_comp[idx] = kEdgeInvalid;
-                }
-                // The root itself may be memoized without appearing in
-                // `touched` when it was reached only once; clear
-                // defensively.
-                if (root != kTerminalIndex) {
-                    memo_reg[root] = kEdgeInvalid;
-                    memo_comp[root] = kEdgeInvalid;
-                }
-            }
-        } memo_reset{memo_reg, memo_comp, touched, edge_index(f.edge())};
-        r = replace_rec(f.edge(), v, value ? kEdgeOne : kEdgeZero, memo_reg,
-                        memo_comp, touched);
+        if (++replace_gen_ == 0) {
+            std::fill(replace_stamp_.begin(), replace_stamp_.end(), 0);
+            replace_gen_ = 1;
+        }
+        r = replace_rec(f.edge(), v, value ? kEdgeOne : kEdgeZero, replace_gen_);
     }
     Bdd out = from_edge(r);
     auto_gc_if_needed();

@@ -80,7 +80,12 @@ Manager::~Manager() = default;
 
 void Manager::reset(int num_vars, ManagerParams params) {
     assert(op_depth_ == 0 && "reset during an active operation");
+#ifndef NDEBUG
+    // Dead nodes keep their children referenced until a sweep; after it,
+    // only nodes held by outstanding handles are still live.
+    sweep_dead();
     assert(live_nodes_ == 0 && "reset with outstanding Bdd handles");
+#endif
     params_ = params;
     // Node store back to just the pinned terminal. Node/NodeAux are
     // trivially destructible, so the shrink is O(1) and the grown capacity

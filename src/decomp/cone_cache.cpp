@@ -61,16 +61,13 @@ std::string cone_cache_config_blob(const EngineParams& engine,
                                    const bdd::ManagerParams& manager, bool reorder) {
     std::string out;
     out.reserve(128 + engine.preset.size());
-    append_raw(out, std::uint8_t{4});  // blob layout version
+    append_raw(out, std::uint8_t{5});  // blob layout version
     append_str(out, engine.preset);
     append_raw(out, static_cast<std::uint8_t>(engine.use_majority));
     append_raw(out, engine.max_simple_candidates);
     append_raw(out, engine.xor_acceptance_factor);
     append_raw(out, engine.exact_max_support);
     append_raw(out, engine.exact_min_saving);
-    append_raw(out, engine.exact_min_saving_wide);
-    append_raw(out, engine.exact_sat_budget);
-    append_raw(out, engine.exact_sat_max_steps);
     const MajDecompParams& maj = engine.maj;
     append_raw(out, maj.max_candidates);
     append_raw(out, maj.max_iterations);

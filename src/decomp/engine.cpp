@@ -23,7 +23,6 @@ EngineStats& EngineStats::operator+=(const EngineStats& o) {
     maj_steps += o.maj_steps;
     mux_steps += o.mux_steps;
     exact_steps += o.exact_steps;
-    exact_wide_steps += o.exact_wide_steps;
     symmetric_steps += o.symmetric_steps;
     gen_xor_steps += o.gen_xor_steps;
     maj_attempts += o.maj_attempts;
@@ -33,10 +32,6 @@ EngineStats& EngineStats::operator+=(const EngineStats& o) {
     sym_cone_total += o.sym_cone_total;
     npn_cache_hits += o.npn_cache_hits;
     npn_cache_misses += o.npn_cache_misses;
-    exact_sat_synthesized += o.exact_sat_synthesized;
-    exact_sat_cache_hits += o.exact_sat_cache_hits;
-    exact_sat_fallbacks += o.exact_sat_fallbacks;
-    exact_sat_conflicts += o.exact_sat_conflicts;
     cone_cache_hits += o.cone_cache_hits;
     cone_cache_misses += o.cone_cache_misses;
     cone_cache_evictions += o.cone_cache_evictions;
@@ -140,13 +135,6 @@ Signal BddDecomposer::emit(const Candidate& cand) {
             ++stats_.exact_steps;
             assert(cand.structure != nullptr);
             return emit_exact_cone(cand.match, *cand.structure, builder_, leaves_);
-        }
-        case Candidate::Op::kExactWide: {
-            ++stats_.exact_steps;
-            ++stats_.exact_wide_steps;
-            assert(cand.wide_structure != nullptr);
-            return emit_exact_cone_wide(cand.wide_match, *cand.wide_structure,
-                                        builder_, leaves_);
         }
         case Candidate::Op::kSymmetric: {
             ++stats_.symmetric_steps;

@@ -52,30 +52,16 @@ struct EngineParams {
     /// decomposer. Unknown names throw std::invalid_argument at
     /// construction.
     std::string preset = "paper";
-    /// Support cap for the exact cone strategy. Up to 4 uses the
-    /// pre-enumerated NPN table (decomp/exact.hpp); 5 and 6 engage the
-    /// on-demand SAT backend (decomp/exact_sat.hpp). Hard limit 6.
-    int exact_max_support = 6;
-    /// Conflict budget per SAT synthesis call on a 5-6 var cone class;
-    /// exhaustion records a negative cache entry and falls back to the
-    /// heuristic ladder (nothing partial is emitted). <= 0 disables the
-    /// SAT backend outright (wide cones fall through to the ladder).
-    long long exact_sat_budget = 10000;
-    /// Longest chain the SAT backend tries before declaring a class
-    /// unsynthesizable at this effort.
-    int exact_sat_max_steps = 8;
+    /// Support cap for the exact cone strategy, served from the
+    /// pre-enumerated NPN table (decomp/exact.hpp). Values above
+    /// kMaxExactSupport (4) act as 4.
+    int exact_max_support = kMaxExactSupport;
     /// Profitability gate for the exact strategy: serve a cached structure
     /// only when its gate count is below |dag(f)| + this margin (more
     /// negative = more conservative, preserving the ladder's cross-cone
     /// sharing; see ExactSmallConeStrategy). -1 is the measured sweet spot
     /// on the MCNC suite.
     int exact_min_saving = -1;
-    /// The same margin for the 5-6 var SAT-synthesized cones, which are
-    /// larger sharing-opaque blocks and need a harsher bar (see
-    /// ExactSmallConeStrategy::propose_wide); tuned on MCNC mapped gates:
-    /// -4 ties the 4-var-only backend while still serving wide cones,
-    /// shallower margins lose the ladder's cross-cone sharing.
-    int exact_min_saving_wide = -4;
     /// Support cap for the symmetric-cone strategy (the `symmetry`
     /// preset): cones with more support variables than this skip the
     /// symmetry census entirely.
@@ -100,7 +86,6 @@ struct EngineStats {
     int maj_steps = 0;
     int mux_steps = 0;
     int exact_steps = 0;    ///< whole cones served by the exact backend
-    int exact_wide_steps = 0;  ///< the 5-6 var SAT-backed subset of exact_steps
     int symmetric_steps = 0;   ///< cones served as ones-counting networks
     int gen_xor_steps = 0;  ///< the generalized (stage 3) subset of xor_steps
     int maj_attempts = 0;   ///< majority decompositions evaluated
@@ -114,16 +99,6 @@ struct EngineStats {
     long long sym_cone_total = 0;
     long long npn_cache_hits = 0;
     long long npn_cache_misses = 0;
-    // SAT exact-synthesis telemetry (the 5-6 var wide path). Like
-    // npn_cache_*, these depend on prior process history — a class
-    // synthesized earlier (or loaded from disk) is a cache hit that skips
-    // the solver — so they stay outside determinism fingerprints. The
-    // served PROGRAMS are deterministic: a hit returns byte-for-byte what
-    // a cold synthesis at equal-or-lower effort would have produced.
-    long long exact_sat_synthesized = 0;  ///< solver calls actually made
-    long long exact_sat_cache_hits = 0;   ///< wide classes served from cache
-    long long exact_sat_fallbacks = 0;    ///< budget/steps exhausted -> ladder
-    long long exact_sat_conflicts = 0;    ///< total solver conflicts spent
     // Cone-memoization telemetry (decomp/cone_cache.hpp; filled by the
     // flow layer). Like npn_cache_*, hit/miss/eviction counts depend on
     // prior process history — a cone decomposed by an earlier run or a
@@ -153,6 +128,13 @@ struct EngineStats {
     // deadline/budget/guard is configured.
     long long degraded_supernodes = 0;
     long long resource_exhausted_cones = 0;  ///< cones retried after a guard trip
+    // Retired SAT exact-tier counters for 5-6 var cones. That tier is gone
+    // and these always read 0; they stay only because the benchmark in
+    // perfbench/src/driver.cpp still reads them.
+    int exact_wide_steps = 0;
+    long long exact_sat_synthesized = 0;
+    long long exact_sat_fallbacks = 0;
+    long long exact_sat_conflicts = 0;
 
     EngineStats& operator+=(const EngineStats& o);
 

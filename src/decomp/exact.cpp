@@ -19,34 +19,11 @@ constexpr std::uint16_t kLit[4] = {0xaaaa, 0xcccc, 0xf0f0, 0xff00};
 std::uint16_t op_tt(ExactOp op, std::uint16_t a, std::uint16_t b, std::uint16_t c) {
     switch (op) {
         case ExactOp::kAnd: return a & b;
-        case ExactOp::kOr: return a | b;  // wide programs only
         case ExactOp::kXor: return a ^ b;
         case ExactOp::kMaj:
             return static_cast<std::uint16_t>((a & b) | (a & c) | (b & c));
         case ExactOp::kMux:  // a ? b : c
             return static_cast<std::uint16_t>((a & b) | (~a & c));
-    }
-    return 0;
-}
-
-// Truth tables of the six wide canonical-space input literals over 64 bits.
-constexpr std::uint64_t kLitW[6] = {
-    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
-    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
-};
-
-std::uint64_t wide_mask(int num_inputs) {
-    return num_inputs >= 6 ? ~0ULL : ((1ULL << (1u << num_inputs)) - 1);
-}
-
-std::uint64_t op_tt_w(ExactOp op, std::uint64_t a, std::uint64_t b,
-                      std::uint64_t c) {
-    switch (op) {
-        case ExactOp::kAnd: return a & b;
-        case ExactOp::kOr: return a | b;
-        case ExactOp::kXor: return a ^ b;
-        case ExactOp::kMaj: return (a & b) | (a & c) | (b & c);
-        case ExactOp::kMux: return (a & b) | (~a & c);  // a ? b : c
     }
     return 0;
 }
@@ -232,25 +209,6 @@ std::uint16_t ExactStructure::eval_tt() const {
     return resolve(output);
 }
 
-std::uint64_t WideStructure::eval_tt() const {
-    const std::uint64_t mask = wide_mask(num_inputs);
-    std::vector<std::uint64_t> value;
-    value.reserve(gates.size());
-    const auto resolve = [&](const WideRef& r) -> std::uint64_t {
-        if (r.is_const()) return r.complemented ? mask : 0;
-        const std::uint64_t v =
-            r.is_input()
-                ? (kLitW[r.index] & mask)
-                : value[static_cast<std::size_t>(r.index - WideRef::kGateBase)];
-        return r.complemented ? (~v & mask) : v;
-    };
-    for (const WideGate& g : gates) {
-        value.push_back(op_tt_w(g.op, resolve(g.a), resolve(g.b), resolve(g.c)) &
-                        mask);
-    }
-    return resolve(output);
-}
-
 std::optional<ConeMatch> match_cone(bdd::Manager& mgr, const bdd::Bdd& f,
                                     int max_support) {
     assert(max_support <= 4);
@@ -325,9 +283,6 @@ net::Signal emit_exact_cone(const ConeMatch& match, const ExactStructure& s,
             case ExactOp::kAnd:
                 out = sink.build_and(resolve(g.a), resolve(g.b));
                 break;
-            case ExactOp::kOr:  // wide programs only; kept total for safety
-                out = sink.build_or(resolve(g.a), resolve(g.b));
-                break;
             case ExactOp::kXor:
                 out = sink.build_xor(resolve(g.a), resolve(g.b));
                 break;
@@ -378,61 +333,6 @@ std::shared_ptr<const ExactStructure> ExactSynthesisCache::lookup(
     return it->second;
 }
 
-bool ExactSynthesisCache::wide_slot(int num_inputs, std::size_t* slot) {
-    if (num_inputs < 5 || num_inputs > 6) return false;
-    *slot = static_cast<std::size_t>(num_inputs - 5);
-    return true;
-}
-
-std::shared_ptr<const WideStructure> ExactSynthesisCache::lookup_wide(
-    int num_inputs, std::uint64_t canonical) {
-    std::size_t slot;
-    if (!wide_slot(num_inputs, &slot)) return nullptr;
-    std::lock_guard<std::mutex> lock(wide_.mutex);
-    const auto it = wide_.map[slot].find(canonical);
-    if (it != wide_.map[slot].end()) {
-        wide_hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-    }
-    wide_misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-}
-
-std::shared_ptr<const WideStructure> ExactSynthesisCache::insert_wide(
-    std::shared_ptr<const WideStructure> s) {
-    std::size_t slot;
-    if (s == nullptr || !wide_slot(s->num_inputs, &slot)) return nullptr;
-    std::lock_guard<std::mutex> lock(wide_.mutex);
-    const auto [it, inserted] = wide_.map[slot].emplace(s->canonical, std::move(s));
-    if (inserted) wide_.failures[slot].erase(it->first);
-    return it->second;
-}
-
-bool ExactSynthesisCache::wide_failure_covers(int num_inputs,
-                                              std::uint64_t canonical,
-                                              long long budget, int max_steps) {
-    std::size_t slot;
-    if (!wide_slot(num_inputs, &slot)) return false;
-    std::lock_guard<std::mutex> lock(wide_.mutex);
-    const auto it = wide_.failures[slot].find(canonical);
-    if (it == wide_.failures[slot].end()) return false;
-    return it->second.budget >= budget && it->second.max_steps >= max_steps;
-}
-
-void ExactSynthesisCache::record_wide_failure(int num_inputs,
-                                              std::uint64_t canonical,
-                                              long long budget, int max_steps) {
-    std::size_t slot;
-    if (!wide_slot(num_inputs, &slot)) return;
-    std::lock_guard<std::mutex> lock(wide_.mutex);
-    // Never shadow a success: a program may have been published between
-    // this worker's failed attempt and the record call.
-    if (wide_.map[slot].contains(canonical)) return;
-    WideFailure& f = wide_.failures[slot][canonical];
-    f.budget = f.budget > budget ? f.budget : budget;
-    f.max_steps = f.max_steps > max_steps ? f.max_steps : max_steps;
-}
-
 namespace {
 
 // On-disk exact-cache layout (little-endian as stored; the file is a
@@ -440,12 +340,10 @@ namespace {
 //   "BMXC" magic, u32 version, u32 narrow class count, then per class:
 //   u16 canonical, u16 gate count, gates as (op, a, b, c) with each
 //   ExactRef as (index, complemented) byte pairs, and the output ref.
-// Version 2 appends the SAT-synthesized wide section after the narrow
-// entries: u32 wide count, then per class u8 num_inputs, u64 canonical,
-// u16 gate count, gates/output in the same (op, refs) shape. Version 1
-// files (narrow only) still load.
+// Any other version (including the retired version 2, which appended
+// programs for 5-6 input cones) loads nothing.
 constexpr char kExactCacheMagic[4] = {'B', 'M', 'X', 'C'};
-constexpr std::uint32_t kExactCacheVersion = 2;
+constexpr std::uint32_t kExactCacheVersion = 1;
 
 void put_u16(std::string& out, std::uint16_t v) {
     out.push_back(static_cast<char>(v & 0xff));
@@ -457,17 +355,7 @@ void put_u32(std::string& out, std::uint32_t v) {
     put_u16(out, static_cast<std::uint16_t>(v >> 16));
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-    put_u32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-    put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
 void put_ref(std::string& out, const ExactRef& r) {
-    out.push_back(static_cast<char>(r.index));
-    out.push_back(static_cast<char>(r.complemented ? 1 : 0));
-}
-
-void put_wref(std::string& out, const WideRef& r) {
     out.push_back(static_cast<char>(r.index));
     out.push_back(static_cast<char>(r.complemented ? 1 : 0));
 }
@@ -495,16 +383,6 @@ struct ByteReader {
         r.complemented = u8() != 0;
         return r;
     }
-    std::uint64_t u64() {
-        const std::uint64_t lo = u32();
-        return lo | (static_cast<std::uint64_t>(u32()) << 32);
-    }
-    WideRef wref() {
-        WideRef r;
-        r.index = u8();
-        r.complemented = u8() != 0;
-        return r;
-    }
 };
 
 /// Structural validity of a loaded ref at gate position `gate_pos`
@@ -512,12 +390,6 @@ struct ByteReader {
 bool ref_valid(const ExactRef& r, std::size_t gate_pos) {
     if (r.is_const()) return true;
     return r.index < 4 + gate_pos;
-}
-
-bool wref_valid(const WideRef& r, int num_inputs, std::size_t gate_pos) {
-    if (r.is_const()) return true;
-    if (r.is_input()) return r.index < num_inputs;
-    return r.index < WideRef::kGateBase + gate_pos;
 }
 
 }  // namespace
@@ -530,20 +402,6 @@ int ExactSynthesisCache::save_to_file(const std::string& path) const {
     }
     std::sort(entries.begin(), entries.end(),
               [](const auto& a, const auto& b) { return a->canonical < b->canonical; });
-    std::vector<std::shared_ptr<const WideStructure>> wide_entries;
-    {
-        std::lock_guard<std::mutex> lock(wide_.mutex);
-        for (const auto& per_n : wide_.map) {
-            for (const auto& [canonical, structure] : per_n) {
-                wide_entries.push_back(structure);
-            }
-        }
-    }
-    std::sort(wide_entries.begin(), wide_entries.end(),
-              [](const auto& a, const auto& b) {
-                  return std::make_pair(a->num_inputs, a->canonical) <
-                         std::make_pair(b->num_inputs, b->canonical);
-              });
 
     std::string payload;
     payload.append(kExactCacheMagic, sizeof(kExactCacheMagic));
@@ -559,19 +417,6 @@ int ExactSynthesisCache::save_to_file(const std::string& path) const {
             put_ref(payload, g.c);
         }
         put_ref(payload, s->output);
-    }
-    put_u32(payload, static_cast<std::uint32_t>(wide_entries.size()));
-    for (const auto& s : wide_entries) {
-        payload.push_back(static_cast<char>(s->num_inputs));
-        put_u64(payload, s->canonical);
-        put_u16(payload, static_cast<std::uint16_t>(s->gates.size()));
-        for (const WideGate& g : s->gates) {
-            payload.push_back(static_cast<char>(g.op));
-            put_wref(payload, g.a);
-            put_wref(payload, g.b);
-            put_wref(payload, g.c);
-        }
-        put_wref(payload, s->output);
     }
 
     // Write-then-rename: readers either see the complete old file or the
@@ -594,7 +439,7 @@ int ExactSynthesisCache::save_to_file(const std::string& path) const {
         std::remove(tmp.c_str());
         return -1;
     }
-    return static_cast<int>(entries.size() + wide_entries.size());
+    return static_cast<int>(entries.size());
 }
 
 int ExactSynthesisCache::load_from_file(const std::string& path) {
@@ -611,7 +456,7 @@ int ExactSynthesisCache::load_from_file(const std::string& path) {
     for (char& c : magic) c = static_cast<char>(rd.u8());
     if (!rd.ok || std::memcmp(magic, kExactCacheMagic, sizeof(magic)) != 0) return 0;
     const std::uint32_t version = rd.u32();
-    if (version != 1 && version != kExactCacheVersion) return 0;
+    if (version != kExactCacheVersion) return 0;
     const std::uint32_t count = rd.u32();
     if (!rd.ok) return 0;
 
@@ -644,42 +489,6 @@ int ExactSynthesisCache::load_from_file(const std::string& path) {
         std::lock_guard<std::mutex> lock(shard.mutex);
         if (shard.map.emplace(s->canonical, std::move(s)).second) ++inserted;
     }
-    if (version < 2) return inserted;
-
-    const std::uint32_t wide_count = rd.u32();
-    if (!rd.ok) return inserted;
-    for (std::uint32_t i = 0; i < wide_count && rd.ok; ++i) {
-        auto s = std::make_shared<WideStructure>();
-        s->num_inputs = rd.u8();
-        s->canonical = rd.u64();
-        const std::uint16_t gate_count = rd.u16();
-        bool valid = rd.ok && s->num_inputs >= 5 && s->num_inputs <= 6 &&
-                     (s->canonical & ~wide_mask(s->num_inputs)) == 0;
-        s->gates.reserve(gate_count);
-        for (std::uint16_t g = 0; g < gate_count; ++g) {
-            WideGate gate;
-            const std::uint8_t op = rd.u8();
-            gate.op = static_cast<ExactOp>(op);
-            gate.a = rd.wref();
-            gate.b = rd.wref();
-            gate.c = rd.wref();
-            valid = valid && rd.ok && op <= static_cast<std::uint8_t>(ExactOp::kOr) &&
-                    wref_valid(gate.a, s->num_inputs, g) &&
-                    wref_valid(gate.b, s->num_inputs, g) &&
-                    wref_valid(gate.c, s->num_inputs, g);
-            s->gates.push_back(gate);
-        }
-        s->output = rd.wref();
-        valid = valid && rd.ok && wref_valid(s->output, s->num_inputs, s->gates.size());
-        // Same re-validation contract as narrow entries: only programs
-        // that really compute their claimed class are trusted.
-        if (!valid || s->eval_tt() != s->canonical) continue;
-
-        std::size_t slot;
-        if (!wide_slot(s->num_inputs, &slot)) continue;
-        std::lock_guard<std::mutex> lock(wide_.mutex);
-        if (wide_.map[slot].emplace(s->canonical, std::move(s)).second) ++inserted;
-    }
     return inserted;
 }
 
@@ -687,20 +496,9 @@ ExactCacheStats ExactSynthesisCache::stats() const {
     ExactCacheStats out;
     out.hits = hits_.load(std::memory_order_relaxed);
     out.misses = misses_.load(std::memory_order_relaxed);
-    out.wide_hits = wide_hits_.load(std::memory_order_relaxed);
-    out.wide_misses = wide_misses_.load(std::memory_order_relaxed);
     for (const Shard& shard : shards_) {
         std::lock_guard<std::mutex> lock(shard.mutex);
         out.classes_cached += static_cast<int>(shard.map.size());
-    }
-    {
-        std::lock_guard<std::mutex> lock(wide_.mutex);
-        for (const auto& per_n : wide_.map) {
-            out.wide_classes_cached += static_cast<int>(per_n.size());
-        }
-        for (const auto& per_n : wide_.failures) {
-            out.wide_failures_recorded += static_cast<int>(per_n.size());
-        }
     }
     return out;
 }

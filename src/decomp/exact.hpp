@@ -59,11 +59,7 @@ struct ExactRef {
     [[nodiscard]] ExactRef operator!() const { return {index, !complemented}; }
 };
 
-/// kOr exists for the wide (5-6 input) SAT-synthesized programs only: the
-/// narrow backend absorbs OR into AND via free complemented refs, but a
-/// wide gate's 8-bit operator table must be realizable without an output
-/// complement, so OR is a first-class op there.
-enum class ExactOp : std::uint8_t { kAnd, kXor, kMaj, kMux, kOr };
+enum class ExactOp : std::uint8_t { kAnd, kXor, kMaj, kMux };
 
 struct ExactGate {
     ExactOp op = ExactOp::kAnd;
@@ -97,6 +93,10 @@ struct ConeMatch {
     int support_size = 0;
 };
 
+/// Widest cone the exact backend serves: every function of up to this many
+/// variables has a 16-bit truth table and a pre-enumerated NPN class.
+inline constexpr int kMaxExactSupport = 4;
+
 /// Extract the truth table of `f` when its support has at most
 /// `max_support` (<= 4) variables; nullopt otherwise. Callers should
 /// pre-filter on DAG size — a function on <= 4 variables never has more
@@ -116,67 +116,11 @@ struct ConeMatch {
                                           net::GateSink& sink,
                                           std::span<const net::Signal> leaves);
 
-// ---------------------------------------------------------------------------
-// Wide (5-6 input) structures, produced by the SAT-based exact backend
-// (decomp/exact_sat.hpp). Same straight-line replay shape as
-// ExactStructure, but over up to six canonical-space inputs and 64-bit
-// truth tables; gates are full fanin-3 chain steps (the SAT encoding lifts
-// the narrow backend's one-literal-operand tree-grammar restriction).
-// ---------------------------------------------------------------------------
-
-/// Operand of a wide gate: canonical-space input (index 0..5), an earlier
-/// gate (index 6 + position), or a constant. The input base is fixed at 6
-/// regardless of the actual input count so refs stay stable across n.
-struct WideRef {
-    static constexpr std::uint8_t kConstIndex = 0xff;
-    static constexpr std::uint8_t kGateBase = 6;
-    std::uint8_t index = kConstIndex;
-    bool complemented = false;  ///< for kConstIndex: true = constant one
-
-    [[nodiscard]] static WideRef input(int i, bool c) {
-        return {static_cast<std::uint8_t>(i), c};
-    }
-    [[nodiscard]] static WideRef gate(int g, bool c) {
-        return {static_cast<std::uint8_t>(kGateBase + g), c};
-    }
-    [[nodiscard]] static WideRef constant(bool one) { return {kConstIndex, one}; }
-    [[nodiscard]] bool is_const() const noexcept { return index == kConstIndex; }
-    [[nodiscard]] bool is_input() const noexcept {
-        return !is_const() && index < kGateBase;
-    }
-    [[nodiscard]] WideRef operator!() const { return {index, !complemented}; }
-};
-
-struct WideGate {
-    ExactOp op = ExactOp::kAnd;
-    WideRef a, b, c;  ///< c is used by kMaj and kMux (select = a) only
-};
-
-/// A straight-line program computing one wide NPN-canonical function of
-/// `num_inputs` (5 or 6) canonical-space inputs. Immutable once published.
-struct WideStructure {
-    std::uint64_t canonical = 0;  ///< class tt in the low 2^num_inputs bits
-    std::uint8_t num_inputs = 0;
-    std::vector<WideGate> gates;  ///< topologically ordered
-    WideRef output;
-
-    [[nodiscard]] int gate_count() const noexcept {
-        return static_cast<int>(gates.size());
-    }
-    /// Evaluate over 64-bit truth-table arithmetic (masked to 2^num_inputs
-    /// bits); proves the program really computes `canonical`.
-    [[nodiscard]] std::uint64_t eval_tt() const;
-};
-
 /// Telemetry of the process-wide class cache.
 struct ExactCacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;   ///< first-touch materializations
     int classes_cached = 0;
-    std::uint64_t wide_hits = 0;
-    std::uint64_t wide_misses = 0;  ///< lookups that found no wide program
-    int wide_classes_cached = 0;
-    int wide_failures_recorded = 0;  ///< negative entries (budget/steps keyed)
 };
 
 /// Process-wide NPN-class structure cache. Thread-safe; the underlying
@@ -207,40 +151,9 @@ public:
     /// entry is re-validated (reference well-formedness + the program
     /// must evaluate to its claimed class) before being trusted — a
     /// corrupted structure is skipped, never served. Already-materialized
-    /// classes keep their in-memory program (first insert wins). Accepts
-    /// both the legacy narrow-only version 1 files and the version 2
-    /// layout that appends SAT-found wide programs. Returns the number of
-    /// classes actually inserted (narrow + wide).
+    /// classes keep their in-memory program (first insert wins). Returns
+    /// the number of classes actually inserted.
     int load_from_file(const std::string& path);
-
-    // --- Wide (5-6 input) SAT-synthesized programs -----------------------
-
-    /// Program for a wide canonical class, or nullptr when none has been
-    /// synthesized yet (the SAT backend is on-demand; a miss here is the
-    /// caller's cue to synthesize). Thread-safe.
-    [[nodiscard]] std::shared_ptr<const WideStructure> lookup_wide(
-        int num_inputs, std::uint64_t canonical);
-
-    /// Publish a synthesized program; first insert wins (racing workers
-    /// that synthesized the same class concurrently converge on the first
-    /// published copy). Returns the canonical in-cache pointer. Clears any
-    /// negative entry for the class.
-    std::shared_ptr<const WideStructure> insert_wide(
-        std::shared_ptr<const WideStructure> s);
-
-    /// True when a previous synthesis attempt for the class already failed
-    /// with at least this conflict budget AND step cap — retrying with the
-    /// same or less effort is pointless and would burn the budget again.
-    [[nodiscard]] bool wide_failure_covers(int num_inputs,
-                                           std::uint64_t canonical,
-                                           long long budget, int max_steps);
-
-    /// Record a failed synthesis attempt (budget exhausted or UNSAT up to
-    /// max_steps). Keeps the strongest attempt per class; in-memory only,
-    /// never persisted (a failure is relative to a budget, not a fact
-    /// about the function).
-    void record_wide_failure(int num_inputs, std::uint64_t canonical,
-                             long long budget, int max_steps);
 
     [[nodiscard]] ExactCacheStats stats() const;
 
@@ -252,29 +165,9 @@ private:
         mutable std::mutex mutex;
         std::unordered_map<std::uint16_t, std::shared_ptr<const ExactStructure>> map;
     };
-    struct WideFailure {
-        long long budget = 0;
-        int max_steps = 0;
-    };
-    /// Wide classes are few (hundreds, each guarded by an expensive SAT
-    /// call), so a single mutex over both per-n maps is not a bottleneck.
-    struct WideStore {
-        mutable std::mutex mutex;
-        // Index 0 holds 5-input classes, index 1 holds 6-input classes.
-        std::array<std::unordered_map<std::uint64_t,
-                                      std::shared_ptr<const WideStructure>>,
-                   2>
-            map;
-        std::array<std::unordered_map<std::uint64_t, WideFailure>, 2> failures;
-    };
-    static bool wide_slot(int num_inputs, std::size_t* slot);
-
     std::array<Shard, kShards> shards_;
-    WideStore wide_;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> wide_hits_{0};
-    std::atomic<std::uint64_t> wide_misses_{0};
 };
 
 /// Minimal gate count of `tt` in the enumeration grammar (exposed for

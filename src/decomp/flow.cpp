@@ -163,15 +163,13 @@ struct DegradeStage {
 };
 
 /// Derive a cheaper stage from the requested parameters: the stage's
-/// preset, exact tiers disabled, sift effort clamped. The terminal stage
-/// additionally turns reordering and the resource guards off, so plain
-/// Shannon expansion — linear in the cone's BDD — always terminates.
+/// preset, sift effort clamped. The terminal stage additionally turns
+/// reordering and the resource guards off, so plain Shannon expansion —
+/// linear in the cone's BDD — always terminates.
 DecompFlowParams degraded_stage_params(const DecompFlowParams& base,
                                        const std::string& preset, bool terminal) {
     DecompFlowParams p = base;
     p.engine.preset = preset;
-    p.engine.exact_sat_budget = 0;
-    p.engine.exact_max_support = std::min(p.engine.exact_max_support, 4);
     p.manager.sift_converge = false;
     p.manager.sift_max_growth = std::min(p.manager.sift_max_growth, 1.1);
     p.manager.sift_symmetry = false;
@@ -212,17 +210,20 @@ DecompFlowParams degraded_stage_params(const DecompFlowParams& base,
 
 }  // namespace
 
-DecompFlowResult decompose_network(const Network& input, const DecompFlowParams& orig_params) {
-    const auto start = std::chrono::steady_clock::now();
-
-    // Resolve the symmetry-sifting tri-state into the manager knob every
-    // supernode worker sees, BEFORE the cone-cache config blob is built —
-    // the blob must capture the resolved value, not the tri-state.
-    DecompFlowParams params = orig_params;
+DecompFlowParams resolve_flow_params(DecompFlowParams params) {
     params.manager.sift_symmetry =
         params.sift_symmetry < 0
             ? preset_sift_symmetry_default(params.engine.preset)
             : params.sift_symmetry != 0;
+    params.engine.exact_max_support =
+        std::min(params.engine.exact_max_support, kMaxExactSupport);
+    return params;
+}
+
+DecompFlowResult decompose_network(const Network& input, const DecompFlowParams& orig_params) {
+    const auto start = std::chrono::steady_clock::now();
+
+    DecompFlowParams params = resolve_flow_params(orig_params);
 
     const std::vector<Supernode> supernodes =
         partition_network(input, params.partition);

@@ -110,8 +110,7 @@ struct DecompFlowParams {
     /// counts them. Unset = no budget (and no clock reads).
     std::optional<std::chrono::steady_clock::time_point> soft_budget;
     /// Preset names tried in order for a degraded or guard-tripped
-    /// supernode (each stage also clamps sift effort and disables the
-    /// exact tiers). "shannon" — plain cofactor expansion with reordering
+    /// supernode (each stage also clamps sift effort). "shannon" — plain cofactor expansion with reordering
     /// and resource guards off, which always terminates — is appended as
     /// the terminal stage when missing. Empty = {"paper", "shannon"}.
     /// Only consulted when a soft budget or a resource guard
@@ -127,6 +126,13 @@ struct DecompFlowParams {
     /// is exact at every input width.
     bool self_check = false;
 };
+
+/// The parameters decompose_network actually runs with: the sift_symmetry
+/// tri-state resolved into manager.sift_symmetry, and
+/// engine.exact_max_support clamped to kMaxExactSupport. Resolution comes
+/// before the cone-cache config blob is built, so requests that resolve
+/// alike share cache entries.
+[[nodiscard]] DecompFlowParams resolve_flow_params(DecompFlowParams params);
 
 struct DecompFlowResult {
     net::Network network;

@@ -239,22 +239,15 @@ public:
     }
 };
 
-/// Exact cone strategy: when the support fits in 4 variables, serve the
-/// minimal cached {MAJ,AND,OR,XOR,MUX,NOT} structure for the cone's NPN
-/// class; with exact_max_support >= 5, cones of 5-6 support variables are
-/// synthesized on demand by the SAT backend (decomp/exact_sat.hpp) under
-/// a per-class conflict budget, with both successes and exhaustions
-/// memoized process-wide. The DAG-size pre-filters keep the reject path
-/// O(1): a reduced BDD over 4 (resp. 6) variables never exceeds a
-/// handful of nodes.
+/// Exact cone strategy: when the support fits in exact_max_support (<= 4)
+/// variables, serve the minimal cached {MAJ,AND,OR,XOR,MUX,NOT} structure
+/// for the cone's NPN class. The DAG-size pre-filter keeps the reject path
+/// O(1): a reduced BDD over 4 variables never exceeds a handful of nodes.
 class ExactSmallConeStrategy final : public DecompStrategy {
 public:
     /// Largest reduced-BDD node count of any function on <= 4 variables
     /// (3 + 2 + 4 + 2 per level, generously rounded up).
     static constexpr std::size_t kMaxSmallConeNodes = 16;
-    /// Same bound for 6 variables: level widths 1+2+4+8+13+2 with
-    /// complement edges, generously rounded up.
-    static constexpr std::size_t kMaxWideConeNodes = 40;
 
     [[nodiscard]] StrategyKind kind() const noexcept override {
         return StrategyKind::kExactSmallCone;
@@ -263,99 +256,28 @@ public:
         return "exact-small-cone";
     }
     [[nodiscard]] std::optional<Candidate> propose(StepContext& ctx) override {
-        // Profitability gate (both widths): an exact structure is a
-        // sharing-opaque block (its gates only unify with structurally
-        // identical ones), while the ladder's recursion memoizes shared
-        // sub-BDDs across the whole supernode. Serving the cone is only a
-        // win when the program is strictly smaller than the ladder's
-        // ~1-gate-per-BDD-node yield.
-        const int gate_limit =
-            static_cast<int>(ctx.f_size) + ctx.params.exact_min_saving;
-        if (ctx.f_size <= kMaxSmallConeNodes) {
-            const int max_support = std::min(ctx.params.exact_max_support, 4);
-            std::optional<ConeMatch> match =
-                match_cone(ctx.mgr, ctx.f, max_support);
-            if (match) {
-                bool was_hit = false;
-                Candidate cand;
-                cand.structure = ExactSynthesisCache::instance().lookup(
-                    match->canonical, &was_hit);
-                if (was_hit) {
-                    ++ctx.stats.npn_cache_hits;
-                } else {
-                    ++ctx.stats.npn_cache_misses;
-                }
-                if (cand.structure->gate_count() >= gate_limit) {
-                    return std::nullopt;
-                }
-                cand.source = StrategyKind::kExactSmallCone;
-                cand.op = Candidate::Op::kExact;
-                cand.match = *match;
-                return cand;
-            }
-        }
-        return propose_wide(ctx, gate_limit);
-    }
-
-private:
-    /// The 5-6 var SAT path. Every decision is a pure function of the
-    /// cone's canonical class and the (budget, max_steps) effort, so racing
-    /// workers and any jobs count converge: a cache hit serves exactly the
-    /// program a cold synthesis would have produced, and a negative entry
-    /// only covers efforts where synthesis would have failed identically.
-    [[nodiscard]] std::optional<Candidate> propose_wide(StepContext& ctx,
-                                                        int gate_limit) {
-        if (ctx.params.exact_max_support < 5 || ctx.params.exact_sat_budget <= 0 ||
-            ctx.f_size > kMaxWideConeNodes) {
-            return std::nullopt;
-        }
-        // Wide cones need a harsher margin than the narrow ones: at 5-6
-        // variables the cone's sub-BDDs are shared across far more sibling
-        // recursions, so the ladder's marginal cost sits below f_size.
-        gate_limit =
-            static_cast<int>(ctx.f_size) + ctx.params.exact_min_saving_wide;
-        const int max_support = std::min(ctx.params.exact_max_support, 6);
-        const std::optional<WideConeMatch> match =
-            match_cone_wide(ctx.mgr, ctx.f, 5, max_support);
+        if (ctx.f_size > kMaxSmallConeNodes) return std::nullopt;
+        const int max_support = std::min(ctx.params.exact_max_support, kMaxExactSupport);
+        std::optional<ConeMatch> match = match_cone(ctx.mgr, ctx.f, max_support);
         if (!match) return std::nullopt;
-        // Fanin floor: r 3-input steps reach at most 2r+1 leaves, so a
-        // cone on s variables needs >= ceil((s-1)/2) = s/2 gates. Skip the
-        // solver entirely when even that floor cannot beat the gate limit.
-        if (match->support_size / 2 >= gate_limit) return std::nullopt;
-
-        ExactSynthesisCache& cache = ExactSynthesisCache::instance();
-        std::shared_ptr<const WideStructure> structure =
-            cache.lookup_wide(match->support_size, match->canonical);
-        if (structure != nullptr) {
-            ++ctx.stats.exact_sat_cache_hits;
-        } else if (cache.wide_failure_covers(match->support_size, match->canonical,
-                                             ctx.params.exact_sat_budget,
-                                             ctx.params.exact_sat_max_steps)) {
-            ++ctx.stats.exact_sat_fallbacks;
-            return std::nullopt;
-        } else {
-            ExactSatParams sat_params;
-            sat_params.conflict_budget = ctx.params.exact_sat_budget;
-            sat_params.max_steps = ctx.params.exact_sat_max_steps;
-            const ExactSatResult res = exact_sat_synthesize(
-                match->canonical, match->support_size, sat_params);
-            ++ctx.stats.exact_sat_synthesized;
-            ctx.stats.exact_sat_conflicts += res.conflicts;
-            if (res.status != ExactSatStatus::kFound) {
-                cache.record_wide_failure(match->support_size, match->canonical,
-                                          sat_params.conflict_budget,
-                                          sat_params.max_steps);
-                ++ctx.stats.exact_sat_fallbacks;
-                return std::nullopt;
-            }
-            structure = cache.insert_wide(res.structure);
-        }
-        if (structure->gate_count() >= gate_limit) return std::nullopt;
+        bool was_hit = false;
         Candidate cand;
+        cand.structure = ExactSynthesisCache::instance().lookup(match->canonical, &was_hit);
+        if (was_hit) {
+            ++ctx.stats.npn_cache_hits;
+        } else {
+            ++ctx.stats.npn_cache_misses;
+        }
+        // Profitability gate: an exact structure is a sharing-opaque block
+        // (its gates only unify with structurally identical ones), while
+        // the ladder's recursion memoizes shared sub-BDDs across the whole
+        // supernode. Serving the cone is only a win when the program is
+        // strictly smaller than the ladder's ~1-gate-per-BDD-node yield.
+        const int gate_limit = static_cast<int>(ctx.f_size) + ctx.params.exact_min_saving;
+        if (cand.structure->gate_count() >= gate_limit) return std::nullopt;
         cand.source = StrategyKind::kExactSmallCone;
-        cand.op = Candidate::Op::kExactWide;
-        cand.wide_match = *match;
-        cand.wide_structure = std::move(structure);
+        cand.op = Candidate::Op::kExact;
+        cand.match = *match;
         return cand;
     }
 };
@@ -389,12 +311,6 @@ CandidateShape shape_of(const Candidate& cand, StepContext& ctx) {
         s.exact_gates = cand.structure != nullptr ? cand.structure->gate_count() : 0;
         return s;
     }
-    if (cand.op == Candidate::Op::kExactWide) {
-        s.exact = true;
-        s.exact_gates =
-            cand.wide_structure != nullptr ? cand.wide_structure->gate_count() : 0;
-        return s;
-    }
     if (cand.op == Candidate::Op::kSymmetric) {
         // Like exact candidates, the counter network's gate count is known
         // before anything is emitted.
@@ -425,7 +341,6 @@ CandidateShape shape_of(const Candidate& cand, StepContext& ctx) {
             s.root_fanin = 4;
             break;
         case Candidate::Op::kExact:
-        case Candidate::Op::kExactWide:
         case Candidate::Op::kSymmetric:
             break;
     }
@@ -522,9 +437,8 @@ const std::vector<PresetInfo>& preset_catalog() {
         {"bds-pga",
          "the paper ladder without the majority stage (Table I baseline)"},
         {"exact-aggressive",
-         "exact structures for small cones — enumerated NPN classes up to "
-         "4 support variables, SAT-synthesized chains for 5-6 — then the "
-         "paper ladder"},
+         "exact structures for small cones (enumerated NPN classes up to "
+         "4 support variables), then the paper ladder"},
         {"best-cost",
          "all strategies propose every step; the gate-count cost model "
          "picks the cheapest candidate"},

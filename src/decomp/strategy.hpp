@@ -30,7 +30,6 @@
 #include "bdd/bdd.hpp"
 #include "decomp/dominators.hpp"
 #include "decomp/exact.hpp"
-#include "decomp/exact_sat.hpp"
 #include "decomp/symmetric.hpp"
 
 namespace bdsmaj::decomp {
@@ -40,8 +39,7 @@ struct EngineStats;
 
 enum class StrategyKind {
     kSymmetric,        ///< totally symmetric cones -> ones-counting MAJ network
-    kExactSmallCone,   ///< exact structures: enumerated (<= 4 vars) and
-                       ///< SAT-synthesized (5-6 vars) cones
+    kExactSmallCone,   ///< exact structures for cones on <= 4 vars
     kMajority,         ///< paper stage 1: MAJ on top of the dominator search
     kSimpleDominator,  ///< paper stage 2: 1-/0-/x-dominators -> AND/OR/XOR
     kGeneralizedXor,   ///< paper stage 3: non-disjoint XOR split
@@ -57,7 +55,7 @@ enum class SelectionMode { kFirstFit, kBestCost };
 struct Candidate {
     StrategyKind source = StrategyKind::kShannonMux;
     enum class Op {
-        kAnd, kOr, kXor, kMaj, kMux, kExact, kExactWide, kSymmetric
+        kAnd, kOr, kXor, kMaj, kMux, kExact, kSymmetric
     } op = Op::kMux;
     /// Recursion operands: AND/OR/XOR use {a = quotient, b = divisor};
     /// MAJ uses {a, b, c}; MUX uses {a = then-cofactor, b = else-cofactor}
@@ -67,10 +65,6 @@ struct Candidate {
     /// kExact payload: the cone binding and the cached program.
     ConeMatch match;
     std::shared_ptr<const ExactStructure> structure;
-    /// kExactWide payload: the 5-6 var cone binding and its SAT-synthesized
-    /// (or cache-served) program.
-    WideConeMatch wide_match;
-    std::shared_ptr<const WideStructure> wide_structure;
     /// kSymmetric payload: the cone's support (manager var indices, in
     /// support order) and its ones-count value vector.
     std::vector<int> sym_vars;

@@ -27,7 +27,11 @@ void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
     cec.engine = oracle;
     for (const net::Network* stage :
          {&result.optimized, &result.mapped.netlist}) {
-        net::EquivalenceResult eq = net::check_equivalent(input, *stage, cec);
+        net::CecStats stats;
+        net::EquivalenceResult eq = net::check_equivalent(input, *stage, cec, &stats);
+        result.signoff.cec += stats;
+        if (eq.engine == net::EquivEngine::kBdd) ++result.signoff.bdd_checks;
+        if (eq.engine == net::EquivEngine::kSat) ++result.signoff.sat_checks;
         if (!eq.equivalent) {
             throw std::runtime_error(
                 result.flow_name + ": verification failed (engine " +
@@ -48,12 +52,6 @@ SynthesisResult from_decomposition(std::string name, const net::Network& input,
     params.engine.preset = options.preset;
     if (options.exact_max_support >= 0) {
         params.engine.exact_max_support = options.exact_max_support;
-    }
-    if (options.exact_sat_budget >= 0) {
-        params.engine.exact_sat_budget = options.exact_sat_budget;
-    }
-    if (options.exact_sat_max_steps >= 0) {
-        params.engine.exact_sat_max_steps = options.exact_sat_max_steps;
     }
     params.manager = options.manager;
     params.sift_symmetry = options.sift_symmetry;

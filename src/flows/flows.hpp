@@ -36,15 +36,10 @@ struct FlowOptions {
     /// bound, converging sift, variable cap). Defaults keep the preset
     /// fingerprints; ABC/DC ignore it.
     bdd::ManagerParams manager{};
-    /// Exact-cone effort overrides for the BDS flows; negative = keep the
-    /// EngineParams default. exact_max_support caps the exact strategy's
-    /// cone width (4 = enumerated classes only, 5-6 engage the SAT
-    /// backend); exact_sat_budget is its per-class conflict budget (0
-    /// disables SAT synthesis); exact_sat_max_steps the longest chain
-    /// tried. ABC/DC ignore all three.
-    int exact_max_support = -1;
-    long long exact_sat_budget = -1;
-    int exact_sat_max_steps = -1;
+    /// Widest cone the exact strategy of the BDS flows serves
+    /// (EngineParams::exact_max_support); values above 4 act as 4, and a
+    /// negative value keeps the engine default (also 4). ABC/DC ignore it.
+    int exact_max_support = decomp::kMaxExactSupport;
     /// Symmetry-aware sifting for the BDS flows
     /// (DecompFlowParams::sift_symmetry tri-state): -1 = preset decides,
     /// 0 = force off, 1 = force on. ABC/DC ignore it.
@@ -82,6 +77,15 @@ struct FlowOptions {
     bool verify = false;
 };
 
+/// What the sign-off did: how many of its checks each engine proved, and
+/// the SAT oracle's counters summed over them. All zero when no sign-off
+/// ran.
+struct SignOffStats {
+    int bdd_checks = 0;
+    int sat_checks = 0;
+    net::CecStats cec;
+};
+
 struct SynthesisResult {
     std::string flow_name;
     net::Network optimized;           ///< technology-independent result
@@ -94,6 +98,7 @@ struct SynthesisResult {
     /// `verify_seconds` is the total sign-off time (both checks).
     std::optional<net::EquivalenceResult> equivalence;
     double verify_seconds = 0.0;
+    SignOffStats signoff;  ///< both checks of the sign-off
 };
 
 /// The library shared by all flows (paper SV-B1).
@@ -103,8 +108,8 @@ struct SynthesisResult {
 /// flows without options (the service's single-flow ABC/DC jobs, the
 /// CLI): verifies `result.optimized` and `result.mapped.netlist` against
 /// `input` with the chosen oracle, throws std::runtime_error carrying the
-/// counterexample on mismatch, and records the mapped verdict (plus the
-/// sign-off wall time) in the result.
+/// counterexample on mismatch, and records the mapped verdict, the
+/// sign-off wall time and its SignOffStats in the result.
 void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
                              net::EquivEngine oracle = net::EquivEngine::kAuto);
 

@@ -205,9 +205,6 @@ void SynthesisService::execute(const std::shared_ptr<Job>& job) {
         options.preset = job->params.preset;
         options.manager = job->params.manager;
         options.sift_symmetry = job->params.sift_symmetry;
-        options.exact_max_support = job->params.exact_max_support;
-        options.exact_sat_budget = job->params.exact_sat_budget;
-        options.exact_sat_max_steps = job->params.exact_sat_max_steps;
         options.cone_cache = job->params.cone_cache;
         options.cancel = &job->cancel_requested;
         options.oracle = job->params.oracle;

@@ -85,11 +85,6 @@ struct SynthesisJobParams {
     /// Symmetry-aware sifting tri-state for the BDS flows (FlowOptions
     /// semantics: -1 = preset decides, 0 = off, 1 = on).
     int sift_symmetry = -1;
-    /// Exact-cone effort overrides (FlowOptions semantics: negative =
-    /// engine default; see flows.hpp).
-    int exact_max_support = -1;
-    long long exact_sat_budget = -1;
-    int exact_sat_max_steps = -1;
     /// Consult the process-wide canonical cone cache in the BDS flows
     /// (FlowOptions::cone_cache): cones repeated across this job's
     /// circuits — and across jobs for the service lifetime — replay
@@ -107,7 +102,7 @@ struct SynthesisJobParams {
     double deadline_ms = 0.0;
     /// Relative soft budget in milliseconds, measured from submission.
     /// Once spent, the BDS flows degrade remaining supernodes down
-    /// `degrade_ladder` (cheaper presets, exact tiers off, sift clamped,
+    /// `degrade_ladder` (cheaper presets, sift clamped,
     /// terminal plain-Shannon stage) instead of failing: the job still
     /// completes with a valid, equivalent network, and
     /// FlowResult::degraded_supernodes counts the cheapened cones.

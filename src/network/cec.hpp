@@ -59,6 +59,17 @@ struct CecStats {
     std::uint64_t unknown_internal = 0;     ///< ... skipped on conflict budget
     std::uint64_t sat_calls = 0;            ///< total solver queries
     std::uint64_t conflicts = 0;            ///< total solver conflicts
+
+    CecStats& operator+=(const CecStats& o) {
+        sim_rounds += o.sim_rounds;
+        candidate_pairs += o.candidate_pairs;
+        proved_internal += o.proved_internal;
+        refuted_internal += o.refuted_internal;
+        unknown_internal += o.unknown_internal;
+        sat_calls += o.sat_calls;
+        conflicts += o.conflicts;
+        return *this;
+    }
 };
 
 /// SAT miter equivalence proof (exact at any input count). Networks are

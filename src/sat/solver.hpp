@@ -1,7 +1,6 @@
 #pragma once
 // Compact CDCL SAT solver: the exact-decision substrate behind the
-// combinational equivalence oracle (network/cec.hpp) and, next, SAT-based
-// exact synthesis of 5-6 variable cones (ROADMAP item 1).
+// combinational equivalence oracle (network/cec.hpp).
 //
 // MiniSat-family architecture, trimmed to what the synthesis stack needs:
 //   * two-literal watching with blocker caching,

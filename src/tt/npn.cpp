@@ -1,10 +1,7 @@
 #include "tt/npn.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <mutex>
 #include <unordered_set>
-#include <vector>
 
 namespace bdsmaj::tt {
 namespace {
@@ -108,183 +105,6 @@ int npn_class_count() {
         return static_cast<int>(classes.size());
     }();
     return count;
-}
-
-// ---------------------------------------------------------------------------
-// Wide (<= 6 variable) NPN over 64-bit tables.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr std::uint64_t kVarMask6[6] = {
-    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
-    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
-};
-
-std::uint64_t table_mask(int n) {
-    return n >= 6 ? ~0ULL : ((1ULL << (1u << n)) - 1);
-}
-
-std::uint64_t flip_input_w(std::uint64_t tt, int var) {
-    const std::uint64_t mask = kVarMask6[var];
-    const int shift = 1 << var;
-    return ((tt & mask) >> shift) | ((tt & ~mask) << shift);
-}
-
-/// Swap adjacent variables `var` and `var + 1` in one shot: minterms where
-/// the two bits differ trade places, a distance of 2^var.
-std::uint64_t swap_adjacent_w(std::uint64_t tt, int var) {
-    const std::uint64_t lo = kVarMask6[var];
-    const std::uint64_t hi = kVarMask6[var + 1];
-    const int shift = 1 << var;
-    const std::uint64_t keep = ~(lo ^ hi);
-    return (tt & keep) | ((tt & lo & ~hi) << shift) | ((tt & ~lo & hi) >> shift);
-}
-
-/// Steinhaus-Johnson-Trotter sequence of adjacent transpositions visiting
-/// all n! permutations: swaps[i] is the lower position of the i-th swap.
-const std::vector<int>& sjt_swaps(int n) {
-    static std::array<std::vector<int>, 7> memo;
-    static std::array<std::once_flag, 7> flags;
-    std::call_once(flags[static_cast<std::size_t>(n)], [n] {
-        std::vector<int> perm(static_cast<std::size_t>(n));
-        std::vector<int> dir(static_cast<std::size_t>(n), -1);
-        for (int i = 0; i < n; ++i) perm[static_cast<std::size_t>(i)] = i;
-        std::vector<int> swaps;
-        for (;;) {
-            // Largest mobile element: points at a smaller neighbor.
-            int mi = -1;
-            for (int i = 0; i < n; ++i) {
-                const int j = i + dir[static_cast<std::size_t>(i)];
-                if (j < 0 || j >= n) continue;
-                if (perm[static_cast<std::size_t>(i)] <=
-                    perm[static_cast<std::size_t>(j)]) continue;
-                if (mi < 0 || perm[static_cast<std::size_t>(i)] >
-                                  perm[static_cast<std::size_t>(mi)]) {
-                    mi = i;
-                }
-            }
-            if (mi < 0) break;
-            const int j = mi + dir[static_cast<std::size_t>(mi)];
-            swaps.push_back(mi < j ? mi : j);
-            std::swap(perm[static_cast<std::size_t>(mi)],
-                      perm[static_cast<std::size_t>(j)]);
-            std::swap(dir[static_cast<std::size_t>(mi)],
-                      dir[static_cast<std::size_t>(j)]);
-            const int moved = perm[static_cast<std::size_t>(j)];
-            for (int i = 0; i < n; ++i) {
-                if (perm[static_cast<std::size_t>(i)] > moved) {
-                    dir[static_cast<std::size_t>(i)] =
-                        -dir[static_cast<std::size_t>(i)];
-                }
-            }
-        }
-        memo[static_cast<std::size_t>(n)] = std::move(swaps);
-    });
-    return memo[static_cast<std::size_t>(n)];
-}
-
-}  // namespace
-
-std::uint64_t apply_npn_w(std::uint64_t tt, int n, const NpnTransformW& t) {
-    const std::uint64_t mask = table_mask(n);
-    for (int v = 0; v < n; ++v) {
-        if ((t.input_negation >> v) & 1) tt = flip_input_w(tt, v) & mask;
-    }
-    std::uint64_t out = 0;
-    for (int m = 0; m < (1 << n); ++m) {
-        if (!((tt >> m) & 1)) continue;
-        int dst = 0;
-        for (int v = 0; v < n; ++v) {
-            if ((m >> v) & 1) dst |= 1 << t.permutation[static_cast<std::size_t>(v)];
-        }
-        out |= 1ULL << dst;
-    }
-    if (t.output_negation) out = ~out & mask;
-    return out;
-}
-
-NpnTransformW invert_npn_w(const NpnTransformW& t, int n) {
-    NpnTransformW inv;
-    inv.output_negation = t.output_negation;
-    for (int v = 0; v < n; ++v) {
-        inv.permutation[t.permutation[static_cast<std::size_t>(v)]] =
-            static_cast<std::uint8_t>(v);
-    }
-    inv.input_negation = 0;
-    for (int v = 0; v < n; ++v) {
-        if ((t.input_negation >> v) & 1) {
-            inv.input_negation |= static_cast<std::uint8_t>(
-                1 << t.permutation[static_cast<std::size_t>(v)]);
-        }
-    }
-    return inv;
-}
-
-std::uint64_t npn_canonical_w(std::uint64_t tt, int n, NpnTransformW* transform) {
-    const std::uint64_t mask = table_mask(n);
-    tt &= mask;
-    // Incremental walk: `cur` tracks the table under the current transform;
-    // p[pos] is the ORIGINAL variable currently routed to position pos and
-    // `neg` the negation mask over original variables. Flipping position j
-    // toggles neg bit p[j]; swapping positions j, j+1 swaps p entries.
-    std::uint64_t cur = tt;
-    std::array<std::uint8_t, 6> p{0, 1, 2, 3, 4, 5};
-    std::uint8_t neg = 0;
-
-    std::uint64_t best = ~0ULL;
-    std::array<std::uint8_t, 6> best_p = p;
-    std::uint8_t best_neg = 0;
-    bool best_out = false;
-
-    const auto consider = [&] {
-        if (cur < best) {
-            best = cur;
-            best_p = p;
-            best_neg = neg;
-            best_out = false;
-        }
-        const std::uint64_t c = ~cur & mask;
-        if (c < best) {
-            best = c;
-            best_p = p;
-            best_neg = neg;
-            best_out = true;
-        }
-    };
-
-    const std::vector<int>& swaps = sjt_swaps(n);
-    for (std::size_t pi = 0; pi <= swaps.size(); ++pi) {
-        // Gray-coded negation walk: one input flip per candidate.
-        consider();
-        for (std::uint32_t i = 1; i < (1u << n); ++i) {
-            const int pos = std::countr_zero(i);
-            cur = flip_input_w(cur, pos) & mask;
-            neg ^= static_cast<std::uint8_t>(1 << p[static_cast<std::size_t>(pos)]);
-            consider();
-        }
-        // After 2^n - 1 Gray steps exactly the top position is left flipped.
-        cur = flip_input_w(cur, n - 1) & mask;
-        neg ^= static_cast<std::uint8_t>(1 << p[static_cast<std::size_t>(n - 1)]);
-        if (pi < swaps.size()) {
-            const int s = swaps[pi];
-            cur = swap_adjacent_w(cur, s) & mask;
-            std::swap(p[static_cast<std::size_t>(s)],
-                      p[static_cast<std::size_t>(s + 1)]);
-        }
-    }
-
-    if (transform != nullptr) {
-        NpnTransformW t;
-        for (int pos = 0; pos < n; ++pos) {
-            t.permutation[best_p[static_cast<std::size_t>(pos)]] =
-                static_cast<std::uint8_t>(pos);
-        }
-        t.input_negation = best_neg;
-        t.output_negation = best_out;
-        *transform = t;
-    }
-    return best;
 }
 
 }  // namespace bdsmaj::tt

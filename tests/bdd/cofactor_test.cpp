@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
 #include "bdd/bdd.hpp"
 #include "tt/truth_table.hpp"
@@ -182,12 +184,13 @@ TEST(ReplaceNode, RandomRedirectionsPreserveOffNodeBehaviour) {
 }
 
 TEST(ReplaceNode, GuardThrowMidReplaceLeavesNoStaleThreadState) {
-    // Regression: replace_node_with_const memoizes into thread_local
-    // scratch and used to skip the touched-entry cleanup when make_node
-    // threw out of replace_rec (max_live_nodes guard, injected fault).
-    // The stale entries — edges into the poisoned, destroyed manager —
-    // were then served as memo hits to the next manager on the same
-    // thread: wild edges, wrong quotients, out-of-bounds ref updates.
+    // Regression: replace_node_with_const once memoized into thread_local
+    // scratch and skipped the touched-entry cleanup when make_node threw
+    // out of replace_rec (max_live_nodes guard, injected fault). The stale
+    // entries — edges into the poisoned, destroyed manager — were then
+    // served as memo hits to the next manager on the same thread: wild
+    // edges, wrong quotients, out-of-bounds ref updates. The memo is
+    // per-Manager scratch now; this keeps the guard-unwind path covered.
     std::mt19937_64 rng(977);
     const TruthTable ft = TruthTable::random(8, rng);
     const TruthTable gt = TruthTable::random(8, rng);
@@ -234,6 +237,72 @@ TEST(ReplaceNode, GuardThrowMidReplaceLeavesNoStaleThreadState) {
         }
     }
     ASSERT_GE(trips, 10) << "sweep never tripped the guard inside replace";
+}
+
+/// Both quotients of every node of the function `t`, taken on a fresh
+/// manager: the interleaving-free reference.
+std::vector<TruthTable> reference_quotients(const TruthTable& t, int n) {
+    Manager fresh(n);
+    const Bdd f = fresh.from_truth_table(t);
+    std::vector<NodeIndex> nodes;
+    fresh.visit_nodes(f, [&](NodeIndex v) { nodes.push_back(v); });
+    std::vector<TruthTable> out;
+    for (const NodeIndex v : nodes) {
+        for (const bool value : {true, false}) {
+            out.push_back(fresh.to_truth_table(fresh.replace_node_with_const(f, v, value), n));
+        }
+    }
+    return out;
+}
+
+TEST(ReplaceNode, InterleavedManagersAndResetKeepMemosApart) {
+    // The quotient memo is per-Manager scratch. Calls on two managers,
+    // interleaved on one thread, with one of them reset() mid-sequence so
+    // its node slots come back holding other functions, must each agree
+    // with the same quotients taken on a fresh manager. (Isomorphic DAGs
+    // visit their nodes in the same order, so position i matches.)
+    constexpr int kVars = 7;
+    std::mt19937_64 rng(4242);
+    struct Job {
+        Manager* mgr = nullptr;
+        Bdd f;
+        std::vector<NodeIndex> nodes;
+        std::vector<TruthTable> expected;
+    };
+    const auto start = [&](Manager& mgr) {
+        const TruthTable t = TruthTable::random(kVars, rng);
+        Job job{&mgr, mgr.from_truth_table(t), {}, reference_quotients(t, kVars)};
+        mgr.visit_nodes(job.f, [&](NodeIndex v) { job.nodes.push_back(v); });
+        return job;
+    };
+    const auto check = [&](Job& job, std::size_t i) {
+        if (i >= job.nodes.size()) return;
+        for (const bool value : {true, false}) {
+            const Bdd q = job.mgr->replace_node_with_const(job.f, job.nodes[i], value);
+            EXPECT_EQ(job.mgr->to_truth_table(q, kVars),
+                      job.expected[2 * i + (value ? 0 : 1)])
+                << "node position " << i;
+        }
+    };
+    Manager a(kVars);
+    Manager b(kVars);
+    int resets = 0;
+    for (int round = 0; round < 4; ++round) {
+        Job ja = start(a);
+        Job jb = start(b);
+        const std::size_t steps = std::max(ja.nodes.size(), jb.nodes.size());
+        for (std::size_t i = 0; i < steps; ++i) {
+            check(ja, i);
+            if (i == steps / 2) {
+                jb = Job{};  // release b's handles before the reset
+                b.reset(kVars);
+                jb = start(b);
+                ++resets;
+            }
+            check(jb, i);
+        }
+    }
+    EXPECT_EQ(resets, 4);
 }
 
 TEST(ReplaceNode, XorQuotientIdentityOnXDominator) {

@@ -83,10 +83,15 @@ TEST(ManagerReset, CanGrowAndShrinkVariableCount) {
     { const Bdd f = build_workload(mgr); (void)f; }
     mgr.reset(12);
     EXPECT_EQ(mgr.num_vars(), 12);
-    const Bdd x = mgr.var_bdd(11);
-    EXPECT_FALSE(x.is_zero());
-    EXPECT_EQ(mgr.check_integrity(), "");
-    { const Bdd f = mgr.var_bdd(0) & mgr.var_bdd(11); (void)f; }
+    {
+        // Scoped: reset() requires every handle released, and x's
+        // destructor must not run against the shrunken store.
+        const Bdd x = mgr.var_bdd(11);
+        EXPECT_FALSE(x.is_zero());
+        EXPECT_EQ(mgr.check_integrity(), "");
+        const Bdd f = mgr.var_bdd(0) & x;
+        (void)f;
+    }
     mgr.reset(2);
     EXPECT_EQ(mgr.num_vars(), 2);
     EXPECT_THROW((void)mgr.var_bdd(2), std::out_of_range);

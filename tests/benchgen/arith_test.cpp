@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <utility>
 
 #include "network/simulate.hpp"
 
@@ -123,11 +125,13 @@ TEST(Arith, FourOperandAdder) {
     }
 }
 
-class MultiplierTest : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+// The kind is a std::string, not a `const char*`: the parameter is printed into
+// the discovered test names, and a pointer would print its run-dependent address.
+class MultiplierTest : public ::testing::TestWithParam<std::pair<std::string, int>> {};
 
 TEST_P(MultiplierTest, MatchesIntegerMultiply) {
     const auto [which, bits] = GetParam();
-    const Network net = std::string(which) == "array"
+    const Network net = which == "array"
                             ? make_array_multiplier(bits)
                             : make_wallace_multiplier(bits);
     BusIo io(net);
@@ -153,9 +157,11 @@ TEST_P(MultiplierTest, MatchesIntegerMultiply) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, MultiplierTest,
-    ::testing::Values(std::make_pair("array", 4), std::make_pair("array", 8),
-                      std::make_pair("wallace", 4), std::make_pair("wallace", 8),
-                      std::make_pair("wallace", 16)));
+    ::testing::Values(std::make_pair(std::string("array"), 4),
+                      std::make_pair(std::string("array"), 8),
+                      std::make_pair(std::string("wallace"), 4),
+                      std::make_pair(std::string("wallace"), 8),
+                      std::make_pair(std::string("wallace"), 16)));
 
 TEST(Arith, Mac) {
     const int bits = 8;

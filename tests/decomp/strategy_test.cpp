@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "benchgen/suite.hpp"
+#include "decomp/cone_cache.hpp"
 #include "decomp/flow.hpp"
 #include "flows/flows.hpp"
 #include "mapping/mapper.hpp"
@@ -233,6 +234,39 @@ TEST(Strategy, PresetPlumbsThroughTheFlowLayer) {
     const flows::SynthesisResult paper = flows::flow_bdsmaj(input, 1);
     EXPECT_EQ(paper.flow_name, "BDS-MAJ");
     EXPECT_EQ(paper.engine_stats.exact_steps, 0);
+}
+
+TEST(Strategy, ExactMaxSupportAboveFourResolvesToFour) {
+    // The exact tier serves cones of at most kMaxExactSupport (4)
+    // variables, and a wider request resolves to 4 before anything runs:
+    // the same bytes, and the same cone-cache entries.
+    EXPECT_EQ(EngineParams{}.exact_max_support, 4);
+    DecompFlowParams six;
+    six.engine.preset = "exact-aggressive";
+    six.engine.exact_max_support = 6;
+    EXPECT_EQ(resolve_flow_params(six).engine.exact_max_support, 4);
+    DecompFlowParams three = six;
+    three.engine.exact_max_support = 3;
+    EXPECT_EQ(resolve_flow_params(three).engine.exact_max_support, 3);
+
+    const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
+    ConeCache::instance().clear();
+    DecompFlowParams four = six;
+    four.engine.exact_max_support = 4;
+    const DecompFlowResult at4 = decompose_network(input, four);
+    const DecompFlowResult at6 = decompose_network(input, six);
+    EXPECT_GT(at4.engine_stats.exact_steps, 0);
+    EXPECT_EQ(net::write_blif(at6.network), net::write_blif(at4.network));
+    // Resolution precedes the cone-cache key: the second run finds every
+    // cone the first one stored.
+    EXPECT_EQ(at6.engine_stats.cone_cache_misses, 0);
+    EXPECT_GT(at6.engine_stats.cone_cache_hits, 0);
+
+    flows::FlowOptions options;
+    options.preset = "exact-aggressive";
+    options.exact_max_support = 6;
+    EXPECT_EQ(net::write_blif(flows::flow_bdsmaj(input, options).optimized),
+              net::write_blif(at4.network));
 }
 
 TEST(Strategy, UseMajorityFalseStripsTheMajorityStage) {

@@ -100,5 +100,31 @@ TEST(Flows, ResultMetadataIsFilled) {
     EXPECT_GT(r.engine_stats.maj_steps, 0);
 }
 
+TEST(Flows, SignOffKeepsItsStats) {
+    // The sign-off records which engine proved each of its two checks
+    // (optimized and mapped, against the input) and the SAT counters.
+    // auto proves narrow circuits by BDD and wide ones by SAT.
+    FlowOptions options;
+    options.verify = true;
+    const SynthesisResult narrow = flow_bdsmaj(benchgen::make_ripple_adder(4), options);
+    EXPECT_EQ(narrow.signoff.bdd_checks, 2);
+    EXPECT_EQ(narrow.signoff.sat_checks, 0);
+    EXPECT_EQ(narrow.signoff.cec.sat_calls, 0u);
+
+    const Network wide = benchgen::make_ripple_adder(12);  // 24 inputs
+    const SynthesisResult r = flow_bdsmaj(wide, options);
+    EXPECT_EQ(r.signoff.bdd_checks, 0);
+    EXPECT_EQ(r.signoff.sat_checks, 2);
+    // At least the per-output miters of both checks went to the solver.
+    EXPECT_GE(r.signoff.cec.sat_calls, 2 * wide.outputs().size());
+    ASSERT_TRUE(r.equivalence.has_value());
+    EXPECT_EQ(r.equivalence->engine, net::EquivEngine::kSat);
+
+    // No sign-off, no stats.
+    const SynthesisResult unverified = flow_bdsmaj(wide, FlowOptions{});
+    EXPECT_EQ(unverified.signoff.bdd_checks + unverified.signoff.sat_checks, 0);
+    EXPECT_EQ(unverified.signoff.cec.sat_calls, 0u);
+}
+
 }  // namespace
 }  // namespace bdsmaj::flows

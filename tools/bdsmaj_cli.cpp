@@ -29,10 +29,6 @@
 //                                 from FILE at startup (tolerant: a missing
 //                                 or corrupt file loads nothing) and save
 //                                 the materialized classes back on exit
-//   --exact-max-support N         widest cone served exactly (<= 4 uses the
-//                                 enumerated classes, 5-6 the SAT backend)
-//   --exact-sat-budget N          conflict budget per SAT-synthesized class
-//   --exact-sat-steps N           longest SAT chain tried per class
 //   --help / -h                   the full option reference on stdout
 //   --quick                       reduced widths for @benchmarks
 //   --verify                      equivalence-check outputs (default on)
@@ -78,6 +74,7 @@
 #include <cstring>
 #include <exception>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -117,10 +114,6 @@ struct Options {
     bool cone_cache = true;
     int cone_cache_mb = -1;  ///< -1 = keep the library default (64 MiB)
     std::optional<std::string> exact_cache_path;
-    /// Exact-cone effort (FlowOptions semantics: -1 = engine default).
-    int exact_max_support = -1;
-    long long exact_sat_budget = -1;
-    int exact_sat_max_steps = -1;
     /// Symmetry-aware sifting tri-state (-1 = preset decides, 0/1 forced).
     int sift_symmetry = -1;
     /// Deadline / graceful-degradation knobs (<= 0 / empty = off).
@@ -171,14 +164,6 @@ void print_help(std::FILE* to) {
         "  --iterations N               balancing iteration limit\n"
         "\n"
         "exact synthesis (the exact-* presets):\n"
-        "  --exact-max-support N        widest cone served exactly: <= 4 uses the\n"
-        "                               enumerated NPN classes, 5-6 engage the\n"
-        "                               on-demand SAT backend (default 6)\n"
-        "  --exact-sat-budget N         CDCL conflict budget per SAT-synthesized\n"
-        "                               cone class (default 10000; 0 disables the\n"
-        "                               SAT backend, exhaustion falls back to the\n"
-        "                               heuristic ladder)\n"
-        "  --exact-sat-steps N          longest SAT chain tried per class (default 8)\n"
         "  --exact-cache FILE           warm-start the exact-synthesis cache from\n"
         "                               FILE at startup (tolerant: a missing or\n"
         "                               corrupt file loads nothing) and save the\n"
@@ -280,14 +265,6 @@ void print_result(const net::Network& input, const flows::SynthesisResult& resul
                 std::printf("  npn cache: hits=%lld misses=%lld\n", e.npn_cache_hits,
                             e.npn_cache_misses);
             }
-            if (e.exact_wide_steps + e.exact_sat_synthesized +
-                    e.exact_sat_fallbacks + e.exact_sat_cache_hits > 0) {
-                std::printf("  exact sat: wide-cones=%d synthesized=%lld "
-                            "cache-hits=%lld fallbacks=%lld conflicts=%lld\n",
-                            e.exact_wide_steps, e.exact_sat_synthesized,
-                            e.exact_sat_cache_hits, e.exact_sat_fallbacks,
-                            e.exact_sat_conflicts);
-            }
             // Reordering effort across the supernode managers.
             if (e.sift_swaps + e.sift_fast_swaps + e.sift_lb_aborts > 0) {
                 std::printf("  reorder: swaps=%lld fast-swaps=%lld lb-aborts=%lld "
@@ -316,6 +293,17 @@ void print_result(const net::Network& input, const flows::SynthesisResult& resul
                             e.degraded_supernodes, e.resource_exhausted_cones);
             }
         }
+        // What the equivalence sign-off did (both checks: optimized and
+        // mapped against the input).
+        if (verify && result.equivalence) {
+            const flows::SignOffStats& so = result.signoff;
+            std::printf("  sign-off: bdd-checks=%d sat-checks=%d sat-calls=%llu "
+                        "conflicts=%llu time=%.3fs\n",
+                        so.bdd_checks, so.sat_checks,
+                        static_cast<unsigned long long>(so.cec.sat_calls),
+                        static_cast<unsigned long long>(so.cec.conflicts),
+                        result.verify_seconds);
+        }
     }
     std::printf("%s: area=%.2fum2 gates=%d delay=%.3fns opt_time=%.3fs%s\n",
                 input.model_name().c_str(), result.mapped.area_um2,
@@ -329,12 +317,10 @@ void print_cache_summary() {
     const decomp::ConeCacheStats cone = decomp::ConeCache::instance().stats();
     const decomp::ExactCacheStats exact = decomp::ExactSynthesisCache::instance().stats();
     std::printf("caches: cone hits=%lld misses=%lld evictions=%lld entries=%lld "
-                "bytes=%lld | exact hits=%llu misses=%llu classes=%d "
-                "wide-classes=%d\n",
+                "bytes=%lld | exact hits=%llu misses=%llu classes=%d\n",
                 cone.hits, cone.misses, cone.evictions, cone.entries, cone.bytes,
                 static_cast<unsigned long long>(exact.hits),
-                static_cast<unsigned long long>(exact.misses), exact.classes_cached,
-                exact.wide_classes_cached);
+                static_cast<unsigned long long>(exact.misses), exact.classes_cached);
 }
 
 /// --exact-cache startup warm-load; tolerant of a missing/corrupt file.
@@ -360,23 +346,21 @@ void save_exact_cache(const Options& opt) {
     }
 }
 
-bool verify_result(const net::Network& input, const flows::SynthesisResult& result,
+/// The single-run sign-off: flows::verify_synthesis_result, with a failed
+/// check reported instead of thrown.
+bool verify_result(const net::Network& input, flows::SynthesisResult& result,
                    net::EquivEngine oracle) {
-    net::CecParams cec;
-    cec.engine = oracle;
-    for (const net::Network* stage : {&result.optimized, &result.mapped.netlist}) {
-        const auto eq = net::check_equivalent(input, *stage, cec);
-        if (!eq.equivalent) {
-            std::fprintf(stderr, "VERIFICATION FAILED (engine %s): %s\n",
-                         net::equiv_engine_name(eq.engine), eq.reason.c_str());
-            return false;
-        }
-        if (!eq.exact) {
-            // Only the sim engine leaves a sampled verdict; make the
-            // weaker guarantee impossible to miss.
-            std::fprintf(stderr, "note: --oracle sim agreement is sampled, "
-                                 "not an exact sign-off\n");
-        }
+    try {
+        flows::verify_synthesis_result(input, result, oracle);
+    } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "VERIFICATION FAILED: %s\n", e.what());
+        return false;
+    }
+    if (!result.equivalence->exact) {
+        // Only the sim engine leaves a sampled verdict; make the weaker
+        // guarantee impossible to miss.
+        std::fprintf(stderr, "note: --oracle sim agreement is sampled, "
+                             "not an exact sign-off\n");
     }
     return true;
 }
@@ -419,9 +403,6 @@ int run_batch(const Options& opt) {
     jp.preset = opt.preset;
     jp.manager = opt.manager;
     jp.sift_symmetry = opt.sift_symmetry;
-    jp.exact_max_support = opt.exact_max_support;
-    jp.exact_sat_budget = opt.exact_sat_budget;
-    jp.exact_sat_max_steps = opt.exact_sat_max_steps;
     jp.cone_cache = opt.cone_cache;
     // Verification runs inside the job (service-side): a failed sign-off
     // fails that job's future instead of handing out a wrong network.
@@ -571,18 +552,6 @@ int main(int argc, char** argv) {
             const char* v = next();
             if (v == nullptr) return usage();
             opt.exact_cache_path = v;
-        } else if (arg == "--exact-max-support") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.exact_max_support = std::atoi(v);
-        } else if (arg == "--exact-sat-budget") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.exact_sat_budget = std::atoll(v);
-        } else if (arg == "--exact-sat-steps") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.exact_sat_max_steps = std::atoi(v);
         } else if (arg == "--deadline-ms") {
             const char* v = next();
             if (v == nullptr) return usage();
@@ -685,15 +654,6 @@ int main(int argc, char** argv) {
         params.engine.use_majority = opt.flow == "bdsmaj";
         params.engine.maj = opt.maj;
         params.engine.preset = opt.preset;
-        if (opt.exact_max_support >= 0) {
-            params.engine.exact_max_support = opt.exact_max_support;
-        }
-        if (opt.exact_sat_budget >= 0) {
-            params.engine.exact_sat_budget = opt.exact_sat_budget;
-        }
-        if (opt.exact_sat_max_steps >= 0) {
-            params.engine.exact_sat_max_steps = opt.exact_sat_max_steps;
-        }
         params.manager = opt.manager;
         params.sift_symmetry = opt.sift_symmetry;
         params.reorder = opt.reorder;

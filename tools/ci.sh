@@ -10,8 +10,7 @@
 # >tolerance SAT wall-time regression. The cone-memoization sweep fails if
 # a cached run's bytes drift from the cache-off run, if the C6288 hit rate
 # drops below its floor, or if the cold path regresses past the tolerance.
-# The exact-SAT suite fails on any verdict/gate-count/conflict drift and
-# on a fallback-rate increase. The symmetry section fails if block
+# The symmetry section fails if block
 # sifting stops halving the swap count on the symmetric-heavy circuits,
 # finds no groups there, or changes post-sift sizes; the `paper` preset
 # fingerprint stays byte-identical with the feature compiled in (it is
@@ -327,39 +326,6 @@ if fresh["table2_synthesis"]["verified"] != fresh["table2_synthesis"]["circuits"
 if fresh["ablation_mdom"]["equivalent"] != fresh["ablation_mdom"]["runs"]:
     failures.append("ablation_mdom: equivalence verification failed "
                     f"({fresh['ablation_mdom']['equivalent']}/{fresh['ablation_mdom']['runs']})")
-
-# Exact SAT synthesis: every verdict, gate count, and conflict total in
-# the suite is a pure function of (tt, n, params) — any drift means the
-# encoding, the search order, or the solver changed behavior. The
-# fallback rate (kUnknown verdicts at the default budget) must not rise:
-# that is the fraction of cones the strategy pipeline would lose to the
-# heuristic ladder.
-exact_sat = fresh.get("exact_sat")
-if exact_sat is None:
-    failures.append("exact_sat: section missing from fresh bench run")
-else:
-    committed_es = committed.get("exact_sat")
-    if committed_es is None:
-        failures.append("exact_sat: section missing from committed "
-                        "smoke_reference — regenerate BENCH_core.json")
-    else:
-        committed_fp = {e["name"]: e["fingerprint"]
-                        for e in committed_es["entries"]}
-        for e in exact_sat["entries"]:
-            ref = committed_fp.get(e["name"])
-            if ref is None:
-                failures.append(f"exact_sat: function {e['name']} missing "
-                                "from committed smoke_reference — regenerate "
-                                "BENCH_core.json")
-            elif e["fingerprint"] != ref:
-                failures.append(f"exact_sat: result drifted on {e['name']}:\n"
-                                f"  committed {ref}\n"
-                                f"  fresh     {e['fingerprint']}")
-        if exact_sat["fallback_rate"] > committed_es["fallback_rate"] + 1e-9:
-            failures.append("exact_sat: fallback rate rose to "
-                            f"{exact_sat['fallback_rate']:.1%} (committed "
-                            f"{committed_es['fallback_rate']:.1%}) — more "
-                            "cones now exhaust the budget and fall back")
 
 # Equivalence-oracle shootout: every circuit must keep an exact `proved`
 # verdict (drift means the sign-off got weaker or wrong), and the SAT
