@@ -546,8 +546,10 @@ ScalingResult bench_thread_scaling(bool smoke) {
         ScalingLevel level;
         level.jobs = jobs;
         {
+            flows::FlowOptions options;
+            options.jobs = jobs;
             const auto start = Clock::now();
-            const auto results = flows::run_suite(inputs, jobs);
+            const auto results = flows::run_suite(inputs, options);
             level.suite_seconds = seconds_since(start);
             for (const auto& r : results) {
                 level.suite_fp.maj_gates += r[0].mapped.gate_count;
@@ -892,7 +894,7 @@ ResilienceBenchResult bench_resilience(bool smoke) {
             flows::ServiceParams{.start_paused = true});
         flows::SynthesisJobParams jp;
         jp.flow = "bdsmaj";
-        jp.deadline_ms = 0.5;
+        jp.deadline = Clock::now() + std::chrono::microseconds(500);
         std::vector<flows::SynthesisService::Submission> subs;
         for (const std::string& name : names) {
             subs.push_back(service.submit(
@@ -918,7 +920,7 @@ ResilienceBenchResult bench_resilience(bool smoke) {
         flows::SynthesisService service;
         flows::SynthesisJobParams jp;
         jp.flow = "bdsmaj";
-        jp.soft_budget_ms = 0.01;
+        jp.soft_budget = Clock::now() + std::chrono::microseconds(10);
         jp.verify = true;
         std::vector<flows::SynthesisService::Submission> subs;
         for (const std::string& name : names) {

@@ -50,10 +50,12 @@ SynthesisResult from_decomposition(std::string name, const net::Network& input,
     decomp::DecompFlowParams params;
     params.engine.use_majority = use_majority;
     params.engine.preset = options.preset;
+    params.engine.maj = options.maj;
     if (options.exact_max_support >= 0) {
         params.engine.exact_max_support = options.exact_max_support;
     }
     params.manager = options.manager;
+    params.reorder = options.reorder;
     params.sift_symmetry = options.sift_symmetry;
     params.cone_cache = options.cone_cache;
     params.jobs = options.jobs;
@@ -88,14 +90,6 @@ SynthesisResult flow_bdsmaj(const net::Network& input, const FlowOptions& option
 
 SynthesisResult flow_bdspga(const net::Network& input, const FlowOptions& options) {
     return from_decomposition("BDS-PGA", input, /*use_majority=*/false, options);
-}
-
-SynthesisResult flow_bdsmaj(const net::Network& input, int jobs) {
-    return flow_bdsmaj(input, FlowOptions{.jobs = jobs});
-}
-
-SynthesisResult flow_bdspga(const net::Network& input, int jobs) {
-    return flow_bdspga(input, FlowOptions{.jobs = jobs});
 }
 
 SynthesisResult flow_abc(const net::Network& input) {
@@ -158,15 +152,33 @@ std::vector<SynthesisResult> run_all_flows(const net::Network& input,
     return out;
 }
 
-std::vector<SynthesisResult> run_all_flows(const net::Network& input, int jobs) {
-    return run_all_flows(input, FlowOptions{.jobs = jobs});
+std::vector<SynthesisResult> run_flow(const net::Network& input, const std::string& flow,
+                                      const FlowOptions& options) {
+    if (flow == "all") return run_all_flows(input, options);
+    if (flow == "bdsmaj") return {flow_bdsmaj(input, options)};
+    if (flow == "bdspga") return {flow_bdspga(input, options)};
+    SynthesisResult result;
+    if (flow == "abc") {
+        result = flow_abc(input);
+    } else if (flow == "dc") {
+        result = flow_dc(input);
+    } else {
+        throw std::invalid_argument("unknown flow \"" + flow + "\"");
+    }
+    // ABC/DC take no options, so their sign-off happens here (the BDS
+    // flows sign off in from_decomposition, "all" in run_all_flows).
+    if (options.verify) verify_synthesis_result(input, result, options.oracle);
+    return {std::move(result)};
 }
 
 std::vector<std::vector<SynthesisResult>> run_suite(
-    const std::vector<net::Network>& inputs, const FlowOptions& options) {
+    const std::vector<net::Network>& inputs, const FlowOptions& options,
+    const std::string& flow) {
     std::vector<std::vector<SynthesisResult>> results(inputs.size());
     FlowOptions per_circuit = options;
-    per_circuit.jobs = 1;  // the budget fans out across circuits instead
+    // Several circuits share the budget out one per runner; a lone circuit
+    // keeps it for supernode-level parallelism inside its flow.
+    if (inputs.size() > 1) per_circuit.jobs = 1;
     runtime::parallel_for(inputs.size(), runtime::effective_jobs(options.jobs),
                           [&](std::size_t i, int /*worker*/) {
                               // Between-circuit cancellation checkpoint; the
@@ -176,14 +188,9 @@ std::vector<std::vector<SynthesisResult>> run_suite(
                                   options.cancel->load(std::memory_order_relaxed)) {
                                   throw decomp::FlowCancelled();
                               }
-                              results[i] = run_all_flows(inputs[i], per_circuit);
+                              results[i] = run_flow(inputs[i], flow, per_circuit);
                           });
     return results;
-}
-
-std::vector<std::vector<SynthesisResult>> run_suite(
-    const std::vector<net::Network>& inputs, int jobs) {
-    return run_suite(inputs, FlowOptions{.jobs = jobs});
 }
 
 }  // namespace bdsmaj::flows

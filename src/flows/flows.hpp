@@ -22,7 +22,10 @@
 
 namespace bdsmaj::flows {
 
-/// Per-run knobs shared by the flow entry points.
+/// Per-run knobs shared by every entry point — the flow functions below,
+/// SynthesisService jobs (SynthesisJobParams extends this struct) and the
+/// CLI. from_decomposition (flows.cpp) is the one place they become
+/// decomp::DecompFlowParams.
 struct FlowOptions {
     /// Worker budget for the supernode pipeline (DecompFlowParams::jobs
     /// semantics: 1 = serial, <= 0 = all hardware threads); the result
@@ -36,6 +39,13 @@ struct FlowOptions {
     /// bound, converging sift, variable cap). Defaults keep the preset
     /// fingerprints; ABC/DC ignore it.
     bdd::ManagerParams manager{};
+    /// Majority decomposition tuning (EngineParams::maj: balancing
+    /// iterations, k-local/k-global sizing factors of paper SIV-B).
+    /// Defaults are the paper's; ABC/DC ignore it.
+    decomp::MajDecompParams maj{};
+    /// Sift each supernode's local BDD before decomposing
+    /// (DecompFlowParams::reorder). ABC/DC ignore it.
+    bool reorder = true;
     /// Widest cone the exact strategy of the BDS flows serves
     /// (EngineParams::exact_max_support); values above 4 act as 4, and a
     /// negative value keeps the engine default (also 4). ABC/DC ignore it.
@@ -51,8 +61,10 @@ struct FlowOptions {
     /// knob lives on decomp::ConeCache::instance(). ABC/DC ignore it.
     bool cone_cache = true;
     /// Cooperative cancellation token, checked between supernodes inside
-    /// the BDS decomposition (decomp::FlowCancelled propagates out) and
-    /// between circuits in run_suite. Null = not cancellable.
+    /// the BDS decomposition (decomp::FlowCancelled propagates out), at
+    /// every flow boundary in run_all_flows and between circuits in
+    /// run_suite. Null = not cancellable. SynthesisService jobs must leave
+    /// it null: the service owns their token (SynthesisService::cancel).
     const std::atomic<bool>* cancel = nullptr;
     /// Absolute hard deadline (DecompFlowParams::deadline semantics):
     /// checked at the per-supernode checkpoints of the BDS flows and at
@@ -105,8 +117,7 @@ struct SynthesisResult {
 [[nodiscard]] const mapping::CellLibrary& default_library();
 
 /// The sign-off behind FlowOptions::verify, exposed for callers that run
-/// flows without options (the service's single-flow ABC/DC jobs, the
-/// CLI): verifies `result.optimized` and `result.mapped.netlist` against
+/// flow_abc/flow_dc directly: verifies `result.optimized` and `result.mapped.netlist` against
 /// `input` with the chosen oracle, throws std::runtime_error carrying the
 /// counterexample on mismatch, and records the mapped verdict, the
 /// sign-off wall time and its SignOffStats in the result.
@@ -119,39 +130,39 @@ void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
 [[nodiscard]] std::string decorated_flow_name(std::string base,
                                               const std::string& preset);
 
-/// The BDS flows honor FlowOptions (worker budget, strategy preset,
-/// cancellation); the result depends only on the preset. ABC and DC are
-/// serial and preset-independent. The int overloads keep the historical
-/// jobs-only call sites working.
+/// The BDS flows honor every FlowOptions knob; the result depends only on
+/// the preset and the engine tuning (manager, maj, reorder, sift_symmetry,
+/// exact_max_support). ABC and DC are serial and take no options.
 [[nodiscard]] SynthesisResult flow_bdsmaj(const net::Network& input,
-                                          const FlowOptions& options);
+                                          const FlowOptions& options = {});
 [[nodiscard]] SynthesisResult flow_bdspga(const net::Network& input,
-                                          const FlowOptions& options);
-[[nodiscard]] SynthesisResult flow_bdsmaj(const net::Network& input, int jobs = 1);
-[[nodiscard]] SynthesisResult flow_bdspga(const net::Network& input, int jobs = 1);
+                                          const FlowOptions& options = {});
 [[nodiscard]] SynthesisResult flow_abc(const net::Network& input);
 [[nodiscard]] SynthesisResult flow_dc(const net::Network& input);
 
-/// All four, in Table II column order. `jobs` is the BDS flows' worker
-/// budget; the results are identical at any setting.
+/// All four, in Table II column order. The results are identical at any
+/// `options.jobs`.
 [[nodiscard]] std::vector<SynthesisResult> run_all_flows(const net::Network& input,
-                                                         const FlowOptions& options);
-[[nodiscard]] std::vector<SynthesisResult> run_all_flows(const net::Network& input,
-                                                         int jobs = 1);
+                                                         const FlowOptions& options = {});
 
-/// Batched suite synthesis: run_all_flows over every input, fanned out
-/// across up to `jobs` runners on the shared process pool
-/// (runtime::global_pool(); 1 = serial on the calling thread, <= 0 = all
-/// hardware threads). Entry i of the result is run_all_flows(inputs[i])
-/// — networks are independent, so the outputs are identical at any job
-/// count; only wall-clock changes. This is what the Table I/II sweeps and
-/// the bench harness use to push whole benchmark suites through the
-/// pipeline concurrently. For an admission-controlled asynchronous
-/// version returning futures, see flows::SynthesisService
-/// (flows/service.hpp).
+/// One flow by name — "bdsmaj", "bdspga", "abc" or "dc" — or "all" for
+/// run_all_flows. Every flow, ABC and DC included, is signed off when
+/// `options.verify` is set. An unknown name throws std::invalid_argument.
+/// The CLI and the service dispatch through here.
+[[nodiscard]] std::vector<SynthesisResult> run_flow(const net::Network& input,
+                                                    const std::string& flow,
+                                                    const FlowOptions& options = {});
+
+/// Batched suite synthesis: run_flow(inputs[i], flow) for every input,
+/// fanned out one circuit per runner across up to `options.jobs` runners
+/// on the shared process pool (runtime::global_pool(); 1 = serial on the
+/// calling thread, <= 0 = all hardware threads). A single input keeps the
+/// whole budget for its own supernode pipeline instead. Networks are
+/// independent, so the outputs are identical at any job count; only
+/// wall-clock changes. This is what the Table I/II sweeps, the bench
+/// harness and SynthesisService jobs (flows/service.hpp) run.
 [[nodiscard]] std::vector<std::vector<SynthesisResult>> run_suite(
-    const std::vector<net::Network>& inputs, int jobs = 1);
-[[nodiscard]] std::vector<std::vector<SynthesisResult>> run_suite(
-    const std::vector<net::Network>& inputs, const FlowOptions& options);
+    const std::vector<net::Network>& inputs, const FlowOptions& options = {},
+    const std::string& flow = "all");
 
 }  // namespace bdsmaj::flows

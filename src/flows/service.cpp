@@ -16,35 +16,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-enum class FlowSel { kAll, kBdsMaj, kBdsPga, kAbc, kDc };
-
-FlowSel parse_flow(const std::string& name) {
-    if (name == "all") return FlowSel::kAll;
-    if (name == "bdsmaj") return FlowSel::kBdsMaj;
-    if (name == "bdspga") return FlowSel::kBdsPga;
-    if (name == "abc") return FlowSel::kAbc;
-    if (name == "dc") return FlowSel::kDc;
-    throw std::invalid_argument("SynthesisService: unknown flow \"" + name + "\"");
-}
-
-std::vector<SynthesisResult> run_flows_one(const net::Network& input, FlowSel sel,
-                                           const FlowOptions& options) {
-    // ABC/DC take no options; their sign-off (run_all_flows does it for
-    // the "all" case, from_decomposition for the BDS flows) happens here.
-    const auto signed_off = [&](SynthesisResult r) {
-        if (options.verify) verify_synthesis_result(input, r, options.oracle);
-        return std::vector<SynthesisResult>{std::move(r)};
-    };
-    switch (sel) {
-        case FlowSel::kAll: return run_all_flows(input, options);
-        case FlowSel::kBdsMaj: return {flow_bdsmaj(input, options)};
-        case FlowSel::kBdsPga: return {flow_bdspga(input, options)};
-        case FlowSel::kAbc: return signed_off(flow_abc(input));
-        case FlowSel::kDc: return signed_off(flow_dc(input));
-    }
-    return {};
-}
-
 }  // namespace
 
 struct SynthesisService::Job {
@@ -57,12 +28,6 @@ struct SynthesisService::Job {
     /// already copied the pointer.
     std::atomic<bool> cancel_requested{false};
     std::uint64_t start_order = FlowResult::kNoStartOrder;
-    /// Absolute deadline/soft-budget instants, fixed at submission (queue
-    /// wait counts against both). has_* false = not configured.
-    bool has_deadline = false;
-    bool has_soft_budget = false;
-    Clock::time_point deadline{};
-    Clock::time_point soft_budget{};
 };
 
 /// The FlowResult of a job that never ran (cancelled while queued, or shed
@@ -103,24 +68,6 @@ SynthesisService::Submission SynthesisService::enqueue(
     auto job = std::make_shared<Job>();
     job->inputs = std::move(inputs);
     job->params = params;
-    // Deadline and soft budget become absolute here: time spent queued is
-    // the admission controller's to spend, so it counts. One clock read,
-    // only when either knob is set.
-    if (params.deadline_ms > 0.0 || params.soft_budget_ms > 0.0) {
-        const Clock::time_point now = Clock::now();
-        if (params.deadline_ms > 0.0) {
-            job->has_deadline = true;
-            job->deadline =
-                now + std::chrono::duration_cast<Clock::duration>(
-                          std::chrono::duration<double, std::milli>(params.deadline_ms));
-        }
-        if (params.soft_budget_ms > 0.0) {
-            job->has_soft_budget = true;
-            job->soft_budget = now + std::chrono::duration_cast<Clock::duration>(
-                                         std::chrono::duration<double, std::milli>(
-                                             params.soft_budget_ms));
-        }
-    }
     Submission submission;
     submission.result = job->promise.get_future();
     std::lock_guard<std::mutex> lock(mutex_);
@@ -155,17 +102,14 @@ void SynthesisService::pump_locked() {
         std::deque<std::shared_ptr<Job>>& lane =
             queue_high_.empty() ? queue_ : queue_high_;
         std::size_t pick = 0;
-        bool pick_has_deadline = lane[0]->has_deadline;
         for (std::size_t i = 1; i < lane.size(); ++i) {
-            if (!lane[i]->has_deadline) continue;
-            if (!pick_has_deadline || lane[i]->deadline < lane[pick]->deadline) {
-                pick = i;
-                pick_has_deadline = true;
-            }
+            const auto& deadline = lane[i]->params.deadline;
+            const auto& best = lane[pick]->params.deadline;
+            if (deadline && (!best || *deadline < *best)) pick = i;
         }
         std::shared_ptr<Job> job = lane[pick];
         lane.erase(lane.begin() + static_cast<std::ptrdiff_t>(pick));
-        if (pick_has_deadline && Clock::now() >= job->deadline) {
+        if (job->params.deadline && Clock::now() >= *job->params.deadline) {
             // Admission-time shedding: the job cannot start before its
             // deadline, so it never runs — terminal status, no start
             // order, no pool task.
@@ -199,42 +143,14 @@ void SynthesisService::execute(const std::shared_ptr<Job>& job) {
         // inside the try, so the promise is still fulfilled (kFailed path)
         // and the service counters stay consistent.
         runtime::fault_point(runtime::FaultSite::kWorkerTaskEntry);
-        const FlowSel sel = parse_flow(job->params.flow);
-        FlowOptions options;
-        options.jobs = job->params.jobs;
-        options.preset = job->params.preset;
-        options.manager = job->params.manager;
-        options.sift_symmetry = job->params.sift_symmetry;
-        options.cone_cache = job->params.cone_cache;
-        options.cancel = &job->cancel_requested;
-        options.oracle = job->params.oracle;
-        options.verify = job->params.verify;
-        if (job->has_deadline) options.deadline = job->deadline;
-        if (job->has_soft_budget) options.soft_budget = job->soft_budget;
-        options.degrade_ladder = job->params.degrade_ladder;
-        out.results.resize(job->inputs.size());
-        if (job->inputs.size() <= 1) {
-            // Single network: the whole budget goes to supernode-level
-            // parallelism inside the pipelined flow.
-            for (std::size_t i = 0; i < job->inputs.size(); ++i) {
-                out.results[i] = run_flows_one(job->inputs[i], sel, options);
-            }
-        } else {
-            // Suite: the budget fans out across circuits; each circuit
-            // runs its flows serially, exactly like flows::run_suite.
-            FlowOptions per_circuit = options;
-            per_circuit.jobs = 1;
-            runtime::parallel_for(
-                job->inputs.size(), runtime::effective_jobs(job->params.jobs),
-                [&](std::size_t i, int /*worker*/) {
-                    // Between-circuit cancellation checkpoint (the flows
-                    // also check between supernodes).
-                    if (job->cancel_requested.load(std::memory_order_relaxed)) {
-                        throw decomp::FlowCancelled();
-                    }
-                    out.results[i] = run_flows_one(job->inputs[i], sel, per_circuit);
-                });
+        if (job->params.cancel != nullptr) {
+            throw std::invalid_argument(
+                "SynthesisService: jobs are cancelled through cancel(id), "
+                "not a caller-supplied token");
         }
+        // The job's token, observed by the flows' checkpoints.
+        job->params.cancel = &job->cancel_requested;
+        out.results = run_suite(job->inputs, job->params, job->params.flow);
         out.seconds = std::chrono::duration<double>(Clock::now() - start).count();
         for (const std::vector<SynthesisResult>& per_input : out.results) {
             for (const SynthesisResult& r : per_input) {

@@ -17,9 +17,9 @@
 // only queueing point, and there is no nested-parallelism deadlock.
 //
 // Results are byte-identical to serial runs: a job computes exactly
-// run_all_flows(input, jobs) (or the single requested flow), and those are
-// deterministic at any budget. tests/flows/service_test.cpp pins BLIF
-// text, gate counts, and simulation signatures against jobs=1 serial runs.
+// run_suite(inputs, params, params.flow), which is deterministic at any
+// budget. tests/flows/service_test.cpp pins BLIF text, gate counts, and
+// simulation signatures against jobs=1 serial runs.
 //
 // Lifecycle: cancel(id) removes a still-queued job immediately, and
 // requests cooperative cancellation of a running one — the job's token is
@@ -66,60 +66,32 @@ enum class JobStatus {
 /// within a lane admission stays FIFO.
 enum class JobPriority { kNormal, kHigh };
 
-struct SynthesisJobParams {
-    /// Worker budget for this job on the shared pool: supernode-level for
-    /// a single-network job, circuit-level for a suite job. 1 = the job
-    /// runs serially on its pool task, <= 0 = all hardware threads. Never
-    /// changes the result.
-    int jobs = 1;
+/// A job's configuration: the FlowOptions every flow entry point takes,
+/// plus which flows to run and the admission lane. For a job, the
+/// inherited knobs mean:
+///   * `jobs` — how many pool runners the job may occupy: supernode-level
+///     for a single network, circuit-level for a suite. Never changes the
+///     result.
+///   * `deadline` / `soft_budget` — absolute instants the caller fixes
+///     before submit(), so queue wait counts against both. A job whose
+///     deadline passes before it dispatches is shed without running; a
+///     running one stops at its next flow checkpoint; either way the
+///     future yields kDeadlineExceeded. Within a priority lane, jobs with
+///     deadlines dispatch earliest-deadline-first ahead of deadline-less
+///     jobs (which stay FIFO among themselves). An expired soft budget
+///     degrades the remaining supernodes instead, and
+///     FlowResult::degraded_supernodes counts them.
+///   * `verify` — a failed sign-off fails the job (status kFailed, the
+///     error on the future): the service never hands out an unverified
+///     wrong network.
+///   * `cancel` — must stay null. The service owns each job's token
+///     (see cancel()); a job that brings its own fails with
+///     std::invalid_argument, as do unknown flows and presets.
+struct SynthesisJobParams : FlowOptions {
     /// "all" (the four Table II flows), or one of "bdsmaj", "bdspga",
-    /// "abc", "dc". An unknown name fails the job; the error surfaces on
-    /// the future.
+    /// "abc", "dc" (see run_flow).
     std::string flow = "all";
-    /// Decomposition strategy preset for the BDS flows (see
-    /// decomp::preset_catalog()). An unknown name fails the job.
-    std::string preset = "paper";
-    /// Per-supernode BDD manager tuning for the BDS flows (reordering
-    /// budget; see bdd::ManagerParams). Defaults keep preset fingerprints.
-    bdd::ManagerParams manager;
-    /// Symmetry-aware sifting tri-state for the BDS flows (FlowOptions
-    /// semantics: -1 = preset decides, 0 = off, 1 = on).
-    int sift_symmetry = -1;
-    /// Consult the process-wide canonical cone cache in the BDS flows
-    /// (FlowOptions::cone_cache): cones repeated across this job's
-    /// circuits — and across jobs for the service lifetime — replay
-    /// cached tapes. Never changes results, only wall time.
-    bool cone_cache = true;
     JobPriority priority = JobPriority::kNormal;
-    /// Relative hard deadline in milliseconds, measured from submission
-    /// (queue wait counts). Jobs whose deadline has already passed when
-    /// they would dispatch are shed without running; a running job stops
-    /// at its next flow checkpoint once the deadline passes. Either way
-    /// the future yields status kDeadlineExceeded. Within a priority
-    /// lane, jobs with deadlines dispatch earliest-deadline-first ahead
-    /// of deadline-less jobs (which stay FIFO among themselves).
-    /// <= 0 = no deadline.
-    double deadline_ms = 0.0;
-    /// Relative soft budget in milliseconds, measured from submission.
-    /// Once spent, the BDS flows degrade remaining supernodes down
-    /// `degrade_ladder` (cheaper presets, sift clamped,
-    /// terminal plain-Shannon stage) instead of failing: the job still
-    /// completes with a valid, equivalent network, and
-    /// FlowResult::degraded_supernodes counts the cheapened cones.
-    /// <= 0 = no soft budget.
-    double soft_budget_ms = 0.0;
-    /// Degrade-ladder preset names (FlowOptions::degrade_ladder); empty =
-    /// {"paper", "shannon"}. Also engaged per cone by the resource guards
-    /// in `manager` (max_live_nodes / sift_max_swaps).
-    std::vector<std::string> degrade_ladder;
-    /// Equivalence engine for the optional sign-off below.
-    net::EquivEngine oracle = net::EquivEngine::kAuto;
-    /// Verify every produced network (optimized + mapped, all requested
-    /// flows) against its input inside the job. A verification failure
-    /// fails the job (status kFailed; the error surfaces on the future) —
-    /// the service never hands out an unverified wrong network. Verdicts
-    /// land in SynthesisResult::equivalence.
-    bool verify = false;
 };
 
 struct FlowResult {

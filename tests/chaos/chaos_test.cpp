@@ -253,7 +253,7 @@ TEST(ChaosService, DeepFaultSeedSweepFulfillsEveryFuture) {
     std::vector<std::string> baseline;
     for (const Network& input : inputs) {
         baseline.push_back(
-            net::write_blif(flows::flow_bdsmaj(input, 1).optimized));
+            net::write_blif(flows::flow_bdsmaj(input).optimized));
     }
     for (const auto& [idx, blif] : survivors) {
         EXPECT_EQ(blif, baseline[idx]) << "survivor of input " << idx << " drifted";
@@ -270,7 +270,7 @@ TEST(ChaosService, DelayOnlyJitterChangesNothing) {
     std::vector<std::string> baseline;
     for (const Network& input : inputs) {
         baseline.push_back(
-            net::write_blif(flows::flow_bdsmaj(input, 1).optimized));
+            net::write_blif(flows::flow_bdsmaj(input).optimized));
     }
     FaultPlan plan;
     plan.delay_rate = 1.0;  // every masked hit delays: the jitter is certain

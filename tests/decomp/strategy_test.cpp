@@ -231,7 +231,7 @@ TEST(Strategy, PresetPlumbsThroughTheFlowLayer) {
     const DecompFlowResult direct = run_preset(input, "exact-aggressive");
     EXPECT_EQ(net::write_blif(flow.optimized), net::write_blif(direct.network));
     // Default options keep the historical name and the paper ladder.
-    const flows::SynthesisResult paper = flows::flow_bdsmaj(input, 1);
+    const flows::SynthesisResult paper = flows::flow_bdsmaj(input);
     EXPECT_EQ(paper.flow_name, "BDS-MAJ");
     EXPECT_EQ(paper.engine_stats.exact_steps, 0);
 }

@@ -21,6 +21,7 @@ namespace bdsmaj::flows {
 namespace {
 
 using namespace std::chrono_literals;
+using Clock = std::chrono::steady_clock;
 using net::Network;
 
 Network tiny_adder() {
@@ -33,7 +34,7 @@ Network tiny_adder() {
 TEST(Robustness, ImpossibleDeadlineIsShedWithoutRunning) {
     SynthesisService service(ServiceParams{.start_paused = true});
     SynthesisJobParams jp;
-    jp.deadline_ms = 1.0;
+    jp.deadline = Clock::now() + 1ms;
     SynthesisService::Submission sub = service.submit(tiny_adder(), jp);
     // Hold admission past the deadline, then release: the dispatcher must
     // shed the job instead of starting it.
@@ -65,7 +66,7 @@ TEST(Robustness, DeadlinedHeavyJobYieldsDeadlineExceeded) {
     const Network input = benchgen::benchmark_by_name("dalu", /*quick=*/true);
     SynthesisService service;
     SynthesisJobParams jp;
-    jp.deadline_ms = 20.0;
+    jp.deadline = Clock::now() + 20ms;
     SynthesisService::Submission sub = service.submit(input, jp);
     const FlowResult r = sub.result.get();
     EXPECT_EQ(r.status, JobStatus::kDeadlineExceeded);
@@ -78,8 +79,8 @@ TEST(Robustness, TightSoftBudgetDegradesButCompletesVerified) {
     SynthesisService service;
     SynthesisJobParams jp;
     jp.flow = "bdsmaj";
-    jp.soft_budget_ms = 0.01;  // expired before the job even dispatches
-    jp.verify = true;          // a wrong degraded network fails the job
+    jp.soft_budget = Clock::now() + 10us;  // expired before the job even dispatches
+    jp.verify = true;                      // a wrong degraded network fails the job
     SynthesisService::Submission sub = service.submit(input, jp);
     const FlowResult r = sub.result.get();
     ASSERT_EQ(r.status, JobStatus::kCompleted);
@@ -159,9 +160,9 @@ TEST(Robustness, EarliestDeadlineFirstWithinLane) {
     SynthesisJobParams none;  // no deadline
     none.flow = "bdsmaj";
     SynthesisJobParams late = none;
-    late.deadline_ms = 60000.0;
+    late.deadline = Clock::now() + 60s;
     SynthesisJobParams soon = none;
-    soon.deadline_ms = 30000.0;
+    soon.deadline = Clock::now() + 30s;
 
     SynthesisService::Submission a = service.submit(input, none);
     SynthesisService::Submission b = service.submit(input, late);
@@ -191,7 +192,7 @@ TEST(Robustness, HighPriorityLaneStillBeatsEarlierDeadlinesInNormal) {
     const Network input = tiny_adder();
     SynthesisJobParams normal;
     normal.flow = "bdsmaj";
-    normal.deadline_ms = 30000.0;
+    normal.deadline = Clock::now() + 30s;
     SynthesisJobParams high;
     high.flow = "bdsmaj";
     high.priority = JobPriority::kHigh;

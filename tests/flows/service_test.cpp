@@ -79,7 +79,7 @@ void expect_same_results(const std::vector<SynthesisResult>& serial,
 
 TEST(SynthesisService, SingleJobMatchesDirectRun) {
     const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
-    const std::vector<SynthesisResult> serial = run_all_flows(input, 1);
+    const std::vector<SynthesisResult> serial = run_all_flows(input);
 
     SynthesisService service;
     SynthesisJobParams jp;
@@ -100,7 +100,7 @@ TEST(SynthesisService, ConcurrentMcncSubmitsMatchSerialRuns) {
     const std::vector<Network> inputs = mcnc_inputs(6);
     std::vector<std::vector<SynthesisResult>> serial;
     serial.reserve(inputs.size());
-    for (const Network& input : inputs) serial.push_back(run_all_flows(input, 1));
+    for (const Network& input : inputs) serial.push_back(run_all_flows(input));
 
     runtime::ThreadPool pool(4);
     ServiceParams sp;
@@ -129,7 +129,7 @@ TEST(SynthesisService, ConcurrentMcncSubmitsMatchSerialRuns) {
 
 TEST(SynthesisService, SuiteJobMatchesRunSuite) {
     const std::vector<Network> inputs = mcnc_inputs(4);
-    const std::vector<std::vector<SynthesisResult>> serial = run_suite(inputs, 1);
+    const std::vector<std::vector<SynthesisResult>> serial = run_suite(inputs);
 
     SynthesisService service;
     SynthesisJobParams jp;
@@ -141,6 +141,17 @@ TEST(SynthesisService, SuiteJobMatchesRunSuite) {
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         expect_same_results(serial[i], r.results[i],
                             "suite[" + std::to_string(i) + "]");
+    }
+    // A single-flow suite job is run_suite with that flow name.
+    const std::vector<std::vector<SynthesisResult>> pga =
+        run_suite(inputs, {}, "bdspga");
+    jp.flow = "bdspga";
+    const FlowResult rp = service.submit_suite(inputs, jp).result.get();
+    EXPECT_EQ(rp.status, JobStatus::kCompleted);
+    ASSERT_EQ(rp.results.size(), inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        expect_same_results(pga[i], rp.results[i],
+                            "bdspga suite[" + std::to_string(i) + "]");
     }
 }
 
@@ -238,9 +249,16 @@ TEST(SynthesisService, UnknownFlowFailsTheJobViaTheFuture) {
     jp.flow = "nosuchflow";
     SynthesisService::Submission sub = service.submit(input, jp);
     EXPECT_THROW(sub.result.get(), std::invalid_argument);
+    // So does a job carrying its own cancel token: cancellation goes
+    // through cancel(id), the service owns every job's token.
+    std::atomic<bool> token{false};
+    SynthesisJobParams own_token;
+    own_token.cancel = &token;
+    SynthesisService::Submission token_sub = service.submit(input, own_token);
+    EXPECT_THROW(token_sub.result.get(), std::invalid_argument);
     service.wait_idle();
     const ServiceStats st = service.stats();
-    EXPECT_EQ(st.failed, 1);
+    EXPECT_EQ(st.failed, 2);
     EXPECT_EQ(st.completed, 0);
     // The failure must not poison the service.
     SynthesisService::Submission ok = service.submit(input, {});
@@ -392,6 +410,21 @@ TEST(SynthesisService, PresetJobsMatchDirectPresetRuns) {
     EXPECT_EQ(via_service.flow_name, "BDS-MAJ(exact-aggressive)");
     ASSERT_EQ(net::write_blif(direct.optimized), net::write_blif(via_service.optimized));
     EXPECT_GT(via_service.engine_stats.exact_steps, 0);
+    // The paper's SIV-B knobs ride along the same way: a job is exactly
+    // the flow run with its own FlowOptions.
+    SynthesisJobParams tuned;
+    tuned.flow = "bdsmaj";
+    tuned.maj.k_local = 1.2;
+    tuned.maj.max_iterations = 3;
+    tuned.reorder = false;
+    const SynthesisResult tuned_direct = flow_bdsmaj(input, tuned);
+    SynthesisService::Submission tuned_sub = service.submit(input, tuned);
+    const FlowResult tuned_r = tuned_sub.result.get();
+    ASSERT_EQ(tuned_r.status, JobStatus::kCompleted);
+    ASSERT_EQ(net::write_blif(tuned_direct.optimized),
+              net::write_blif(tuned_r.results.at(0).at(0).optimized));
+    ASSERT_EQ(net::write_blif(tuned_direct.mapped.netlist),
+              net::write_blif(tuned_r.results.at(0).at(0).mapped.netlist));
     // Unknown presets fail the job through the future, like unknown flows.
     SynthesisJobParams bad;
     bad.preset = "nosuchpreset";
@@ -401,7 +434,7 @@ TEST(SynthesisService, PresetJobsMatchDirectPresetRuns) {
 
 TEST(SynthesisService, StatsAggregateGateCounts) {
     const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
-    const std::vector<SynthesisResult> serial = run_all_flows(input, 1);
+    const std::vector<SynthesisResult> serial = run_all_flows(input);
     long expected_gates = 0;
     for (const SynthesisResult& r : serial) expected_gates += r.mapped.gate_count;
 

@@ -5,7 +5,7 @@
 //   --flow bdsmaj|bdspga|abc|dc   synthesis flow (default bdsmaj)
 //   --preset NAME                 decomposition strategy preset for the
 //                                 BDS flows ("paper" default; see
-//                                 --list-presets); works in --batch too
+//                                 --list-presets)
 //   --list-presets                print the preset catalog and exit
 //   --out FILE                    write the optimized network as BLIF
 //   --map-out FILE                write the mapped netlist as BLIF
@@ -56,10 +56,9 @@
 //                                 print results in submission order (also
 //                                 implied by giving more than one input).
 //                                 --flow additionally accepts "all" here
-//                                 (all four Table II flows per input) and
-//                                 --preset is carried per job; the engine
-//                                 tuning flags above are rejected — the
-//                                 service runs the default engine
+//                                 (all four Table II flows per input); every
+//                                 flag above applies to each job as it does
+//                                 to a single run
 //   --pool N                      shared-pool thread count (otherwise the
 //                                 BDSMAJ_JOBS env var / all cores)
 //   --max-jobs N                  jobs admitted concurrently (default:
@@ -69,13 +68,16 @@
 // `bdsmaj_cli @C6288` or `bdsmaj_cli "@Div 18 bit"`, and batch mode mixes
 // them freely with BLIF files: `bdsmaj_cli --batch @C1355 @C6288 my.blif`.
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <optional>
-#include <stdexcept>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "benchgen/suite.hpp"
@@ -92,39 +94,64 @@ namespace {
 
 using namespace bdsmaj;
 
+/// The CLI's defaults differ from the library's in two places: one BDS-MAJ
+/// run, and a sign-off unless --no-verify.
+flows::SynthesisJobParams default_job() {
+    flows::SynthesisJobParams job;
+    job.flow = "bdsmaj";
+    job.verify = true;
+    return job;
+}
+
 struct Options {
-    std::string flow = "bdsmaj";
-    std::string preset = "paper";
+    /// Every flow knob. A single run passes it to flows::run_flow as its
+    /// FlowOptions; batch mode submits it as each job's parameters.
+    flows::SynthesisJobParams job = default_job();
     std::vector<std::string> inputs;
     std::optional<std::string> out;
     std::optional<std::string> map_out;
-    bool reorder = true;
     bool quick = false;
-    bool verify = true;
-    net::EquivEngine oracle = net::EquivEngine::kAuto;
     bool quiet = false;
     bool batch = false;
-    /// True when an engine tuning flag (--no-reorder, --k-local,
-    /// --k-global, --iterations) was given; the batch service path does
-    /// not carry these, so it must reject rather than silently drop them.
-    bool tuned = false;
-    int jobs = 1;
     int pool = 0;
     int max_jobs = 0;
-    bool cone_cache = true;
     int cone_cache_mb = -1;  ///< -1 = keep the library default (64 MiB)
     std::optional<std::string> exact_cache_path;
-    /// Symmetry-aware sifting tri-state (-1 = preset decides, 0/1 forced).
-    int sift_symmetry = -1;
-    /// Deadline / graceful-degradation knobs (<= 0 / empty = off).
-    double deadline_ms = 0.0;
-    double soft_budget_ms = 0.0;
-    std::vector<std::string> degrade_ladder;
-    decomp::MajDecompParams maj;
-    /// Per-supernode BDD manager tuning (reordering budget). Carried by
-    /// the service too, so batch mode supports these flags.
-    bdd::ManagerParams manager;
+    /// --deadline-ms / --soft-budget-ms (<= 0 = off). Each run turns them
+    /// into absolute instants as it starts (see armed()).
+    double deadline_after_ms = 0.0;
+    double soft_budget_after_ms = 0.0;
 };
+
+/// `opt.job` with its deadline and soft budget counted from now: the start
+/// of a single run, or a batch job's submission (so queue wait counts).
+flows::SynthesisJobParams armed(const Options& opt) {
+    flows::SynthesisJobParams job = opt.job;
+    const auto now = std::chrono::steady_clock::now();
+    const auto after = [now](double ms) {
+        return now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                         std::chrono::duration<double, std::milli>(ms));
+    };
+    if (opt.deadline_after_ms > 0) job.deadline = after(opt.deadline_after_ms);
+    if (opt.soft_budget_after_ms > 0) job.soft_budget = after(opt.soft_budget_after_ms);
+    return job;
+}
+
+/// Parses a whole flag value as a number: trailing text, overflow, a
+/// non-finite float, or (with `non_negative`) a value below zero fail.
+template <typename T>
+bool parse_number(const char* text, T& out, bool non_negative) {
+    const char* end = text + std::strlen(text);
+    T value{};
+    const auto [stop, error] = std::from_chars(text, end, value);
+    if (error != std::errc() || stop != end) return false;
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(value)) return false;
+    }
+    if (non_negative && value < 0) return false;
+    out = value;
+    return true;
+}
 
 /// The full option reference, printed by --help (stdout, exit 0). This
 /// text is the source of truth for docs/cli.md: tools/gen_cli_docs.sh
@@ -139,8 +166,7 @@ void print_help(std::FILE* to) {
         "  --flow bdsmaj|bdspga|abc|dc  synthesis flow (default bdsmaj); batch\n"
         "                               mode additionally accepts \"all\"\n"
         "  --preset NAME                decomposition strategy preset for the BDS\n"
-        "                               flows (default paper; see --list-presets);\n"
-        "                               works in --batch too\n"
+        "                               flows (default paper; see --list-presets)\n"
         "  --list-presets               print the preset catalog and exit\n"
         "  --no-maj                     shorthand for --flow bdspga\n"
         "\n"
@@ -206,7 +232,8 @@ void print_help(std::FILE* to) {
         "  --batch                      treat every positional arg as an input and\n"
         "                               submit each as one async service job (also\n"
         "                               implied by giving more than one input);\n"
-        "                               results print in submission order\n"
+        "                               results print in submission order, and\n"
+        "                               every flag above applies to each job\n"
         "  --pool N                     shared-pool thread count (otherwise the\n"
         "                               BDSMAJ_JOBS env var / all cores)\n"
         "  --max-jobs N                 jobs admitted concurrently (default: pool\n"
@@ -240,7 +267,7 @@ net::Network load_input(const std::string& name, bool quick) {
 }
 
 void print_result(const net::Network& input, const flows::SynthesisResult& result,
-                  double seconds, bool verify, bool equivalent, bool quiet) {
+                  double seconds, bool quiet) {
     if (!quiet) {
         const net::NetworkStats s = result.optimized_stats;
         std::printf("flow %s on %s\n", result.flow_name.c_str(),
@@ -295,7 +322,7 @@ void print_result(const net::Network& input, const flows::SynthesisResult& resul
         }
         // What the equivalence sign-off did (both checks: optimized and
         // mapped against the input).
-        if (verify && result.equivalence) {
+        if (result.equivalence) {
             const flows::SignOffStats& so = result.signoff;
             std::printf("  sign-off: bdd-checks=%d sat-checks=%d sat-calls=%llu "
                         "conflicts=%llu time=%.3fs\n",
@@ -308,7 +335,7 @@ void print_result(const net::Network& input, const flows::SynthesisResult& resul
     std::printf("%s: area=%.2fum2 gates=%d delay=%.3fns opt_time=%.3fs%s\n",
                 input.model_name().c_str(), result.mapped.area_um2,
                 result.mapped.gate_count, result.mapped.delay_ns, seconds,
-                verify ? (equivalent ? " [verified]" : " [MISMATCH]") : "");
+                result.equivalence ? " [verified]" : "");
 }
 
 /// Process-wide memoization summary (cone tape cache + exact NPN cache),
@@ -346,25 +373,6 @@ void save_exact_cache(const Options& opt) {
     }
 }
 
-/// The single-run sign-off: flows::verify_synthesis_result, with a failed
-/// check reported instead of thrown.
-bool verify_result(const net::Network& input, flows::SynthesisResult& result,
-                   net::EquivEngine oracle) {
-    try {
-        flows::verify_synthesis_result(input, result, oracle);
-    } catch (const std::runtime_error& e) {
-        std::fprintf(stderr, "VERIFICATION FAILED: %s\n", e.what());
-        return false;
-    }
-    if (!result.equivalence->exact) {
-        // Only the sim engine leaves a sampled verdict; make the weaker
-        // guarantee impossible to miss.
-        std::fprintf(stderr, "note: --oracle sim agreement is sampled, "
-                             "not an exact sign-off\n");
-    }
-    return true;
-}
-
 /// Batch service mode: every input becomes one async job on the shared
 /// scheduler; results print in submission order regardless of completion
 /// order, so the output is stable.
@@ -374,15 +382,6 @@ int run_batch(const Options& opt) {
                              "batch mode\n");
         return 2;
     }
-    if (opt.tuned) {
-        std::fprintf(stderr,
-                     "--no-reorder/--k-local/--k-global/--iterations are not "
-                     "supported in batch mode (the service runs the default "
-                     "engine configuration); run inputs individually to tune\n");
-        return 2;
-    }
-    if (opt.pool > 0) runtime::configure_global_pool(opt.pool);
-
     std::vector<net::Network> inputs;
     inputs.reserve(opt.inputs.size());
     for (const std::string& name : opt.inputs) {
@@ -397,25 +396,12 @@ int run_batch(const Options& opt) {
     flows::ServiceParams sp;
     sp.max_concurrent_jobs = opt.max_jobs;
     flows::SynthesisService service(sp);
-    flows::SynthesisJobParams jp;
-    jp.jobs = opt.jobs;
-    jp.flow = opt.flow;
-    jp.preset = opt.preset;
-    jp.manager = opt.manager;
-    jp.sift_symmetry = opt.sift_symmetry;
-    jp.cone_cache = opt.cone_cache;
-    // Verification runs inside the job (service-side): a failed sign-off
-    // fails that job's future instead of handing out a wrong network.
-    jp.verify = opt.verify;
-    jp.oracle = opt.oracle;
-    jp.deadline_ms = opt.deadline_ms;
-    jp.soft_budget_ms = opt.soft_budget_ms;
-    jp.degrade_ladder = opt.degrade_ladder;
-
     std::vector<flows::SynthesisService::Submission> submissions;
     submissions.reserve(inputs.size());
     for (const net::Network& input : inputs) {
-        submissions.push_back(service.submit(input, jp));  // keep the original
+        // Verification runs inside the job: a failed sign-off fails that
+        // job's future instead of handing out a wrong network.
+        submissions.push_back(service.submit(input, armed(opt)));
     }
 
     bool all_ok = true;
@@ -436,15 +422,10 @@ int run_batch(const Options& opt) {
                 std::printf("%s: cancelled\n", inputs[i].model_name().c_str());
                 continue;
             }
-            // One entry for a named flow, four for --flow all. The job
-            // already signed off each result; surface its verdict.
+            // One entry for a named flow, four for --flow all; a failed
+            // sign-off would have failed the job.
             for (const flows::SynthesisResult& sr : r.results.at(0)) {
-                const bool equivalent =
-                    !opt.verify ||
-                    (sr.equivalence.has_value() && sr.equivalence->equivalent);
-                all_ok = all_ok && equivalent;
-                print_result(inputs[i], sr, r.seconds, opt.verify, equivalent,
-                             opt.quiet);
+                print_result(inputs[i], sr, r.seconds, opt.quiet);
             }
         } catch (const std::exception& e) {
             std::fprintf(stderr, "job %s failed: %s\n", opt.inputs[i].c_str(),
@@ -470,108 +451,94 @@ int run_batch(const Options& opt) {
 
 int main(int argc, char** argv) {
     Options opt;
+    flows::SynthesisJobParams& job = opt.job;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto next = [&]() -> const char* {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
+        // Reads this flag's value into `field`; false, after saying why,
+        // when the value is missing or malformed.
+        const auto value = [&](auto& field, bool non_negative = false) {
+            const char* v = next();
+            if (v == nullptr) {
+                usage();
+                return false;
+            }
+            using T = std::remove_reference_t<decltype(field)>;
+            if constexpr (std::is_arithmetic_v<T>) {
+                if (!parse_number(v, field, non_negative)) {
+                    std::fprintf(stderr, "%s: invalid %s%s \"%s\"\n", arg.c_str(),
+                                 non_negative ? "non-negative " : "",
+                                 std::is_integral_v<T> ? "integer" : "number", v);
+                    return false;
+                }
+            } else {
+                field = v;
+            }
+            return true;
+        };
+        constexpr bool kNonNegative = true;
         if (arg == "--help" || arg == "-h") {
             print_help(stdout);
             return 0;
         } else if (arg == "--flow") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.flow = v;
+            if (!value(job.flow)) return 2;
         } else if (arg == "--preset") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.preset = v;
+            if (!value(job.preset)) return 2;
         } else if (arg == "--list-presets") {
             return list_presets();
         } else if (arg == "--out") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.out = v;
+            if (!value(opt.out)) return 2;
         } else if (arg == "--map-out") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.map_out = v;
+            if (!value(opt.map_out)) return 2;
         } else if (arg == "--no-maj") {
-            opt.flow = "bdspga";
+            job.flow = "bdspga";
         } else if (arg == "--no-reorder") {
-            opt.reorder = false;
-            opt.tuned = true;
+            job.reorder = false;
         } else if (arg == "--sift-symmetry") {
-            opt.sift_symmetry = 1;
+            job.sift_symmetry = 1;
         } else if (arg == "--no-sift-symmetry") {
-            opt.sift_symmetry = 0;
+            job.sift_symmetry = 0;
         } else if (arg == "--sift-max-growth") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.manager.sift_max_growth = std::atof(v);
+            if (!value(job.manager.sift_max_growth)) return 2;
         } else if (arg == "--sift-converge") {
-            opt.manager.sift_converge = true;
+            job.manager.sift_converge = true;
         } else if (arg == "--sift-max-vars") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.manager.sift_max_vars = std::atoi(v);
+            if (!value(job.manager.sift_max_vars, kNonNegative)) return 2;
         } else if (arg == "--k-local") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.maj.k_local = std::atof(v);
-            opt.tuned = true;
+            if (!value(job.maj.k_local)) return 2;
         } else if (arg == "--k-global") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.maj.k_global = std::atof(v);
-            opt.tuned = true;
+            if (!value(job.maj.k_global)) return 2;
         } else if (arg == "--iterations") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.maj.max_iterations = std::atoi(v);
-            opt.tuned = true;
+            if (!value(job.maj.max_iterations, kNonNegative)) return 2;
         } else if (arg == "--jobs") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.jobs = std::atoi(v);
+            if (!value(job.jobs)) return 2;
         } else if (arg == "--pool") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.pool = std::atoi(v);
+            if (!value(opt.pool, kNonNegative)) return 2;
         } else if (arg == "--max-jobs") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.max_jobs = std::atoi(v);
+            if (!value(opt.max_jobs, kNonNegative)) return 2;
         } else if (arg == "--cone-cache-mb") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.cone_cache_mb = std::atoi(v);
+            if (!value(opt.cone_cache_mb, kNonNegative)) return 2;
         } else if (arg == "--no-cone-cache") {
-            opt.cone_cache = false;
+            job.cone_cache = false;
         } else if (arg == "--exact-cache") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.exact_cache_path = v;
+            if (!value(opt.exact_cache_path)) return 2;
         } else if (arg == "--deadline-ms") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.deadline_ms = std::atof(v);
+            if (!value(opt.deadline_after_ms)) return 2;
         } else if (arg == "--soft-budget-ms") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.soft_budget_ms = std::atof(v);
+            if (!value(opt.soft_budget_after_ms)) return 2;
         } else if (arg == "--degrade-ladder") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.degrade_ladder.clear();
+            std::string ladder;
+            if (!value(ladder)) return 2;
+            job.degrade_ladder.clear();
             std::string rung;
-            for (const char* p = v;; ++p) {
-                if (*p == ',' || *p == '\0') {
-                    if (!rung.empty()) opt.degrade_ladder.push_back(rung);
+            for (const char c : ladder + ',') {
+                if (c != ',') {
+                    rung.push_back(c);
+                } else if (!rung.empty()) {
+                    job.degrade_ladder.push_back(std::move(rung));
                     rung.clear();
-                    if (*p == '\0') break;
-                } else {
-                    rung.push_back(*p);
                 }
             }
         } else if (arg == "--batch") {
@@ -579,12 +546,12 @@ int main(int argc, char** argv) {
         } else if (arg == "--quick") {
             opt.quick = true;
         } else if (arg == "--no-verify") {
-            opt.verify = false;
+            job.verify = false;
         } else if (arg == "--oracle") {
-            const char* v = next();
-            if (v == nullptr) return usage();
+            std::string name;
+            if (!value(name)) return 2;
             try {
-                opt.oracle = net::parse_equiv_engine(v);
+                job.oracle = net::parse_equiv_engine(name);
             } catch (const std::exception& e) {
                 std::fprintf(stderr, "%s\n", e.what());
                 return usage();
@@ -599,17 +566,24 @@ int main(int argc, char** argv) {
         }
     }
     if (opt.inputs.empty()) return usage();
-    if (!decomp::is_known_preset(opt.preset)) {
+    const bool batch = opt.batch || opt.inputs.size() > 1;
+    const bool bds = job.flow == "bdsmaj" || job.flow == "bdspga" ||
+                     (batch && job.flow == "all");
+    if (!bds && job.flow != "abc" && job.flow != "dc") {
+        std::fprintf(stderr, "unknown flow %s\n", job.flow.c_str());
+        return usage();
+    }
+    if (!decomp::is_known_preset(job.preset)) {
         std::fprintf(stderr, "unknown preset \"%s\"; --list-presets shows the "
-                             "catalog\n", opt.preset.c_str());
+                             "catalog\n", job.preset.c_str());
         return 2;
     }
-    if (opt.preset != "paper" && (opt.flow == "abc" || opt.flow == "dc")) {
+    if (job.preset != "paper" && !bds) {
         std::fprintf(stderr, "--preset only applies to the BDS flows "
                              "(bdsmaj/bdspga/all)\n");
         return 2;
     }
-    for (const std::string& rung : opt.degrade_ladder) {
+    for (const std::string& rung : job.degrade_ladder) {
         if (!decomp::is_known_preset(rung)) {
             std::fprintf(stderr, "unknown preset \"%s\" in --degrade-ladder; "
                                  "--list-presets shows the catalog\n",
@@ -617,9 +591,8 @@ int main(int argc, char** argv) {
             return 2;
         }
     }
-    if ((opt.deadline_ms > 0 || opt.soft_budget_ms > 0 ||
-         !opt.degrade_ladder.empty()) &&
-        (opt.flow == "abc" || opt.flow == "dc")) {
+    if ((opt.deadline_after_ms > 0 || opt.soft_budget_after_ms > 0 ||
+         !job.degrade_ladder.empty()) && !bds) {
         std::fprintf(stderr, "--deadline-ms/--soft-budget-ms/--degrade-ladder "
                              "only apply to the BDS flows (bdsmaj/bdspga/all)\n");
         return 2;
@@ -628,14 +601,14 @@ int main(int argc, char** argv) {
         decomp::ConeCache::instance().set_budget_bytes(
             static_cast<std::size_t>(opt.cone_cache_mb) << 20);
     }
+    if (opt.pool > 0) runtime::configure_global_pool(opt.pool);
     load_exact_cache(opt);
-    if (opt.batch || opt.inputs.size() > 1) {
+    if (batch) {
         const int rc = run_batch(opt);
         save_exact_cache(opt);
         return rc;
     }
 
-    if (opt.pool > 0) runtime::configure_global_pool(opt.pool);
     net::Network input;
     try {
         input = load_input(opt.inputs[0], opt.quick);
@@ -645,61 +618,29 @@ int main(int argc, char** argv) {
     }
 
     flows::SynthesisResult result;
-    if (opt.flow == "abc") {
-        result = flows::flow_abc(input);
-    } else if (opt.flow == "dc") {
-        result = flows::flow_dc(input);
-    } else if (opt.flow == "bdsmaj" || opt.flow == "bdspga") {
-        decomp::DecompFlowParams params;
-        params.engine.use_majority = opt.flow == "bdsmaj";
-        params.engine.maj = opt.maj;
-        params.engine.preset = opt.preset;
-        params.manager = opt.manager;
-        params.sift_symmetry = opt.sift_symmetry;
-        params.reorder = opt.reorder;
-        params.cone_cache = opt.cone_cache;
-        params.jobs = opt.jobs;
-        const auto t0 = std::chrono::steady_clock::now();
-        if (opt.deadline_ms > 0) {
-            params.deadline = t0 + std::chrono::duration_cast<
-                std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(opt.deadline_ms));
-        }
-        if (opt.soft_budget_ms > 0) {
-            params.soft_budget = t0 + std::chrono::duration_cast<
-                std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(opt.soft_budget_ms));
-        }
-        params.degrade_ladder = opt.degrade_ladder;
-        decomp::DecompFlowResult d;
-        try {
-            d = decomp::decompose_network(input, params);
-        } catch (const decomp::DeadlineExceeded&) {
-            std::fprintf(stderr, "%s: deadline exceeded (--deadline-ms %g); "
-                                 "no result produced\n",
-                         input.model_name().c_str(), opt.deadline_ms);
-            return 4;
-        }
-        result.flow_name = flows::decorated_flow_name(
-            opt.flow == "bdsmaj" ? "BDS-MAJ" : "BDS-PGA", opt.preset);
-        result.engine_stats = d.engine_stats;
-        result.optimized = std::move(d.network);
-        result.optimized_stats = result.optimized.stats();
-        result.optimize_seconds = d.seconds;
-        result.mapped = mapping::map_network(result.optimized, flows::default_library());
-    } else {
-        std::fprintf(stderr, "unknown flow %s\n", opt.flow.c_str());
-        return usage();
+    try {
+        result = std::move(flows::run_flow(input, job.flow, armed(opt)).front());
+    } catch (const decomp::DeadlineExceeded&) {
+        std::fprintf(stderr, "%s: deadline exceeded (--deadline-ms %g); "
+                             "no result produced\n",
+                     input.model_name().c_str(), opt.deadline_after_ms);
+        return 4;
+    } catch (const std::exception& e) {
+        // A failed sign-off lands here too, before any output is written.
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 1;
     }
-
-    bool equivalent = true;
-    if (opt.verify) equivalent = verify_result(input, result, opt.oracle);
-    print_result(input, result, result.optimize_seconds, opt.verify, equivalent,
-                 opt.quiet);
+    if (result.equivalence && !result.equivalence->exact) {
+        // Only the sim engine leaves a sampled verdict; make the weaker
+        // guarantee impossible to miss.
+        std::fprintf(stderr, "note: --oracle sim agreement is sampled, "
+                             "not an exact sign-off\n");
+    }
+    print_result(input, result, result.optimize_seconds, opt.quiet);
     if (!opt.quiet) print_cache_summary();
 
     if (opt.out) net::write_blif_file(result.optimized, *opt.out);
     if (opt.map_out) net::write_blif_file(result.mapped.netlist, *opt.map_out);
     save_exact_cache(opt);
-    return equivalent ? 0 : 1;
+    return 0;
 }

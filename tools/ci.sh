@@ -18,6 +18,10 @@
 # must byte-match what tools/gen_cli_docs.sh regenerates from the fresh
 # binary, and every advertised preset must appear in README.md.
 #
+# The debug stage builds the test binary with -DCMAKE_BUILD_TYPE=Debug in
+# its own tree and runs the flow, service, robustness and manager-pool
+# tests with asserts enabled.
+#
 # The chaos stage rebuilds the core with the deterministic fault-injection
 # hooks compiled in (-DBDSMAJ_FAULT_INJECT=ON) under AddressSanitizer and
 # runs the `chaos` ctest label: injected faults at the worker/cache/SAT/
@@ -82,6 +86,18 @@ echo "==> docs: README preset coverage check"
         exit 1
     fi
 done
+
+echo "==> debug: assertion-enabled flow/service/manager tests"
+# Separate Debug build tree (asserts on): the tier-1 build is Release, so
+# without this stage no local gate ever runs the library's asserts. The
+# filter covers the flow entry points, the service, the deadline and
+# degradation paths, and the pooled managers' reset().
+cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug \
+      -DBDSMAJ_BUILD_BENCH=OFF -DBDSMAJ_BUILD_EXAMPLES=OFF \
+      ${EXTRA_CMAKE_ARGS[@]+"${EXTRA_CMAKE_ARGS[@]}"} >/dev/null
+cmake --build build-debug -j"$JOBS" --target bdsmaj_tests
+(cd build-debug && ctest -R 'Flows|SynthesisService|Robustness|ManagerReset|ManagerPool' \
+                         --output-on-failure -j"$JOBS")
 
 if [[ "${BDSMAJ_CI_SKIP_CHAOS:-0}" != "0" ]]; then
     echo "==> chaos stage skipped (BDSMAJ_CI_SKIP_CHAOS)"
