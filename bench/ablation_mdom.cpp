@@ -12,7 +12,7 @@
 #include "benchgen/suite.hpp"
 #include "decomp/flow.hpp"
 #include "mdom_sweep.hpp"
-#include "network/simulate.hpp"
+#include "network/cec.hpp"
 
 int main() {
     using namespace bdsmaj;
@@ -47,7 +47,8 @@ int main() {
             std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
                 .count();
         for (std::size_t i = 0; i < inputs.size(); ++i) {
-            if (net::check_equivalent(inputs[i], results[i], 20, 16).equivalent) {
+            if (net::check_equivalent(inputs[i], results[i], net::CecParams{.sim_rounds = 16})
+                    .equivalent) {
                 ++equivalent;
             }
         }

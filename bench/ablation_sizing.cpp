@@ -9,7 +9,7 @@
 
 #include "benchgen/suite.hpp"
 #include "decomp/flow.hpp"
-#include "network/simulate.hpp"
+#include "network/cec.hpp"
 
 int main() {
     using namespace bdsmaj;
@@ -39,7 +39,8 @@ int main() {
                 const net::NetworkStats s = r.network.stats();
                 total += s.total();
                 maj_nodes += s.maj_nodes;
-                if (net::check_equivalent(input, r.network, 20, 16).equivalent) {
+                if (net::check_equivalent(input, r.network, net::CecParams{.sim_rounds = 16})
+                        .equivalent) {
                     ++equivalent;
                 }
             }

@@ -436,7 +436,8 @@ Table2Result bench_table2(bool smoke) {
         const auto results = flows::run_all_flows(input);
         bool all_ok = true;
         for (const auto& r : results) {
-            if (!net::check_equivalent(input, r.mapped.netlist, 20, 32).equivalent) {
+            if (!net::check_equivalent(input, r.mapped.netlist, net::CecParams{.sim_rounds = 32})
+                     .equivalent) {
                 all_ok = false;
             }
         }
@@ -496,7 +497,8 @@ AblationResult bench_ablation_mdom(bool smoke) {
     std::size_t k = 0;
     for (std::size_t c = 0; c < configs.size(); ++c) {
         for (const net::Network& input : inputs) {
-            if (net::check_equivalent(input, results[k++], 20, 16).equivalent) {
+            if (net::check_equivalent(input, results[k++], net::CecParams{.sim_rounds = 16})
+                    .equivalent) {
                 ++out.equivalent;
             }
         }

@@ -11,7 +11,7 @@
 
 #include "benchgen/suite.hpp"
 #include "decomp/flow.hpp"
-#include "network/simulate.hpp"
+#include "network/cec.hpp"
 #include "paper_data.hpp"
 
 namespace bdsmaj::bench {
@@ -45,8 +45,9 @@ int main() {
         const decomp::DecompFlowResult maj = decomp::run_bdsmaj(input);
         const decomp::DecompFlowResult pga = decomp::run_bdspga(input);
         // Sign-off: both decompositions must be functionally equivalent.
-        if (net::check_equivalent(input, maj.network, 20, 32).equivalent &&
-            net::check_equivalent(input, pga.network, 20, 32).equivalent) {
+        const net::CecParams cec{.sim_rounds = 32};
+        if (net::check_equivalent(input, maj.network, cec).equivalent &&
+            net::check_equivalent(input, pga.network, cec).equivalent) {
             ++verified;
         } else {
             std::printf("!! equivalence FAILED on %s\n", std::string(row.name).c_str());

@@ -11,7 +11,7 @@
 
 #include "benchgen/suite.hpp"
 #include "flows/flows.hpp"
-#include "network/simulate.hpp"
+#include "network/cec.hpp"
 #include "paper_data.hpp"
 
 namespace bdsmaj::bench {
@@ -50,7 +50,8 @@ int main() {
         const auto& dc = results[3];
         bool all_ok = true;
         for (const auto& r : results) {
-            if (!net::check_equivalent(input, r.mapped.netlist, 20, 32).equivalent) {
+            if (!net::check_equivalent(input, r.mapped.netlist, net::CecParams{.sim_rounds = 32})
+                     .equivalent) {
                 std::printf("!! %s: %s netlist NOT equivalent\n",
                             std::string(row.name).c_str(), r.flow_name.c_str());
                 all_ok = false;

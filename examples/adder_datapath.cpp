@@ -6,7 +6,7 @@
 
 #include "benchgen/arith.hpp"
 #include "flows/flows.hpp"
-#include "network/simulate.hpp"
+#include "network/cec.hpp"
 
 int main() {
     using namespace bdsmaj;

@@ -10,7 +10,7 @@
 #include "benchgen/arith.hpp"
 #include "decomp/flow.hpp"
 #include "mapping/mapper.hpp"
-#include "network/simulate.hpp"
+#include "network/cec.hpp"
 
 namespace {
 

@@ -10,7 +10,7 @@
 #include "decomp/flow.hpp"
 #include "decomp/partition.hpp"
 #include "flows/flows.hpp"
-#include "network/simulate.hpp"
+#include "network/cec.hpp"
 
 int main() {
     using namespace bdsmaj;

@@ -11,7 +11,7 @@
 
 #include "flows/flows.hpp"
 #include "network/blif.hpp"
-#include "network/simulate.hpp"
+#include "network/cec.hpp"
 
 namespace {
 

@@ -119,11 +119,9 @@ struct ManagerParams {
     /// order as exhaustive exploration (tests enforce it); off only for A/B.
     bool sift_lower_bound = true;
     /// Repeat sift passes until a pass improves the live size by less than
-    /// sift_converge_ratio (or sift_max_passes is hit). Off = one pass, the
+    /// 1% (at most 10 passes; see Manager::sift). Off = one pass, the
     /// classical Rudell schedule the paper presets are fingerprinted on.
     bool sift_converge = false;
-    double sift_converge_ratio = 0.01;
-    int sift_max_passes = 10;
     /// Detect pairwise-symmetric variables at each sift pass (candidate
     /// pairs seeded from the interaction matrix, confirmed by the exact
     /// adjacent-level structural check) and move each symmetry group as one

@@ -648,13 +648,15 @@ void Manager::sift() {
     if (params_.sift_converge) {
         // Every pass is monotone non-increasing (each variable lands on its
         // best position); stop when a whole pass gains less than the
-        // convergence ratio.
-        for (int pass = 1; pass < params_.sift_max_passes; ++pass) {
+        // convergence ratio, or after the pass cap.
+        constexpr double kConvergeRatio = 0.01;
+        constexpr int kMaxPasses = 10;
+        for (int pass = 1; pass < kMaxPasses; ++pass) {
             const std::size_t before = live_nodes_;
             sift_pass();
             assert(live_nodes_ <= before);
             if (static_cast<double>(before - live_nodes_) <
-                params_.sift_converge_ratio * static_cast<double>(before)) {
+                kConvergeRatio * static_cast<double>(before)) {
                 break;
             }
         }

@@ -61,13 +61,10 @@ std::string cone_cache_config_blob(const EngineParams& engine,
                                    const bdd::ManagerParams& manager, bool reorder) {
     std::string out;
     out.reserve(128 + engine.preset.size());
-    append_raw(out, std::uint8_t{5});  // blob layout version
+    append_raw(out, std::uint8_t{6});  // blob layout version
     append_str(out, engine.preset);
     append_raw(out, static_cast<std::uint8_t>(engine.use_majority));
-    append_raw(out, engine.max_simple_candidates);
-    append_raw(out, engine.xor_acceptance_factor);
     append_raw(out, engine.exact_max_support);
-    append_raw(out, engine.exact_min_saving);
     const MajDecompParams& maj = engine.maj;
     append_raw(out, maj.max_candidates);
     append_raw(out, maj.max_iterations);
@@ -75,9 +72,6 @@ std::string cone_cache_config_blob(const EngineParams& engine,
     append_raw(out, maj.k_global);
     append_raw(out, maj.min_then_fanin);
     append_raw(out, maj.min_else_fanin);
-    append_raw(out, static_cast<std::uint8_t>(maj.use_restrict));
-    append_raw(out, maj.xor_params.max_var_candidates);
-    append_raw(out, maj.xor_params.max_growth);
     append_raw(out, manager.cache_size_log2);
     append_raw(out, manager.cache_max_size_log2);
     append_raw(out, manager.gc_dead_threshold);
@@ -85,11 +79,7 @@ std::string cone_cache_config_blob(const EngineParams& engine,
     append_raw(out, manager.sift_max_vars);
     append_raw(out, static_cast<std::uint8_t>(manager.sift_lower_bound));
     append_raw(out, static_cast<std::uint8_t>(manager.sift_converge));
-    append_raw(out, manager.sift_converge_ratio);
-    append_raw(out, manager.sift_max_passes);
     append_raw(out, static_cast<std::uint8_t>(manager.sift_symmetry));
-    append_raw(out, engine.symmetric_max_support);
-    append_raw(out, engine.symmetric_min_saving);
     append_raw(out, static_cast<std::uint8_t>(reorder));
     // Resource guards change which cones even finish (a guarded run must
     // never hit a tape an unguarded run produced, or cold and warm guarded

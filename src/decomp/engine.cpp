@@ -73,9 +73,6 @@ BddDecomposer::BddDecomposer(bdd::Manager& mgr, net::GateSink& sink,
     for (const StrategyKind kind : config_.order) {
         strategies_.push_back(make_strategy(kind));
     }
-    if (config_.selection == SelectionMode::kBestCost) {
-        cost_model_ = make_cost_model(config_.cost_model);
-    }
 }
 
 Signal BddDecomposer::decompose(const Bdd& f) {
@@ -179,7 +176,7 @@ Signal BddDecomposer::decompose_regular(Edge e) {
         for (const auto& strategy : strategies_) {
             std::optional<Candidate> cand = strategy->propose(ctx);
             if (!cand) continue;
-            const double c = cost_model_->cost(*cand, ctx);
+            const double c = candidate_gate_cost(*cand, ctx);
             // Strict <: ties go to the earlier strategy in pipeline order.
             if (!chosen || c < best_cost) {
                 best_cost = c;

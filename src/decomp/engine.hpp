@@ -7,8 +7,8 @@
 // ladder: each recursion step computes the dominator analysis once, hands
 // it to an ordered list of pluggable DecompStrategy objects
 // (strategy.hpp), and emits the winning Candidate — first-fit for the
-// paper's ladder semantics, or cheapest-by-CostModel for the cost-driven
-// presets. The stages themselves live in strategy.cpp:
+// paper's ladder semantics, or lowest estimated gate count for the
+// `best-cost` preset. The stages themselves live in strategy.cpp:
 //
 //   0. constants / literals terminate the recursion (engine-internal);
 //   1. ExactSmallConeStrategy  — optional: NPN-cached minimal structures
@@ -22,12 +22,12 @@
 //      guaranteed last resort.
 //
 // The pipeline is selected by EngineParams::preset (see preset_catalog()):
-// `paper` reproduces the pre-framework ladder byte-for-byte, `bds-pga` is
-// the Table I baseline (use_majority = false strips the majority stage
-// from any preset, which is exactly how the flows request it), and the
-// exact / cost-model presets trade structure for gate count. Every
-// candidate is a valid decomposition by construction, so all presets
-// yield functionally equivalent networks.
+// `paper` reproduces the pre-framework ladder byte-for-byte, the exact /
+// symmetry / best-cost presets trade structure for gate count, and
+// use_majority = false strips the majority stage from any preset — the
+// BDS-PGA baseline of Table I is `paper` with the strip, which is exactly
+// how the flows request it. Every candidate is a valid decomposition by
+// construction, so all presets yield functionally equivalent networks.
 
 #include <memory>
 #include <string>
@@ -43,11 +43,6 @@ namespace bdsmaj::decomp {
 struct EngineParams {
     bool use_majority = true;  ///< false => strip the majority stage (BDS-PGA)
     MajDecompParams maj;
-    /// Simple-dominator candidates scored for balance (top-k shortlist).
-    int max_simple_candidates = 4;
-    /// Accept a generalized XOR split only if both parts are smaller than
-    /// the function by this factor.
-    double xor_acceptance_factor = 1.0;
     /// Named strategy pipeline (see preset_catalog()); resolved once per
     /// decomposer. Unknown names throw std::invalid_argument at
     /// construction.
@@ -56,22 +51,6 @@ struct EngineParams {
     /// pre-enumerated NPN table (decomp/exact.hpp). Values above
     /// kMaxExactSupport (4) act as 4.
     int exact_max_support = kMaxExactSupport;
-    /// Profitability gate for the exact strategy: serve a cached structure
-    /// only when its gate count is below |dag(f)| + this margin (more
-    /// negative = more conservative, preserving the ladder's cross-cone
-    /// sharing; see ExactSmallConeStrategy). -1 is the measured sweet spot
-    /// on the MCNC suite.
-    int exact_min_saving = -1;
-    /// Support cap for the symmetric-cone strategy (the `symmetry`
-    /// preset): cones with more support variables than this skip the
-    /// symmetry census entirely.
-    int symmetric_max_support = 12;
-    /// Profitability margin for symmetric cones: serve the ones-counting
-    /// network only when its gate count is below |dag(f)| + this margin.
-    /// At 0 the gate is self-tuning — small symmetric cones (MAJ-3,
-    /// voter-5) have compact ladder yields and are rejected; wide ones are
-    /// where the O(k) counter beats the ~O(k^2) ladder.
-    int symmetric_min_saving = 0;
 };
 
 /// Counts of applied decompositions, one increment per recursion step.
@@ -181,7 +160,6 @@ private:
     EngineParams params_;
     StrategyPipelineConfig config_;
     std::vector<std::unique_ptr<DecompStrategy>> strategies_;
-    std::unique_ptr<CostModel> cost_model_;  ///< kBestCost pipelines only
     EngineStats stats_;
     std::unordered_map<bdd::Edge, net::Signal> memo_;  // regular edges only
     /// Keeps every memoized function referenced: a bare Edge key would dangle

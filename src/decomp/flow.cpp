@@ -18,9 +18,9 @@
 #include "bdd/manager_pool.hpp"
 #include "decomp/cone_cache.hpp"
 #include "network/builder.hpp"
+#include "network/cec.hpp"
 #include "network/cleanup.hpp"
 #include "network/gate_tape.hpp"
-#include "network/simulate.hpp"
 #include "runtime/scheduler.hpp"
 
 namespace bdsmaj::decomp {

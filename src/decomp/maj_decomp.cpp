@@ -12,6 +12,10 @@ namespace {
 using bdd::Bdd;
 using bdd::Manager;
 
+/// Use `restrict` (support-reducing) rather than `constrain` for the H/W
+/// seeds of Eq. 3; both are valid generalized cofactors.
+constexpr bool kSeedWithRestrict = true;
+
 /// SIII-E superiority test between two decompositions: primary criterion is
 /// total size; additionally, if every component of `a` is at least k times
 /// smaller than the matching component of `b`, `a` dominates regardless.
@@ -111,11 +115,10 @@ std::optional<MajDecomposition> maj_decompose(Manager& mgr, const Bdd& f,
             const Bdd node_fn = mgr.node_function(v);
             const Bdd fa = complemented ? !node_fn : node_fn;
             // (β): initial construction.
-            MajDecomposition current =
-                construct_majority(mgr, f, fa, params.use_restrict);
+            MajDecomposition current = construct_majority(mgr, f, fa, kSeedWithRestrict);
             // (γ): cyclic balancing until no improvement or iteration limit.
             for (int iter = 0; iter < params.max_iterations; ++iter) {
-                if (!balance_majority_once(mgr, f, current, params.xor_params)) break;
+                if (!balance_majority_once(mgr, f, current)) break;
             }
             assert(mgr.maj(current.fa, current.fb, current.fc) == f);
             // (ω): keep the best decomposition.

@@ -33,10 +33,6 @@ struct MajDecompParams {
     double k_global = 1.6;    ///< global acceptance sizing factor (SIV-B)
     std::uint32_t min_then_fanin = 1;   ///< condition (ii) tightening knobs
     std::uint32_t min_else_fanin = 1;
-    /// Use `restrict` (support-reducing) rather than `constrain` for the
-    /// H/W seeds of Eq. 3; both are valid generalized cofactors.
-    bool use_restrict = true;
-    XorDecompParams xor_params;
 };
 
 struct MajDecomposition {

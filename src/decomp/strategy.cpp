@@ -56,6 +56,9 @@ public:
 /// shortlist exactly by max(|quotient|, |divisor|).
 class SimpleDominatorStrategy final : public DecompStrategy {
 public:
+    /// Simple-dominator candidates scored for balance (top-k shortlist).
+    static constexpr std::size_t kMaxSimpleCandidates = 4;
+
     [[nodiscard]] StrategyKind kind() const noexcept override {
         return StrategyKind::kSimpleDominator;
     }
@@ -91,9 +94,8 @@ public:
                          [&](const Entry& a, const Entry& b) {
                              return balance(a.divisor_size) < balance(b.divisor_size);
                          });
-        if (static_cast<int>(shortlist.size()) > ctx.params.max_simple_candidates) {
-            shortlist.resize(
-                static_cast<std::size_t>(ctx.params.max_simple_candidates));
+        if (shortlist.size() > kMaxSimpleCandidates) {
+            shortlist.resize(kMaxSimpleCandidates);
         }
         std::optional<SimpleDecomposition> best;
         std::size_t best_score = 0;
@@ -121,9 +123,13 @@ public:
 };
 
 /// Paper stage 3: generalized (non-disjoint) XOR split, accepted only when
-/// both parts shrink below xor_acceptance_factor * |F|.
+/// both parts shrink below kXorAcceptanceFactor * |F|.
 class GeneralizedXorStrategy final : public DecompStrategy {
 public:
+    /// Accept a generalized XOR split only if both parts are smaller than
+    /// the function by this factor.
+    static constexpr double kXorAcceptanceFactor = 1.0;
+
     [[nodiscard]] StrategyKind kind() const noexcept override {
         return StrategyKind::kGeneralizedXor;
     }
@@ -131,11 +137,9 @@ public:
         return "generalized-xor";
     }
     [[nodiscard]] std::optional<Candidate> propose(StepContext& ctx) override {
-        const XorSplit split =
-            xor_decompose(ctx.mgr, ctx.f, ctx.params.maj.xor_params);
+        const XorSplit split = xor_decompose(ctx.mgr, ctx.f);
         if (split.trivial) return std::nullopt;
-        const auto limit =
-            static_cast<double>(ctx.f_size) * ctx.params.xor_acceptance_factor;
+        const auto limit = static_cast<double>(ctx.f_size) * kXorAcceptanceFactor;
         if (static_cast<double>(ctx.mgr.dag_size(split.m)) >= limit ||
             static_cast<double>(ctx.mgr.dag_size(split.k)) >= limit) {
             return std::nullopt;
@@ -186,6 +190,16 @@ public:
 /// truth table is ever materialized, so wide supports stay cheap.
 class SymmetricStrategy final : public DecompStrategy {
 public:
+    /// Support cap: cones with more support variables than this skip the
+    /// symmetry census entirely.
+    static constexpr int kMaxSupport = 12;
+    /// Profitability margin: serve the ones-counting network only when its
+    /// gate count is below |dag(f)| + this margin. At 0 the gate is
+    /// self-tuning — small symmetric cones (MAJ-3, voter-5) have compact
+    /// ladder yields and are rejected; wide ones are where the O(k)
+    /// counter beats the ~O(k^2) ladder.
+    static constexpr int kMinSaving = 0;
+
     [[nodiscard]] StrategyKind kind() const noexcept override {
         return StrategyKind::kSymmetric;
     }
@@ -195,7 +209,7 @@ public:
     [[nodiscard]] std::optional<Candidate> propose(StepContext& ctx) override {
         const std::vector<int> support = ctx.mgr.support_vars(ctx.f);
         const auto k = static_cast<int>(support.size());
-        if (k < 3 || k > ctx.params.symmetric_max_support) return std::nullopt;
+        if (k < 3 || k > kMaxSupport) return std::nullopt;
         // Quick size filter: a totally symmetric function on k variables
         // has at most k(k+1)/2 + 1 reduced-BDD nodes (w+1 distinct
         // subfunctions at support level w). Anything bigger cannot pass
@@ -224,11 +238,8 @@ public:
                 ctx.mgr.eval(ctx.f, assignment) ? 1 : 0;
         }
         // Profitability: the ladder yields ~1 gate per BDD node, so demand
-        // the counter network beat f_size by the configured margin. Small
-        // symmetric cones (MAJ-3, voter-5) have compact ladders and are
-        // naturally rejected; wide ones are where O(k) beats O(k^2).
-        const int limit =
-            static_cast<int>(ctx.f_size) + ctx.params.symmetric_min_saving;
+        // the counter network beat f_size by kMinSaving.
+        const int limit = static_cast<int>(ctx.f_size) + kMinSaving;
         if (symmetric_network_cost(values) >= limit) return std::nullopt;
         Candidate cand;
         cand.source = StrategyKind::kSymmetric;
@@ -248,6 +259,11 @@ public:
     /// Largest reduced-BDD node count of any function on <= 4 variables
     /// (3 + 2 + 4 + 2 per level, generously rounded up).
     static constexpr std::size_t kMaxSmallConeNodes = 16;
+    /// Profitability margin: serve a cached structure only when its gate
+    /// count is below |dag(f)| + this margin (more negative = more
+    /// conservative, preserving the ladder's cross-cone sharing). -1 is the
+    /// measured sweet spot on the MCNC suite.
+    static constexpr int kMinSaving = -1;
 
     [[nodiscard]] StrategyKind kind() const noexcept override {
         return StrategyKind::kExactSmallCone;
@@ -273,7 +289,7 @@ public:
         // the ladder's recursion memoizes shared sub-BDDs across the whole
         // supernode. Serving the cone is only a win when the program is
         // strictly smaller than the ladder's ~1-gate-per-BDD-node yield.
-        const int gate_limit = static_cast<int>(ctx.f_size) + ctx.params.exact_min_saving;
+        const int gate_limit = static_cast<int>(ctx.f_size) + kMinSaving;
         if (cand.structure->gate_count() >= gate_limit) return std::nullopt;
         cand.source = StrategyKind::kExactSmallCone;
         cand.op = Candidate::Op::kExact;
@@ -282,111 +298,13 @@ public:
     }
 };
 
-// ---------------------------------------------------------------------------
-// Cost models. Recursion yields are estimated from the BDD sizes of the
-// operands (a decomposed part of n nodes lands near n gates); exact
-// candidates are scored by their known program size.
-// ---------------------------------------------------------------------------
-
+/// An operand's recursion yield: a decomposed part of n BDD nodes lands
+/// near n gates, and a literal costs nothing (it is a leaf wire).
 double part_size(StepContext& ctx, const Bdd& part) {
     if (!part.valid() || part.is_constant()) return 0.0;
     const std::size_t n = ctx.mgr.dag_size(part);
-    // A literal costs nothing: it is a leaf wire, not a gate.
     return n <= 1 ? 0.0 : static_cast<double>(n);
 }
-
-struct CandidateShape {
-    double parts = 0.0;      ///< summed operand size estimate
-    double max_part = 0.0;   ///< largest operand size estimate
-    int root_gates = 0;      ///< gates the root operator itself emits
-    int root_fanin = 0;      ///< fanin literals of the root operator
-    bool exact = false;
-    int exact_gates = 0;
-};
-
-CandidateShape shape_of(const Candidate& cand, StepContext& ctx) {
-    CandidateShape s;
-    if (cand.op == Candidate::Op::kExact) {
-        s.exact = true;
-        s.exact_gates = cand.structure != nullptr ? cand.structure->gate_count() : 0;
-        return s;
-    }
-    if (cand.op == Candidate::Op::kSymmetric) {
-        // Like exact candidates, the counter network's gate count is known
-        // before anything is emitted.
-        s.exact = true;
-        s.exact_gates = symmetric_network_cost(cand.sym_values);
-        return s;
-    }
-    for (const Bdd* part : {&cand.a, &cand.b, &cand.c}) {
-        if (!part->valid()) continue;
-        const double n = part_size(ctx, *part);
-        s.parts += n;
-        s.max_part = std::max(s.max_part, n);
-    }
-    switch (cand.op) {
-        case Candidate::Op::kAnd:
-        case Candidate::Op::kOr:
-        case Candidate::Op::kXor:
-            s.root_gates = 1;
-            s.root_fanin = 2;
-            break;
-        case Candidate::Op::kMaj:
-            s.root_gates = 1;
-            s.root_fanin = 3;
-            break;
-        case Candidate::Op::kMux:
-            // The builder expands MUX into OR(AND(s,t), AND(!s,e)).
-            s.root_gates = 3;
-            s.root_fanin = 4;
-            break;
-        case Candidate::Op::kExact:
-        case Candidate::Op::kSymmetric:
-            break;
-    }
-    return s;
-}
-
-class GateCountCost final : public CostModel {
-public:
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return "gate-count";
-    }
-    [[nodiscard]] double cost(const Candidate& cand, StepContext& ctx) const override {
-        const CandidateShape s = shape_of(cand, ctx);
-        if (s.exact) return static_cast<double>(s.exact_gates);
-        return static_cast<double>(s.root_gates) + s.parts;
-    }
-};
-
-class LiteralCountCost final : public CostModel {
-public:
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return "literal-count";
-    }
-    [[nodiscard]] double cost(const Candidate& cand, StepContext& ctx) const override {
-        const CandidateShape s = shape_of(cand, ctx);
-        // Two-input gates dominate the recursion tail: ~2 literals per
-        // eventual gate, plus the root operator's own fanin.
-        if (s.exact) return 2.0 * static_cast<double>(s.exact_gates);
-        return static_cast<double>(s.root_fanin) + 2.0 * s.parts;
-    }
-};
-
-class MajDepthCost final : public CostModel {
-public:
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return "maj-depth";
-    }
-    [[nodiscard]] double cost(const Candidate& cand, StepContext& ctx) const override {
-        const CandidateShape s = shape_of(cand, ctx);
-        // Depth proxy: one level for the root (two for an expanded MUX),
-        // plus the deepest operand's recursion estimated at log2(size).
-        if (s.exact) return static_cast<double>(s.exact_gates);
-        const double root_depth = cand.op == Candidate::Op::kMux ? 2.0 : 1.0;
-        return root_depth + std::log2(s.max_part + 1.0);
-    }
-};
 
 }  // namespace
 
@@ -407,14 +325,29 @@ std::unique_ptr<DecompStrategy> make_strategy(StrategyKind kind) {
     throw std::invalid_argument("unknown StrategyKind");
 }
 
-std::unique_ptr<CostModel> make_cost_model(CostModelKind kind) {
-    switch (kind) {
-        case CostModelKind::kGateCount: return std::make_unique<GateCountCost>();
-        case CostModelKind::kLiteralCount:
-            return std::make_unique<LiteralCountCost>();
-        case CostModelKind::kMajDepth: return std::make_unique<MajDepthCost>();
+double candidate_gate_cost(const Candidate& cand, StepContext& ctx) {
+    int root_gates = 0;  // gates the root operator itself emits
+    switch (cand.op) {
+        case Candidate::Op::kExact:
+            return cand.structure != nullptr ? cand.structure->gate_count() : 0.0;
+        case Candidate::Op::kSymmetric:
+            return symmetric_network_cost(cand.sym_values);
+        case Candidate::Op::kAnd:
+        case Candidate::Op::kOr:
+        case Candidate::Op::kXor:
+        case Candidate::Op::kMaj:
+            root_gates = 1;
+            break;
+        case Candidate::Op::kMux:
+            // The builder expands MUX into OR(AND(s,t), AND(!s,e)).
+            root_gates = 3;
+            break;
     }
-    throw std::invalid_argument("unknown CostModelKind");
+    double parts = 0.0;
+    for (const Bdd* part : {&cand.a, &cand.b, &cand.c}) {
+        if (part->valid()) parts += part_size(ctx, *part);
+    }
+    return static_cast<double>(root_gates) + parts;
 }
 
 std::string_view strategy_name(StrategyKind kind) {
@@ -434,20 +367,12 @@ const std::vector<PresetInfo>& preset_catalog() {
         {"paper",
          "majority -> simple dominators -> generalized XOR -> Shannon; "
          "byte-identical to the pre-framework engine"},
-        {"bds-pga",
-         "the paper ladder without the majority stage (Table I baseline)"},
         {"exact-aggressive",
          "exact structures for small cones (enumerated NPN classes up to "
          "4 support variables), then the paper ladder"},
         {"best-cost",
-         "all strategies propose every step; the gate-count cost model "
-         "picks the cheapest candidate"},
-        {"best-literals",
-         "all strategies propose every step; the literal-count cost model "
-         "picks the cheapest candidate"},
-        {"maj-depth",
-         "all strategies propose every step; the MAJ-depth cost model "
-         "favors shallow majority-heavy structures"},
+         "all strategies propose every step; the candidate with the "
+         "lowest estimated gate count wins"},
         {"symmetry",
          "totally symmetric cones served as ones-counting MAJ networks, "
          "then exact structures, then the paper ladder; symmetry-aware "
@@ -472,8 +397,6 @@ StrategyPipelineConfig preset_pipeline(std::string_view name) {
     if (name == "paper") {
         config.order = {K::kMajority, K::kSimpleDominator, K::kGeneralizedXor,
                         K::kShannonMux};
-    } else if (name == "bds-pga") {
-        config.order = {K::kSimpleDominator, K::kGeneralizedXor, K::kShannonMux};
     } else if (name == "exact-aggressive") {
         config.order = {K::kExactSmallCone, K::kMajority, K::kSimpleDominator,
                         K::kGeneralizedXor, K::kShannonMux};
@@ -481,17 +404,6 @@ StrategyPipelineConfig preset_pipeline(std::string_view name) {
         config.order = {K::kExactSmallCone, K::kMajority, K::kSimpleDominator,
                         K::kGeneralizedXor, K::kShannonMux};
         config.selection = SelectionMode::kBestCost;
-        config.cost_model = CostModelKind::kGateCount;
-    } else if (name == "best-literals") {
-        config.order = {K::kExactSmallCone, K::kMajority, K::kSimpleDominator,
-                        K::kGeneralizedXor, K::kShannonMux};
-        config.selection = SelectionMode::kBestCost;
-        config.cost_model = CostModelKind::kLiteralCount;
-    } else if (name == "maj-depth") {
-        config.order = {K::kExactSmallCone, K::kMajority, K::kSimpleDominator,
-                        K::kGeneralizedXor, K::kShannonMux};
-        config.selection = SelectionMode::kBestCost;
-        config.cost_model = CostModelKind::kMajDepth;
     } else if (name == "symmetry") {
         config.order = {K::kSymmetric, K::kExactSmallCone, K::kMajority,
                         K::kSimpleDominator, K::kGeneralizedXor, K::kShannonMux};

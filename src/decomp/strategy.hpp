@@ -1,5 +1,5 @@
 #pragma once
-// Pluggable decomposition strategies and cost models for the BDD engine.
+// Pluggable decomposition strategies for the BDD engine.
 //
 // Every stage of the paper's priority ladder is a self-contained
 // DecompStrategy that inspects one recursion step (a function, its
@@ -10,10 +10,10 @@
 //                   proposal wins: the paper's ladder semantics. The
 //                   `paper` preset reproduces the pre-framework engine
 //                   byte-for-byte.
-//   * kBestCost   — every strategy proposes; the shared CostModel (gate
-//                   count / literal count / MAJ depth) scores all
-//                   candidates and the cheapest wins (ties go to the
-//                   earlier strategy in the pipeline order).
+//   * kBestCost   — every strategy proposes; candidate_gate_cost()
+//                   scores all candidates by estimated gate count and the
+//                   cheapest wins (ties go to the earlier strategy in the
+//                   pipeline order).
 //
 // Pipelines are configured by named presets (preset_catalog()); the name
 // travels EngineParams -> DecompFlowParams -> flows/SynthesisService ->
@@ -46,7 +46,6 @@ enum class StrategyKind {
     kShannonMux,       ///< paper stage 4: Shannon cofactoring (always fires)
 };
 
-enum class CostModelKind { kGateCount, kLiteralCount, kMajDepth };
 enum class SelectionMode { kFirstFit, kBestCost };
 
 /// What one strategy proposes for one recursion step: the operator to
@@ -94,18 +93,13 @@ public:
     [[nodiscard]] virtual std::optional<Candidate> propose(StepContext& ctx) = 0;
 };
 
-/// Scores candidates for kBestCost selection. Estimates are heuristic
-/// (BDD sizes proxy the recursion's eventual gate/literal yield) except
-/// for kExact candidates, whose gate count is known exactly.
-class CostModel {
-public:
-    virtual ~CostModel() = default;
-    [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-    [[nodiscard]] virtual double cost(const Candidate& cand, StepContext& ctx) const = 0;
-};
+/// Scores a candidate for kBestCost selection: the gates it is expected
+/// to emit. The estimate is heuristic (an operand BDD of n nodes lands
+/// near n gates) except for exact and symmetric candidates, whose gate
+/// count is known before anything is emitted.
+[[nodiscard]] double candidate_gate_cost(const Candidate& cand, StepContext& ctx);
 
 [[nodiscard]] std::unique_ptr<DecompStrategy> make_strategy(StrategyKind kind);
-[[nodiscard]] std::unique_ptr<CostModel> make_cost_model(CostModelKind kind);
 [[nodiscard]] std::string_view strategy_name(StrategyKind kind);
 
 /// An ordered strategy pipeline plus its selection rule. Resolution
@@ -114,7 +108,6 @@ public:
 struct StrategyPipelineConfig {
     std::vector<StrategyKind> order;
     SelectionMode selection = SelectionMode::kFirstFit;
-    CostModelKind cost_model = CostModelKind::kGateCount;
 };
 
 struct PresetInfo {

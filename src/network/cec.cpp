@@ -308,15 +308,4 @@ EquivalenceResult check_equivalent(const Network& a, const Network& b,
     }
 }
 
-EquivalenceResult check_equivalent(const Network& a, const Network& b,
-                                   int bdd_input_limit, int random_rounds,
-                                   std::uint64_t seed) {
-    CecParams params;
-    params.engine = EquivEngine::kAuto;
-    params.sim_rounds = random_rounds;
-    params.seed = seed;
-    params.bdd_input_limit = bdd_input_limit;
-    return check_equivalent(a, b, params);
-}
-
 }  // namespace bdsmaj::net

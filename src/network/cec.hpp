@@ -24,7 +24,7 @@
 namespace bdsmaj::net {
 
 /// Tuning knobs for the CEC oracle. The defaults are what every flow and
-/// test uses; the bench harness varies `engine` only.
+/// test uses; the bench harnesses vary `engine` and `sim_rounds`.
 struct CecParams {
     EquivEngine engine = EquivEngine::kAuto;
     /// Plain random-simulation refutation rounds (64 patterns each) run
@@ -78,14 +78,15 @@ struct CecStats {
                                                const CecParams& params = {},
                                                CecStats* stats = nullptr);
 
-/// Engine-selectable equivalence oracle.
+/// The equivalence sign-off, with a selectable engine. The default
+/// (kAuto) is exact at ANY input count:
 ///   kAuto : random simulation, then BDD (inputs <= bdd_input_limit) or SAT.
 ///   kBdd  : random simulation, then the BDD proof regardless of width.
 ///   kSat  : random simulation, then the SAT miter sweep.
 ///   kSim  : random simulation only — agreement is NOT exact.
 /// Except under kSim, the returned verdict always has `exact == true`.
 [[nodiscard]] EquivalenceResult check_equivalent(const Network& a, const Network& b,
-                                                 const CecParams& params,
+                                                 const CecParams& params = {},
                                                  CecStats* stats = nullptr);
 
 }  // namespace bdsmaj::net

@@ -113,17 +113,6 @@ struct EquivalenceResult {
 /// counterexample pattern extracted from the difference BDD.
 [[nodiscard]] EquivalenceResult bdd_equivalent(const Network& a, const Network& b);
 
-/// The default exact sign-off: simulation for fast refutation, then a BDD
-/// proof when the input count is at most `bdd_input_limit` and the SAT
-/// miter sweep (network/cec.hpp) above it. Exact at ANY input count — the
-/// historical silent downgrade to random-only verdicts on wide circuits
-/// is gone; the result's `exact` flag is always true. Implemented in
-/// network/cec.cpp; an engine-selectable overload lives in cec.hpp.
-[[nodiscard]] EquivalenceResult check_equivalent(const Network& a, const Network& b,
-                                                 int bdd_input_limit = 20,
-                                                 int random_rounds = 64,
-                                                 std::uint64_t seed = 0x5eed);
-
 /// Build the BDD of every output of `network` in `mgr`, using manager
 /// variable i for primary input i. Exposed because flows construct global
 /// BDDs for verification and for the DC-proxy collapse.

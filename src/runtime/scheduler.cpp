@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <string_view>
 #include <vector>
 
 namespace bdsmaj::runtime {
@@ -20,8 +22,12 @@ int g_pool_request = 0;        // configure_global_pool ask; 0 = default
 
 int default_global_pool_threads() noexcept {
     if (const char* env = std::getenv("BDSMAJ_JOBS")) {
-        const int v = std::atoi(env);
-        if (v > 0) return v;
+        // The whole string must be a positive integer: "3x" is as invalid
+        // as "garbage", not a request for 3 threads.
+        const std::string_view text(env);
+        int v = 0;
+        const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+        if (ec == std::errc{} && end == text.data() + text.size() && v > 0) return v;
     }
     return effective_jobs(0);
 }

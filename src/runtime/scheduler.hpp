@@ -1,5 +1,5 @@
 #pragma once
-// Process-wide scheduler: one shared work-stealing pool for the whole
+// Process-wide scheduler: one shared FIFO thread pool for the whole
 // process, plus the data-parallel primitives the synthesis layers build on.
 //
 // Before this layer existed, every decompose_network / run_suite call spun
@@ -44,7 +44,8 @@ namespace bdsmaj::runtime {
 
 /// Pool size global_pool() will use unless configure_global_pool() asked
 /// for something else: the BDSMAJ_JOBS environment variable if it parses
-/// to a positive integer, otherwise all hardware threads (at least 1).
+/// to a positive integer (the whole string: "3x" does not), otherwise all
+/// hardware threads (at least 1).
 [[nodiscard]] int default_global_pool_threads() noexcept;
 
 /// The process-wide shared pool. Created on first use; never destroyed.

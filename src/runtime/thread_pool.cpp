@@ -4,153 +4,55 @@
 
 namespace bdsmaj::runtime {
 
-namespace {
-
-// Set while a pool worker runs its loop; a thread serves at most one pool
-// at a time, but nested parallelism makes a worker of pool A the caller
-// of pool B — so "am I a worker of *this* pool" needs the pool identity,
-// not just an index.
-thread_local int tl_worker_index = -1;
-thread_local const void* tl_worker_pool = nullptr;
-
-}  // namespace
-
 int effective_jobs(int requested) noexcept {
     if (requested >= 1) return requested;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool::ThreadPool(int threads, ShutdownPolicy policy)
-    : shutdown_policy_(policy) {
+ThreadPool::ThreadPool(int threads) {
     const int n = std::max(threads, 1);
-    workers_.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) workers_.push_back(std::make_unique<Worker>());
     threads_.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        threads_.emplace_back([this, i] { worker_loop(i); });
-    }
-}
-
-void ThreadPool::set_shutdown_policy(ShutdownPolicy policy) {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    shutdown_policy_ = policy;
+    for (int i = 0; i < n; ++i) threads_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
-    ShutdownPolicy policy;
     {
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         stopping_ = true;
-        policy = shutdown_policy_;
-    }
-    if (policy == ShutdownPolicy::kAbandon) {
-        // Discard every queued-but-unstarted task. Pops are serialized by
-        // the per-worker mutex, so a task is either executed by a worker
-        // or discarded here — never both — and the count removed is
-        // exactly what pending_/queued_ still owe for those tasks.
-        std::size_t discarded = 0;
-        for (const std::unique_ptr<Worker>& w : workers_) {
-            std::deque<std::function<void()>> dropped;
-            {
-                std::lock_guard<std::mutex> lock(w->mutex);
-                dropped.swap(w->queue);
-            }
-            discarded += dropped.size();
-            // dropped destroys its tasks outside the worker mutex.
-        }
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
-        pending_ -= discarded;
-        queued_ -= discarded;
-        if (pending_ == 0) idle_cv_.notify_all();
     }
     work_cv_.notify_all();
     for (std::thread& t : threads_) t.join();
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-    std::size_t target;
     {
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
-        // A worker of THIS pool submitting from inside a task keeps the
-        // child local so its own LIFO pop drains it depth-first; a worker
-        // of some other pool (nested parallelism) is an outside submitter
-        // and round-robins like everyone else.
-        const int self = tl_worker_pool == this ? tl_worker_index : -1;
-        target = self >= 0 && static_cast<std::size_t>(self) < workers_.size()
-                     ? static_cast<std::size_t>(self)
-                     : next_worker_++ % workers_.size();
-        ++pending_;
-        ++queued_;
-    }
-    // queued_/pending_ are published before the push on purpose: workers
-    // decrement them after a successful pop, so the increments must come
-    // first or the counters would transiently underflow (and wait_idle
-    // could return with a task in flight). The cost is a small window in
-    // which an idle worker can wake, find the deque still empty, and
-    // re-check — bounded by this push landing.
-    {
-        std::lock_guard<std::mutex> lock(workers_[target]->mutex);
-        workers_[target]->queue.push_back(std::move(task));
+        std::lock_guard<std::mutex> lock(mutex_);
+        queue_.push_back(std::move(task));
     }
     work_cv_.notify_one();
 }
 
-bool ThreadPool::try_pop(int index, std::function<void()>& task) {
-    Worker& w = *workers_[static_cast<std::size_t>(index)];
-    std::lock_guard<std::mutex> lock(w.mutex);
-    if (w.queue.empty()) return false;
-    task = std::move(w.queue.back());  // own work: LIFO
-    w.queue.pop_back();
-    return true;
-}
-
-bool ThreadPool::try_steal(int thief, std::function<void()>& task) {
-    const std::size_t n = workers_.size();
-    for (std::size_t off = 1; off < n; ++off) {
-        Worker& victim = *workers_[(static_cast<std::size_t>(thief) + off) % n];
-        std::lock_guard<std::mutex> lock(victim.mutex);
-        if (victim.queue.empty()) continue;
-        task = std::move(victim.queue.front());  // stolen work: FIFO
-        victim.queue.pop_front();
-        return true;
-    }
-    return false;
-}
-
-void ThreadPool::worker_loop(int index) {
-    tl_worker_index = index;
-    tl_worker_pool = this;
-    std::function<void()> task;
+void ThreadPool::worker_loop() {
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        if (try_pop(index, task) || try_steal(index, task)) {
-            {
-                std::lock_guard<std::mutex> lock(sleep_mutex_);
-                --queued_;
-            }
-            task();
-            task = nullptr;
-            std::lock_guard<std::mutex> lock(sleep_mutex_);
-            if (--pending_ == 0) idle_cv_.notify_all();
-            continue;
-        }
-        // Nothing to pop or steal. Wait on queued_ rather than a bare
-        // notification: a submit that lands between the failed scan and
-        // this lock keeps the predicate true, so the wakeup cannot be
-        // missed. Shutdown drains the deques before workers exit.
-        std::unique_lock<std::mutex> lock(sleep_mutex_);
-        work_cv_.wait(lock, [this] { return stopping_ || queued_ > 0; });
-        if (stopping_ && queued_ == 0) break;
+        // Shutdown drains: a worker exits only once the queue is empty.
+        work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+        if (queue_.empty()) return;
+        std::function<void()> task = std::move(queue_.front());
+        queue_.pop_front();
+        ++running_;
+        lock.unlock();
+        task();
+        task = nullptr;  // destroy captures outside the lock
+        lock.lock();
+        if (--running_ == 0 && queue_.empty()) idle_cv_.notify_all();
     }
-    tl_worker_index = -1;
-    tl_worker_pool = nullptr;
 }
 
 void ThreadPool::wait_idle() {
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    idle_cv_.wait(lock, [this] { return pending_ == 0; });
+    std::unique_lock<std::mutex> lock(mutex_);
+    idle_cv_.wait(lock, [this] { return running_ == 0 && queue_.empty(); });
 }
-
-int ThreadPool::worker_index() noexcept { return tl_worker_index; }
 
 }  // namespace bdsmaj::runtime

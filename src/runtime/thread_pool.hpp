@@ -1,12 +1,12 @@
 #pragma once
-// Work-stealing thread pool for the parallel synthesis pipeline.
+// Thread pool for the parallel synthesis pipeline: one mutex-guarded FIFO
+// queue shared by every worker.
 //
-// Each worker owns a deque: it pops its own tasks LIFO (cache-warm, and a
-// worker that spawns subtasks drains them depth-first) and steals FIFO
-// from the front of a sibling's deque when its own runs dry (the stolen
-// task is the oldest, i.e. likely the largest remaining unit). Submission
-// round-robins across workers, so a batch of supernode tasks starts out
-// evenly spread and stealing only has to correct skew.
+// The pool's traffic is coarse: HelperSet runners that pull loop indices
+// from a shared counter (so load balancing happens inside the runner, not
+// in the queue) and one task per admitted service job. A single queue in
+// submission order is all that needs; skewed loads are absorbed because an
+// idle worker takes the next queued task whoever submitted it.
 //
 // Determinism note: the pool schedules non-deterministically — callers
 // that need reproducible output must make tasks independent and merge
@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -32,66 +31,35 @@ namespace bdsmaj::runtime {
 /// hardware threads" (at least 1).
 [[nodiscard]] int effective_jobs(int requested) noexcept;
 
-/// What the destructor does with tasks that are submitted but not yet
-/// started. Running tasks always finish either way — a task is never
-/// interrupted mid-execution.
-enum class ShutdownPolicy {
-    /// Workers drain every queued task before exiting (default). Matches
-    /// wait_idle-then-destroy semantics even when the caller forgot the
-    /// wait_idle.
-    kDrain,
-    /// Queued-but-unstarted tasks are discarded; workers exit as soon as
-    /// their current task finishes. For service-style owners that cancel
-    /// pending work on shutdown instead of paying for it.
-    kAbandon,
-};
-
 class ThreadPool {
 public:
     /// Spawns `threads` workers (clamped to at least 1).
-    explicit ThreadPool(int threads, ShutdownPolicy policy = ShutdownPolicy::kDrain);
+    explicit ThreadPool(int threads);
+    /// Runs every task still queued, then joins the workers. A task is
+    /// never interrupted mid-execution.
     ~ThreadPool();
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    /// Change the destructor's drain-vs-abandon policy. Safe to call any
-    /// time before destruction begins.
-    void set_shutdown_policy(ShutdownPolicy policy);
+    [[nodiscard]] int size() const noexcept { return static_cast<int>(threads_.size()); }
 
-    [[nodiscard]] int size() const noexcept { return static_cast<int>(workers_.size()); }
-
-    /// Enqueue a task. Safe from any thread, including pool workers
-    /// (a worker pushes to its own deque).
+    /// Enqueue a task. Safe from any thread, including pool workers.
     void submit(std::function<void()> task);
 
     /// Block until every submitted task has finished. Tasks submitted
     /// while waiting are waited for too.
     void wait_idle();
 
-    /// Index of the calling pool worker in [0, size()), or -1 when called
-    /// from a thread that is not a worker of any pool.
-    [[nodiscard]] static int worker_index() noexcept;
-
 private:
-    struct Worker {
-        std::deque<std::function<void()>> queue;
-        std::mutex mutex;
-    };
+    void worker_loop();
 
-    void worker_loop(int index);
-    bool try_pop(int index, std::function<void()>& task);
-    bool try_steal(int thief, std::function<void()>& task);
-
-    std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::thread> threads_;
-    std::mutex sleep_mutex_;
-    std::condition_variable work_cv_;   // workers sleep here when starved
+    std::mutex mutex_;
+    std::condition_variable work_cv_;   // workers sleep here when the queue is empty
     std::condition_variable idle_cv_;   // wait_idle sleeps here
-    std::size_t pending_ = 0;           // submitted but not yet finished
-    std::size_t queued_ = 0;            // submitted but not yet started
-    std::size_t next_worker_ = 0;       // round-robin submission cursor
+    std::deque<std::function<void()>> queue_;
+    std::size_t running_ = 0;           // tasks started but not yet finished
     bool stopping_ = false;
-    ShutdownPolicy shutdown_policy_ = ShutdownPolicy::kDrain;
 };
 
 }  // namespace bdsmaj::runtime

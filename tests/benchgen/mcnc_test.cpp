@@ -5,6 +5,7 @@
 #include <random>
 
 #include "benchgen/suite.hpp"
+#include "network/cec.hpp"
 #include "network/simulate.hpp"
 
 namespace bdsmaj::benchgen {

@@ -11,6 +11,7 @@
 #include <random>
 
 #include "decomp/flow.hpp"
+#include "network/cec.hpp"
 #include "network/simulate.hpp"
 
 namespace bdsmaj::benchgen {

@@ -9,7 +9,7 @@
 #include <random>
 
 #include "network/blif.hpp"
-#include "network/simulate.hpp"
+#include "network/cec.hpp"
 #include "tt/truth_table.hpp"
 
 namespace bdsmaj::decomp {
@@ -123,9 +123,8 @@ TEST(Flow, WideNetworkRespectsPartitionBudget) {
     EXPECT_GT(r.supernode_count, 1);
     // bdd_input_limit 0 forces the SAT engine: at 40 inputs this used to
     // silently fall back to random simulation; now it is an exact proof.
-    const net::EquivalenceResult eq =
-        net::check_equivalent(net, r.network, /*bdd_input_limit=*/0,
-                              /*random_rounds=*/256);
+    const net::EquivalenceResult eq = net::check_equivalent(
+        net, r.network, net::CecParams{.sim_rounds = 256, .bdd_input_limit = 0});
     EXPECT_TRUE(eq.equivalent);
     EXPECT_TRUE(eq.exact);
     EXPECT_EQ(eq.engine, net::EquivEngine::kSat);

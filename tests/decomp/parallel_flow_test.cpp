@@ -12,6 +12,7 @@
 #include "benchgen/suite.hpp"
 #include "decomp/flow.hpp"
 #include "network/blif.hpp"
+#include "network/cec.hpp"
 #include "network/simulate.hpp"
 
 namespace bdsmaj::decomp {

@@ -20,7 +20,7 @@
 #include "mapping/mapper.hpp"
 #include "network/blif.hpp"
 #include "network/builder.hpp"
-#include "network/simulate.hpp"
+#include "network/cec.hpp"
 #include "tt/truth_table.hpp"
 
 namespace bdsmaj::decomp {
@@ -48,10 +48,17 @@ DecompFlowResult run_preset(const Network& input, const std::string& preset,
 
 TEST(Strategy, PresetCatalogAndResolution) {
     EXPECT_TRUE(is_known_preset("paper"));
-    EXPECT_TRUE(is_known_preset("bds-pga"));
     EXPECT_TRUE(is_known_preset("exact-aggressive"));
     EXPECT_FALSE(is_known_preset("nope"));
     EXPECT_THROW((void)preset_pipeline("nope"), std::invalid_argument);
+    // Retired presets: the BDS-PGA spelling of `paper` (use_majority=false
+    // is the one way to ask for it) and two cost-model variants with more
+    // area than `best-cost` and more delay than `paper`.
+    for (const char* retired : {"bds-pga", "best-literals", "maj-depth"}) {
+        EXPECT_FALSE(is_known_preset(retired)) << retired;
+        EXPECT_THROW((void)preset_pipeline(retired), std::invalid_argument) << retired;
+    }
+    EXPECT_EQ(preset_catalog().size(), 5u);
     for (const PresetInfo& p : preset_catalog()) {
         const StrategyPipelineConfig config = preset_pipeline(p.name);
         ASSERT_FALSE(config.order.empty()) << p.name;
@@ -83,8 +90,8 @@ TEST(Strategy, UnknownPresetThrowsAtDecomposerConstruction) {
 // Golden fingerprints of the pre-refactor monolithic engine (captured at
 // jobs=1 on the quick MCNC suite before the strategy framework landed):
 // {circuit, use_majority, total gates, MAJ gates, FNV-1a of the BLIF}.
-// The `paper` preset (and `bds-pga` via use_majority=false) must stay
-// byte-for-byte on this table.
+// The `paper` preset (with and without use_majority, the BDS-PGA
+// baseline) must stay byte-for-byte on this table.
 struct Golden {
     const char* name;
     bool use_majority;
@@ -270,13 +277,24 @@ TEST(Strategy, ExactMaxSupportAboveFourResolvesToFour) {
 }
 
 TEST(Strategy, UseMajorityFalseStripsTheMajorityStage) {
-    // use_majority=false on the paper preset IS the bds-pga preset.
+    // use_majority=false on the paper preset is the BDS-PGA ladder; its
+    // BLIF is pinned by PaperPresetIsByteIdenticalToPreRefactorEngine.
+    bdd::Manager mgr(2);
+    net::Network network;
+    net::HashedNetworkBuilder builder(network);
+    EngineParams params;
+    params.use_majority = false;
+    const BddDecomposer decomposer(mgr, builder, {}, params);
+    EXPECT_EQ(decomposer.pipeline().order,
+              (std::vector<StrategyKind>{StrategyKind::kSimpleDominator,
+                                         StrategyKind::kGeneralizedXor,
+                                         StrategyKind::kShannonMux}));
+
     const Network input = benchgen::benchmark_by_name("alu2", /*quick=*/true);
     const DecompFlowResult stripped = run_preset(input, "paper", 1, false);
-    const DecompFlowResult pga = run_preset(input, "bds-pga");
-    EXPECT_EQ(net::write_blif(stripped.network), net::write_blif(pga.network));
-    EXPECT_EQ(pga.engine_stats.maj_steps, 0);
-    EXPECT_EQ(pga.engine_stats.maj_attempts, 0);
+    EXPECT_GT(stripped.engine_stats.total_steps(), 0);
+    EXPECT_EQ(stripped.engine_stats.maj_steps, 0);
+    EXPECT_EQ(stripped.engine_stats.maj_attempts, 0);
 }
 
 }  // namespace

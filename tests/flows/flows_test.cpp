@@ -8,7 +8,7 @@
 
 #include "benchgen/arith.hpp"
 #include "benchgen/mcnc.hpp"
-#include "network/simulate.hpp"
+#include "network/cec.hpp"
 
 namespace bdsmaj::flows {
 namespace {

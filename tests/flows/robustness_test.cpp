@@ -15,7 +15,7 @@
 #include "decomp/flow.hpp"
 #include "flows/service.hpp"
 #include "network/blif.hpp"
-#include "network/simulate.hpp"
+#include "network/cec.hpp"
 
 namespace bdsmaj::flows {
 namespace {

@@ -16,6 +16,7 @@
 
 #include "benchgen/suite.hpp"
 #include "network/blif.hpp"
+#include "network/cec.hpp"
 #include "network/simulate.hpp"
 
 namespace bdsmaj::flows {

@@ -11,7 +11,7 @@
 #include "decomp/flow.hpp"
 #include "flows/flows.hpp"
 #include "network/blif.hpp"
-#include "network/simulate.hpp"
+#include "network/cec.hpp"
 
 namespace bdsmaj {
 namespace {
@@ -21,14 +21,14 @@ class SuiteTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(SuiteTest, BdsMajFlowIsEquivalent) {
     const net::Network input = benchgen::benchmark_by_name(GetParam(), /*quick=*/true);
     const decomp::DecompFlowResult r = decomp::run_bdsmaj(input);
-    const auto eq = net::check_equivalent(input, r.network, 20, 64);
+    const auto eq = net::check_equivalent(input, r.network);
     EXPECT_TRUE(eq.equivalent) << GetParam() << ": " << eq.reason;
 }
 
 TEST_P(SuiteTest, BdsPgaFlowIsEquivalentAndMajFree) {
     const net::Network input = benchgen::benchmark_by_name(GetParam(), /*quick=*/true);
     const decomp::DecompFlowResult r = decomp::run_bdspga(input);
-    const auto eq = net::check_equivalent(input, r.network, 20, 64);
+    const auto eq = net::check_equivalent(input, r.network);
     EXPECT_TRUE(eq.equivalent) << GetParam() << ": " << eq.reason;
     EXPECT_EQ(r.network.stats().maj_nodes, 0) << GetParam();
 }
@@ -38,7 +38,7 @@ TEST_P(SuiteTest, MappedNetlistIsEquivalent) {
     const decomp::DecompFlowResult r = decomp::run_bdsmaj(input);
     const mapping::MappedResult mapped =
         mapping::map_network(r.network, flows::default_library());
-    const auto eq = net::check_equivalent(input, mapped.netlist, 20, 64);
+    const auto eq = net::check_equivalent(input, mapped.netlist);
     EXPECT_TRUE(eq.equivalent) << GetParam() << ": " << eq.reason;
     EXPECT_GT(mapped.gate_count, 0) << GetParam();
     EXPECT_GT(mapped.delay_ns, 0.0) << GetParam();
@@ -48,7 +48,7 @@ TEST_P(SuiteTest, BlifRoundTripOfDecomposedNetwork) {
     const net::Network input = benchgen::benchmark_by_name(GetParam(), /*quick=*/true);
     const decomp::DecompFlowResult r = decomp::run_bdsmaj(input);
     const net::Network again = net::parse_blif(net::write_blif(r.network));
-    const auto eq = net::check_equivalent(r.network, again, 20, 64);
+    const auto eq = net::check_equivalent(r.network, again);
     EXPECT_TRUE(eq.equivalent) << GetParam() << ": " << eq.reason;
 }
 

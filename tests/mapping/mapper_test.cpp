@@ -5,7 +5,7 @@
 #include <random>
 
 #include "mapping/timing.hpp"
-#include "network/simulate.hpp"
+#include "network/cec.hpp"
 #include "tt/truth_table.hpp"
 
 namespace bdsmaj::mapping {

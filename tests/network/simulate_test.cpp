@@ -4,6 +4,8 @@
 
 #include <random>
 
+#include "network/cec.hpp"
+
 namespace bdsmaj::net {
 namespace {
 

@@ -27,6 +27,9 @@ TEST(Scheduler, DefaultThreadsHonorsEnvironment) {
     EXPECT_GE(default_global_pool_threads(), 1);
     ::setenv("BDSMAJ_JOBS", "garbage", 1);
     EXPECT_GE(default_global_pool_threads(), 1);
+    // A trailing suffix makes the whole value invalid, not "3".
+    ::setenv("BDSMAJ_JOBS", "3x", 1);
+    EXPECT_EQ(default_global_pool_threads(), effective_jobs(0));
     if (saved) {
         ::setenv("BDSMAJ_JOBS", saved_value.c_str(), 1);
     } else {

@@ -1,6 +1,5 @@
-// Work-stealing thread pool: completeness (every task runs exactly once),
-// worker identity for per-worker scratch, nested submission, skewed loads
-// that force stealing, and the drain-vs-abandon shutdown policy.
+// FIFO thread pool: completeness (every task runs exactly once), nested
+// submission, skewed loads, and draining the queue at destruction.
 // (parallel_for and the shared global pool are covered in
 // tests/runtime/scheduler_test.cpp.)
 
@@ -31,20 +30,6 @@ TEST(ThreadPool, RunsEveryTaskOnce) {
     }
 }
 
-TEST(ThreadPool, WorkerIndexIsStableAndInRange) {
-    ThreadPool pool(3);
-    std::atomic<int> bad{0};
-    for (int i = 0; i < 200; ++i) {
-        pool.submit([&bad] {
-            const int w = ThreadPool::worker_index();
-            if (w < 0 || w >= 3) bad.fetch_add(1);
-        });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(bad.load(), 0);
-    EXPECT_EQ(ThreadPool::worker_index(), -1) << "caller is not a pool worker";
-}
-
 TEST(ThreadPool, TasksMaySubmitSubtasks) {
     ThreadPool pool(2);
     std::atomic<int> count{0};
@@ -61,8 +46,8 @@ TEST(ThreadPool, TasksMaySubmitSubtasks) {
 }
 
 TEST(ThreadPool, SkewedLoadIsStolen) {
-    // One deliberately slow task plus many fast ones: with stealing the
-    // fast tasks complete on other workers while the slow one runs, and
+    // One deliberately slow task plus many fast ones: the idle workers take
+    // the fast tasks off the shared queue while the slow one runs, and
     // wait_idle still sees everything finish.
     ThreadPool pool(4);
     std::atomic<int> done{0};
@@ -85,8 +70,8 @@ TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
 
 TEST(ThreadPool, DrainPolicyRunsEverythingQueuedAtDestruction) {
     // The service layer makes "destroy while tasks are still queued"
-    // reachable; under the default kDrain policy no submitted task may be
-    // lost, even without a wait_idle.
+    // reachable; the destructor drains the queue, so no submitted task may
+    // be lost, even without a wait_idle.
     std::atomic<int> ran{0};
     {
         ThreadPool pool(2);
@@ -96,73 +81,6 @@ TEST(ThreadPool, DrainPolicyRunsEverythingQueuedAtDestruction) {
         // no wait_idle: the destructor drains
     }
     EXPECT_EQ(ran.load(), 200);
-}
-
-TEST(ThreadPool, AbandonPolicyDiscardsQueuedButFinishesRunning) {
-    // One worker, blocked on a gate; everything behind it stays queued
-    // until the destructor runs. The gate opens only *after* destruction
-    // began (from a helper thread), so the destructor deterministically
-    // sees the 100 queued tasks and — under kAbandon — discards them,
-    // while the already-running task always finishes.
-    std::atomic<int> ran{0};
-    std::atomic<bool> release{false};
-    std::atomic<bool> first_started{false};
-    std::thread releaser;
-    {
-        ThreadPool pool(1, ShutdownPolicy::kAbandon);
-        pool.submit([&] {
-            first_started.store(true);
-            while (!release.load()) std::this_thread::yield();
-            ran.fetch_add(1);
-        });
-        // Wait for the blocker to start BEFORE queueing the rest: the
-        // worker pops its own deque LIFO, so otherwise it could run the
-        // increments first and block last.
-        while (!first_started.load()) std::this_thread::yield();
-        for (int i = 0; i < 100; ++i) {
-            pool.submit([&ran] { ran.fetch_add(1); });
-        }
-        releaser = std::thread([&release] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-            release.store(true);
-        });
-        // destructor: discards the queued 100, then joins the worker once
-        // the releaser opens the gate
-    }
-    releaser.join();
-    EXPECT_EQ(ran.load(), 1) << "running task finishes; queued ones are dropped";
-}
-
-TEST(ThreadPool, ShutdownPolicyCanBeChangedLate) {
-    // Same shape, but the pool starts as kDrain and is flipped to
-    // kAbandon after the tasks were submitted.
-    std::atomic<int> ran{0};
-    std::atomic<bool> release{false};
-    std::atomic<bool> first_started{false};
-    std::thread releaser;
-    {
-        ThreadPool pool(1);  // starts as kDrain
-        pool.submit([&] {
-            first_started.store(true);
-            while (!release.load()) std::this_thread::yield();
-            ran.fetch_add(1);
-        });
-        while (!first_started.load()) std::this_thread::yield();
-        for (int i = 0; i < 50; ++i) pool.submit([&ran] { ran.fetch_add(1); });
-        pool.set_shutdown_policy(ShutdownPolicy::kAbandon);
-        releaser = std::thread([&release] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-            release.store(true);
-        });
-    }
-    releaser.join();
-    EXPECT_EQ(ran.load(), 1);
-    // And a fresh pool still works — the discard left no global state.
-    ThreadPool pool(2);
-    std::atomic<int> again{0};
-    for (int i = 0; i < 10; ++i) pool.submit([&again] { again.fetch_add(1); });
-    pool.wait_idle();
-    EXPECT_EQ(again.load(), 10);
 }
 
 TEST(ParallelFor, CoversAllIndicesExactlyOnce) {

@@ -91,12 +91,13 @@ echo "==> debug: assertion-enabled flow/service/manager tests"
 # Separate Debug build tree (asserts on): the tier-1 build is Release, so
 # without this stage no local gate ever runs the library's asserts. The
 # filter covers the flow entry points, the service, the deadline and
-# degradation paths, and the pooled managers' reset().
+# degradation paths, the pooled managers' reset(), and the thread pool with
+# the scheduler primitives built on it.
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug \
       -DBDSMAJ_BUILD_BENCH=OFF -DBDSMAJ_BUILD_EXAMPLES=OFF \
       ${EXTRA_CMAKE_ARGS[@]+"${EXTRA_CMAKE_ARGS[@]}"} >/dev/null
 cmake --build build-debug -j"$JOBS" --target bdsmaj_tests
-(cd build-debug && ctest -R 'Flows|SynthesisService|Robustness|ManagerReset|ManagerPool' \
+(cd build-debug && ctest -R 'Flows|SynthesisService|Robustness|ManagerReset|ManagerPool|ThreadPool|ParallelFor|Scheduler|HelperSet|EffectiveJobs' \
                          --output-on-failure -j"$JOBS")
 
 if [[ "${BDSMAJ_CI_SKIP_CHAOS:-0}" != "0" ]]; then
