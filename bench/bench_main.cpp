@@ -24,11 +24,9 @@
 //   * ablation   — the dominator-heavy m-dominator ablation sweep of
 //                  bench/ablation_mdom.cpp;
 //   * scaling    — the table2 suite through flows::run_suite at jobs =
-//                  1/2/4 (circuit-level parallelism) and one circuit
-//                  through decompose_network at jobs = 1/2/4 (supernode-
-//                  level parallelism), with a fingerprint per level: the
-//                  pipeline must be byte-deterministic at any thread
-//                  count, and tools/ci.sh fails if it is not.
+//                  1/2/4 (circuit-level parallelism), with a fingerprint
+//                  per level: the suite must be byte-deterministic at any
+//                  thread count, and tools/ci.sh fails if it is not.
 //   * service    — the table2 circuits as concurrent async jobs through
 //                  flows::SynthesisService on the shared process pool;
 //                  the aggregate fingerprint must equal the serial
@@ -519,17 +517,14 @@ struct SuiteFingerprint {
 
 struct ScalingLevel {
     int jobs = 0;
-    double suite_seconds = 0;       ///< run_suite over the table2 inputs
-    double supernode_seconds = 0;   ///< decompose_network on one circuit
+    double suite_seconds = 0;  ///< run_suite over the table2 inputs
     SuiteFingerprint suite_fp;
-    long supernode_gates = 0;
 };
 
 struct ScalingResult {
     std::vector<ScalingLevel> levels;
     bool fingerprints_identical = true;
     double suite_speedup_4v1 = 0;
-    double supernode_speedup_4v1 = 0;
 };
 
 ScalingResult bench_thread_scaling(bool smoke) {
@@ -539,48 +534,29 @@ ScalingResult bench_thread_scaling(bool smoke) {
     for (const auto& name : names) {
         inputs.push_back(benchgen::benchmark_by_name(name, /*quick=*/true));
     }
-    // Supernode-level scaling wants one circuit with many supernodes; the
-    // multiplier has the deepest cone structure in the suite.
-    const net::Network big = benchgen::benchmark_by_name("C6288", /*quick=*/smoke);
-
     ScalingResult out;
     for (const int jobs : {1, 2, 4}) {
         ScalingLevel level;
         level.jobs = jobs;
-        {
-            flows::FlowOptions options;
-            options.jobs = jobs;
-            const auto start = Clock::now();
-            const auto results = flows::run_suite(inputs, options);
-            level.suite_seconds = seconds_since(start);
-            for (const auto& r : results) {
-                level.suite_fp.maj_gates += r[0].mapped.gate_count;
-                level.suite_fp.maj_area += r[0].mapped.area_um2;
-                level.suite_fp.pga_gates += r[1].mapped.gate_count;
-                level.suite_fp.abc_gates += r[2].mapped.gate_count;
-                level.suite_fp.dc_gates += r[3].mapped.gate_count;
-            }
-        }
-        {
-            decomp::DecompFlowParams params;
-            params.jobs = jobs;
-            const auto start = Clock::now();
-            const decomp::DecompFlowResult r = decomp::decompose_network(big, params);
-            level.supernode_seconds = seconds_since(start);
-            level.supernode_gates = r.network.stats().total();
+        flows::FlowOptions options;
+        options.jobs = jobs;
+        const auto start = Clock::now();
+        const auto results = flows::run_suite(inputs, options);
+        level.suite_seconds = seconds_since(start);
+        for (const auto& r : results) {
+            level.suite_fp.maj_gates += r[0].mapped.gate_count;
+            level.suite_fp.maj_area += r[0].mapped.area_um2;
+            level.suite_fp.pga_gates += r[1].mapped.gate_count;
+            level.suite_fp.abc_gates += r[2].mapped.gate_count;
+            level.suite_fp.dc_gates += r[3].mapped.gate_count;
         }
         out.levels.push_back(level);
     }
     for (const ScalingLevel& level : out.levels) {
-        if (!(level.suite_fp == out.levels[0].suite_fp) ||
-            level.supernode_gates != out.levels[0].supernode_gates) {
-            out.fingerprints_identical = false;
-        }
+        if (!(level.suite_fp == out.levels[0].suite_fp)) out.fingerprints_identical = false;
     }
     out.suite_speedup_4v1 =
         out.levels[0].suite_seconds / out.levels.back().suite_seconds;
-    out.supernode_speedup_4v1 =
-        out.levels[0].supernode_seconds / out.levels.back().supernode_seconds;
     return out;
 }
 
@@ -1050,8 +1026,7 @@ int main(int argc, char** argv) {
                 hw_threads, hw_threads == 1 ? "" : "s");
     const ScalingResult sc = bench_thread_scaling(smoke);
     for (const ScalingLevel& level : sc.levels) {
-        std::printf("  jobs=%d suite %.2f s, supernode %.3f s\n", level.jobs,
-                    level.suite_seconds, level.supernode_seconds);
+        std::printf("  jobs=%d suite %.2f s\n", level.jobs, level.suite_seconds);
     }
     std::printf("  fingerprints %s, suite speedup(4v1) %.2fx\n",
                 sc.fingerprints_identical ? "identical" : "DRIFTED",
@@ -1232,22 +1207,19 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < sc.levels.size(); ++i) {
         const ScalingLevel& level = sc.levels[i];
         std::fprintf(f,
-                     "      {\"jobs\": %d, \"suite_seconds\": %.3f, "
-                     "\"supernode_seconds\": %.3f, \"fingerprint\": "
+                     "      {\"jobs\": %d, \"suite_seconds\": %.3f, \"fingerprint\": "
                      "{\"maj_gates\": %ld, \"maj_area\": %.4f, \"pga_gates\": %ld, "
-                     "\"abc_gates\": %ld, \"dc_gates\": %ld, "
-                     "\"supernode_gates\": %ld}}%s\n",
-                     level.jobs, level.suite_seconds, level.supernode_seconds,
+                     "\"abc_gates\": %ld, \"dc_gates\": %ld}}%s\n",
+                     level.jobs, level.suite_seconds,
                      level.suite_fp.maj_gates, level.suite_fp.maj_area,
                      level.suite_fp.pga_gates, level.suite_fp.abc_gates,
-                     level.suite_fp.dc_gates, level.supernode_gates,
+                     level.suite_fp.dc_gates,
                      i + 1 < sc.levels.size() ? "," : "");
     }
     std::fprintf(f, "    ],\n");
     std::fprintf(f, "    \"fingerprints_identical\": %s,\n",
                  sc.fingerprints_identical ? "true" : "false");
-    std::fprintf(f, "    \"suite_speedup_4v1\": %.3f,\n", sc.suite_speedup_4v1);
-    std::fprintf(f, "    \"supernode_speedup_4v1\": %.3f\n", sc.supernode_speedup_4v1);
+    std::fprintf(f, "    \"suite_speedup_4v1\": %.3f\n", sc.suite_speedup_4v1);
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"service_throughput\": {\n");
     std::fprintf(f, "    \"seconds\": %.3f,\n", sv.seconds);

@@ -12,8 +12,8 @@
 //
 // Usage is RAII through Lease: acquire() resets an idle manager (or
 // constructs one) and the lease returns it on destruction. Thread-safe;
-// leases from different threads hand out distinct managers, which is
-// exactly the per-worker-manager shape of the parallel supernode pipeline.
+// leases from different threads hand out distinct managers, so circuits
+// synthesized concurrently (flows::run_suite, service jobs) never share one.
 
 #include <cstddef>
 #include <memory>

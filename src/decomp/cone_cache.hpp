@@ -100,9 +100,9 @@ inline constexpr int kConeSimRounds = 2;
                                                  const bdd::ManagerParams& manager,
                                                  bool reorder);
 
-/// Per-worker canonical-key builder. Owns the dense node->reference
-/// scratch (O(network) allocated once per worker, reset per supernode) and
-/// the simulation buffers; not thread-safe, use one per worker.
+/// Canonical-key builder. Owns the dense node->reference scratch
+/// (O(network) allocated once per flow, reset per supernode) and the
+/// simulation buffers; not thread-safe, use one per flow.
 class ConeKeyBuilder {
 public:
     /// Canonical key of `sn` under `config` (a cone_cache_config_blob).

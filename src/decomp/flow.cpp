@@ -4,12 +4,8 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -21,7 +17,6 @@
 #include "network/cec.hpp"
 #include "network/cleanup.hpp"
 #include "network/gate_tape.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace bdsmaj::decomp {
 
@@ -32,10 +27,10 @@ using net::Network;
 using net::NodeId;
 using net::Signal;
 
-/// Per-worker scratch for dense cone evaluation: node id -> (dense
-/// position + 1) within the current supernode, 0 = not in this supernode.
-/// Entries are reset after each supernode, so the O(network) allocation
-/// happens once per worker, not once per supernode.
+/// Scratch for dense cone evaluation: node id -> (dense position + 1)
+/// within the current supernode, 0 = not in this supernode. Entries are
+/// reset after each supernode, so the O(network) allocation happens once
+/// per flow, not once per supernode.
 struct ConeScratch {
     std::vector<std::uint32_t> pos;
 };
@@ -52,7 +47,7 @@ Bdd build_supernode_bdd(bdd::Manager& mgr, const Network& network,
     const std::size_t num_leaves = sn.leaves.size();
     std::vector<Bdd> value(num_leaves + sn.cone.size());
     // Reset on every exit, including the malformed-supernode throw below:
-    // the scratch is reused for later supernodes on this worker, and a
+    // the scratch is reused for later supernodes of this flow, and a
     // stale nonzero entry would alias an unrelated node into their cones.
     // Entries not yet stamped are 0, so the unconditional sweep is safe.
     struct ScratchReset {
@@ -113,11 +108,10 @@ Bdd build_supernode_bdd(bdd::Manager& mgr, const Network& network,
     return at(sn.root);
 }
 
-/// Stage 1 of the pipeline, for one supernode: pooled local manager (the
-/// BDS local-BDD policy; Manager::reset makes the lease equivalent to a
-/// fresh construction while reusing the previous cone's heap blocks),
-/// sift, decompose into the supernode's private tape. Runs with no shared
-/// mutable state, so any number of these can execute concurrently.
+/// One supernode: pooled local manager (the BDS local-BDD policy;
+/// Manager::reset makes the lease equivalent to a fresh construction while
+/// reusing the previous cone's heap blocks), sift, decompose into the
+/// supernode's private tape.
 void decompose_supernode_to_tape(const Network& input, const Supernode& sn,
                                  const DecompFlowParams& params,
                                  ConeScratch& scratch, net::GateTape& tape,
@@ -147,12 +141,6 @@ void decompose_supernode_to_tape(const Network& input, const Supernode& sn,
         stats.sift_block_swaps = static_cast<long long>(rs.sym_block_swaps);
     }  // every Bdd handle dies here, before the lease returns to the pool
 }
-
-/// Per-worker state for the per-supernode stage.
-struct WorkerState {
-    ConeScratch scratch;
-    ConeKeyBuilder keys;
-};
 
 /// One rung of the degrade ladder: a full parameter set plus its own
 /// cone-cache config blob (tapes depend on every knob, so a degraded cone
@@ -188,20 +176,21 @@ DecompFlowParams degraded_stage_params(const DecompFlowParams& base,
 /// way the tape bytes are those a cache-off run would have produced.
 [[nodiscard]] std::shared_ptr<const net::GateTape> produce_tape(
         const Network& input, const Supernode& sn, const DecompFlowParams& params,
-        const std::string& config, WorkerState& ws, EngineStats& stats) {
+        const std::string& config, ConeScratch& scratch, ConeKeyBuilder& keys,
+        EngineStats& stats) {
     if (!params.cone_cache) {
         auto tape = std::make_shared<net::GateTape>(sn.leaves.size());
-        decompose_supernode_to_tape(input, sn, params, ws.scratch, *tape, stats);
+        decompose_supernode_to_tape(input, sn, params, scratch, *tape, stats);
         return tape;
     }
-    const ConeKey key = ws.keys.build(input, sn, config);
+    const ConeKey key = keys.build(input, sn, config);
     if (std::shared_ptr<const ConeCacheValue> hit = ConeCache::instance().lookup(key)) {
         stats = hit->stats;
         stats.cone_cache_hits = 1;
         return hit->tape;
     }
     auto tape = std::make_shared<net::GateTape>(sn.leaves.size());
-    decompose_supernode_to_tape(input, sn, params, ws.scratch, *tape, stats);
+    decompose_supernode_to_tape(input, sn, params, scratch, *tape, stats);
     tape->shrink_to_fit();
     ConeCache::instance().insert(key, tape, stats);
     stats.cone_cache_misses = 1;
@@ -227,8 +216,6 @@ DecompFlowResult decompose_network(const Network& input, const DecompFlowParams&
 
     const std::vector<Supernode> supernodes =
         partition_network(input, params.partition);
-    const int jobs = runtime::effective_jobs(params.jobs);
-    const int workers = runtime::parallel_for_worker_count(supernodes.size(), jobs);
 
     Network out(input.model_name());
     net::HashedNetworkBuilder builder(out);
@@ -236,32 +223,6 @@ DecompFlowResult decompose_network(const Network& input, const DecompFlowParams&
     for (const NodeId id : input.inputs()) {
         signal_of[id] = Signal{out.add_input(input.node(id).name), false};
     }
-
-    DecompFlowResult result;
-    std::vector<Signal> leaf_signals;
-    const auto replay_tape = [&](const Supernode& sn, const net::GateTape& tape) {
-        leaf_signals.clear();
-        leaf_signals.reserve(sn.leaves.size());
-        for (const NodeId leaf : sn.leaves) leaf_signals.push_back(signal_of[leaf]);
-        signal_of[sn.root] = tape.replay(builder, leaf_signals);
-    };
-
-    // Both branches drive the builder with the identical call sequence —
-    // tape i replayed after tapes [0, i) — so the output network is
-    // byte-identical at any worker count.
-    const auto cancelled = [&params] {
-        return params.cancel != nullptr &&
-               params.cancel->load(std::memory_order_relaxed);
-    };
-    // Per-supernode checkpoint: cancellation, then the hard deadline. With
-    // no deadline configured this costs one branch — no clock read.
-    const auto checkpoint = [&] {
-        if (cancelled()) throw FlowCancelled();
-        if (params.deadline &&
-            std::chrono::steady_clock::now() >= *params.deadline) {
-            throw DeadlineExceeded();
-        }
-    };
 
     // One config blob per flow: the canonical-key prefix capturing every
     // knob the emitted tapes depend on.
@@ -302,24 +263,19 @@ DecompFlowResult decompose_network(const Network& input, const DecompFlowParams&
             stages.push_back(std::move(stage));
         }
     }
-    std::atomic<int> degrade_floor{0};
-    const auto degrade_level = [&]() -> int {
-        if (!degradable) return 0;
-        int level = degrade_floor.load(std::memory_order_relaxed);
-        if (level == 0 && params.soft_budget &&
-            std::chrono::steady_clock::now() >= *params.soft_budget) {
-            degrade_floor.store(1, std::memory_order_relaxed);
-            level = 1;
-        }
-        return level;
-    };
+    int degrade_floor = 0;
     // produce_tape plus the ladder: start at the flow-wide floor, escalate
     // on ResourceExhausted. InjectedFault and everything else propagate —
     // the ladder absorbs resource-guard trips only.
-    const auto produce_staged = [&](const Supernode& sn, WorkerState& ws,
-                                    EngineStats& stats)
+    ConeScratch scratch;
+    ConeKeyBuilder keys;
+    const auto produce_staged = [&](const Supernode& sn, EngineStats& stats)
             -> std::shared_ptr<const net::GateTape> {
-        int level = degrade_level();
+        if (degrade_floor == 0 && params.soft_budget &&
+            std::chrono::steady_clock::now() >= *params.soft_budget) {
+            degrade_floor = 1;
+        }
+        int level = degrade_floor;
         long long guard_trips = 0;
         for (;;) {
             const DecompFlowParams& sp =
@@ -329,7 +285,7 @@ DecompFlowResult decompose_network(const Network& input, const DecompFlowParams&
                            : stages[static_cast<std::size_t>(level - 1)].config;
             try {
                 std::shared_ptr<const net::GateTape> tape =
-                    produce_tape(input, sn, sp, cfg, ws, stats);
+                    produce_tape(input, sn, sp, cfg, scratch, keys, stats);
                 // After produce_tape: it overwrites `stats` wholesale (and
                 // cached entries must stay degrade-agnostic).
                 if (level > 0) ++stats.degraded_supernodes;
@@ -343,135 +299,27 @@ DecompFlowResult decompose_network(const Network& input, const DecompFlowParams&
         }
     };
 
-    if (workers <= 1) {
-        // Serial: decompose and replay one supernode at a time, so only
-        // one tape is ever live (the batch path below would hold the gate
-        // IR of the whole network at once for no parallelism in return).
-        WorkerState ws;
-        for (const Supernode& sn : supernodes) {
-            checkpoint();
-            EngineStats stats;
-            const std::shared_ptr<const net::GateTape> tape =
-                produce_staged(sn, ws, stats);
-            replay_tape(sn, *tape);
-            result.engine_stats += stats;
+    // Decompose and replay one supernode at a time, so only one tape is
+    // ever live. Tapes replay in supernode order.
+    DecompFlowResult result;
+    std::vector<Signal> leaf_signals;
+    for (const Supernode& sn : supernodes) {
+        // Per-supernode checkpoint: cancellation, then the hard deadline.
+        // With no deadline configured this costs one branch — no clock read.
+        if (params.cancel != nullptr &&
+            params.cancel->load(std::memory_order_relaxed)) {
+            throw FlowCancelled();
         }
-    } else {
-        // Pipelined: stage 1 (per-supernode {local BDD, sift, decompose}
-        // into private tapes) fans out over the shared process pool while
-        // THIS thread replays finished tapes strictly in supernode order
-        // into the shared hash-consing builder — replay of tape i overlaps
-        // the decomposition of i+1. The fixed replay order is what keeps
-        // the output byte-identical at any worker count; the window caps
-        // how many decomposed-but-unreplayed tapes are held at once, so
-        // memory stays bounded instead of holding the gate IR of the
-        // whole network.
-        const std::size_t n = supernodes.size();
-        std::vector<std::shared_ptr<const net::GateTape>> tapes(n);
-        std::vector<EngineStats> stats_of(n);
-        std::vector<WorkerState> worker_state(static_cast<std::size_t>(workers));
-        const std::size_t window =
-            params.replay_window > 0
-                ? static_cast<std::size_t>(params.replay_window)
-                : 2 * static_cast<std::size_t>(workers) + 2;
-
-        std::mutex m;
-        std::condition_variable ready_cv;  // replayer waits for tape `replayed`
-        std::condition_variable space_cv;  // runners wait for window space
-        std::size_t next = 0;              // next supernode to decompose
-        std::size_t replayed = 0;          // tapes already merged
-        std::vector<std::uint8_t> ready(n, 0);
-        std::exception_ptr err;
-
-        const auto decompose_one = [&](std::size_t i, int slot) {
-            try {
-                // Per-supernode cancellation/deadline checkpoint: stop
-                // before starting another cone; the shared error slot
-                // aborts the rest of the pipeline exactly like a failure
-                // would.
-                checkpoint();
-                tapes[i] = produce_staged(supernodes[i],
-                                          worker_state[static_cast<std::size_t>(slot)],
-                                          stats_of[i]);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(m);
-                if (!err) err = std::current_exception();
-                space_cv.notify_all();
-            }
-            std::lock_guard<std::mutex> lock(m);
-            ready[i] = 1;
-            ready_cv.notify_all();
-        };
-
-        const std::function<void(int)> runner = [&](int slot) {
-            for (;;) {
-                std::size_t i;
-                {
-                    std::unique_lock<std::mutex> lock(m);
-                    // Strict <: next - replayed counts in-flight tapes
-                    // too, so this is what holds the outstanding gate IR
-                    // to at most `window` supernodes.
-                    space_cv.wait(lock, [&] {
-                        return err != nullptr || next >= n ||
-                               next - replayed < window;
-                    });
-                    if (err != nullptr || next >= n) break;
-                    i = next++;
-                }
-                decompose_one(i, slot);
-            }
-        };
-
-        runtime::HelperSet helpers(workers - 1, runner);
-        // The caller is the replayer — and runner slot 0: when the next
-        // tape in order is not ready yet it decomposes a supernode itself
-        // instead of idling, so progress never depends on the pool having
-        // free workers (decompose_network stays safe to call from inside
-        // a pool task).
-        {
-            std::unique_lock<std::mutex> lock(m);
-            while (replayed < n && err == nullptr) {
-                if (cancelled()) {
-                    err = std::make_exception_ptr(FlowCancelled());
-                    space_cv.notify_all();
-                    break;
-                }
-                if (params.deadline &&
-                    std::chrono::steady_clock::now() >= *params.deadline) {
-                    err = std::make_exception_ptr(DeadlineExceeded());
-                    space_cv.notify_all();
-                    break;
-                }
-                if (ready[replayed]) {
-                    const std::size_t i = replayed;
-                    lock.unlock();
-                    try {
-                        replay_tape(supernodes[i], *tapes[i]);
-                        tapes[i].reset();  // drop this flow's tape reference now
-                    } catch (...) {
-                        lock.lock();
-                        if (!err) err = std::current_exception();
-                        space_cv.notify_all();
-                        break;
-                    }
-                    result.engine_stats += stats_of[i];
-                    lock.lock();
-                    ++replayed;
-                    space_cv.notify_all();
-                } else if (next < n && next - replayed < window) {
-                    const std::size_t i = next++;
-                    lock.unlock();
-                    decompose_one(i, 0);
-                    lock.lock();
-                } else {
-                    ready_cv.wait(lock, [&] {
-                        return ready[replayed] != 0 || err != nullptr;
-                    });
-                }
-            }
+        if (params.deadline &&
+            std::chrono::steady_clock::now() >= *params.deadline) {
+            throw DeadlineExceeded();
         }
-        helpers.join();
-        if (err) std::rethrow_exception(err);
+        EngineStats stats;
+        const std::shared_ptr<const net::GateTape> tape = produce_staged(sn, stats);
+        leaf_signals.clear();
+        for (const NodeId leaf : sn.leaves) leaf_signals.push_back(signal_of[leaf]);
+        signal_of[sn.root] = tape->replay(builder, leaf_signals);
+        result.engine_stats += stats;
     }
 
     if (params.cone_cache) {

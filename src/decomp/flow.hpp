@@ -6,16 +6,12 @@
 //
 // `use_majority = false` gives the BDS-PGA baseline of Table I.
 //
-// The per-supernode stage (local BDD build, sifting, decomposition) is
-// embarrassingly parallel: every supernode gets a fresh manager and writes
-// its factoring tree to a private GateTape. The tapes are replayed by the
-// calling thread, strictly in supernode order, into the shared
-// hash-consing builder — pipelined with the decomposition of later
-// supernodes (replay of tape i overlaps the decomposition of i+1, with a
-// bounded tape window), on the process-wide shared pool
-// (runtime::global_pool()). On-line sharing is preserved and the output
-// network is byte-identical at any `jobs` setting (see
-// docs/performance.md, "Parallel pipeline").
+// One circuit runs on one thread: every supernode gets a fresh local
+// manager and writes its factoring tree to a private GateTape, and tapes
+// replay in supernode order into the flow's hash-consing builder, which
+// does the on-line sharing (see docs/performance.md, "Deterministic
+// replay"). Parallelism lives above this layer — across circuits in
+// flows::run_suite and across jobs in flows::SynthesisService.
 
 #include <atomic>
 #include <chrono>
@@ -82,21 +78,13 @@ struct DecompFlowParams {
     bool cone_cache = true;
     /// Run structural cleanup on the result.
     bool final_cleanup = true;
-    /// Worker budget for the per-supernode stage: 1 = serial on the
-    /// calling thread, N > 1 = up to N concurrent runners on the shared
-    /// process pool (runtime::global_pool()), <= 0 = all hardware
-    /// threads. The output network does not depend on this.
+    /// Ignored: decompose_network always runs on the calling thread. Kept
+    /// only so existing callers that still assign it keep compiling.
     int jobs = 1;
-    /// Parallel path only: how many decomposed-but-not-yet-replayed tapes
-    /// may exist at once. Replay of supernode i is pipelined with the
-    /// decomposition of later supernodes, and this window bounds the gate
-    /// IR held in memory; <= 0 picks 2 * workers + 2. The output network
-    /// does not depend on this either.
-    int replay_window = 0;
     /// Cooperative cancellation token. When non-null and set (by any
     /// thread), decompose_network stops at the next per-supernode
-    /// checkpoint — before decomposing or replaying another supernode —
-    /// and throws FlowCancelled. Null = not cancellable.
+    /// checkpoint — before decomposing another supernode — and throws
+    /// FlowCancelled. Null = not cancellable.
     const std::atomic<bool>* cancel = nullptr;
     /// Absolute hard deadline. Checked at the same per-supernode
     /// checkpoints as `cancel`; once passed, decompose_network throws

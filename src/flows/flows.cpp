@@ -18,6 +18,20 @@ double seconds_since(Clock::time_point start) {
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// Flow-boundary checkpoint: the BDS flows checkpoint internally (between
+/// supernodes), but the ABC and DC passes are not interruptible, so the
+/// token — and the hard deadline — are checked between flows and between
+/// circuits too.
+void checkpoint(const FlowOptions& options) {
+    if (options.cancel != nullptr &&
+        options.cancel->load(std::memory_order_relaxed)) {
+        throw decomp::FlowCancelled();
+    }
+    if (options.deadline && Clock::now() >= *options.deadline) {
+        throw decomp::DeadlineExceeded();
+    }
+}
+
 }  // namespace
 
 void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
@@ -58,7 +72,6 @@ SynthesisResult from_decomposition(std::string name, const net::Network& input,
     params.reorder = options.reorder;
     params.sift_symmetry = options.sift_symmetry;
     params.cone_cache = options.cone_cache;
-    params.jobs = options.jobs;
     params.cancel = options.cancel;
     params.deadline = options.deadline;
     params.soft_budget = options.soft_budget;
@@ -122,31 +135,18 @@ std::string decorated_flow_name(std::string base, const std::string& preset) {
 
 std::vector<SynthesisResult> run_all_flows(const net::Network& input,
                                            const FlowOptions& options) {
-    // The BDS flows checkpoint internally (between supernodes); the ABC
-    // and DC passes are not interruptible, so check the token — and the
-    // hard deadline — at every flow boundary to keep "all"-flow jobs
-    // responsive to cancel() and shed-on-deadline.
-    const auto checkpoint = [&options] {
-        if (options.cancel != nullptr &&
-            options.cancel->load(std::memory_order_relaxed)) {
-            throw decomp::FlowCancelled();
-        }
-        if (options.deadline && Clock::now() >= *options.deadline) {
-            throw decomp::DeadlineExceeded();
-        }
-    };
     std::vector<SynthesisResult> out;
     out.push_back(flow_bdsmaj(input, options));
     out.push_back(flow_bdspga(input, options));
-    checkpoint();
+    checkpoint(options);
     out.push_back(flow_abc(input));
-    checkpoint();
+    checkpoint(options);
     out.push_back(flow_dc(input));
     if (options.verify) {
         // The BDS flows signed off inside from_decomposition; ABC and DC
         // take no options, so their sign-off happens here.
         verify_synthesis_result(input, out[2], options.oracle);
-        checkpoint();
+        checkpoint(options);
         verify_synthesis_result(input, out[3], options.oracle);
     }
     return out;
@@ -175,20 +175,10 @@ std::vector<std::vector<SynthesisResult>> run_suite(
     const std::vector<net::Network>& inputs, const FlowOptions& options,
     const std::string& flow) {
     std::vector<std::vector<SynthesisResult>> results(inputs.size());
-    FlowOptions per_circuit = options;
-    // Several circuits share the budget out one per runner; a lone circuit
-    // keeps it for supernode-level parallelism inside its flow.
-    if (inputs.size() > 1) per_circuit.jobs = 1;
     runtime::parallel_for(inputs.size(), runtime::effective_jobs(options.jobs),
-                          [&](std::size_t i, int /*worker*/) {
-                              // Between-circuit cancellation checkpoint; the
-                              // per-supernode checkpoints inside the BDS
-                              // decompositions cover long single circuits.
-                              if (options.cancel != nullptr &&
-                                  options.cancel->load(std::memory_order_relaxed)) {
-                                  throw decomp::FlowCancelled();
-                              }
-                              results[i] = run_flow(inputs[i], flow, per_circuit);
+                          [&](std::size_t i) {
+                              checkpoint(options);
+                              results[i] = run_flow(inputs[i], flow, options);
                           });
     return results;
 }

@@ -27,9 +27,9 @@ namespace bdsmaj::flows {
 /// CLI. from_decomposition (flows.cpp) is the one place they become
 /// decomp::DecompFlowParams.
 struct FlowOptions {
-    /// Worker budget for the supernode pipeline (DecompFlowParams::jobs
-    /// semantics: 1 = serial, <= 0 = all hardware threads); the result
-    /// does not depend on it.
+    /// How many circuits run_suite synthesizes at once (1 = serial,
+    /// <= 0 = all hardware threads); one circuit always runs on one
+    /// thread, and the result does not depend on this.
     int jobs = 1;
     /// Decomposition strategy preset for the BDS flows (see
     /// decomp::preset_catalog()); "paper" reproduces the published ladder
@@ -67,10 +67,10 @@ struct FlowOptions {
     /// it null: the service owns their token (SynthesisService::cancel).
     const std::atomic<bool>* cancel = nullptr;
     /// Absolute hard deadline (DecompFlowParams::deadline semantics):
-    /// checked at the per-supernode checkpoints of the BDS flows and at
-    /// every flow boundary in run_all_flows; once passed,
-    /// decomp::DeadlineExceeded propagates out. The ABC/DC passes
-    /// themselves are not interruptible. Unset = no deadline.
+    /// checked at the per-supernode checkpoints of the BDS flows, at every
+    /// flow boundary in run_all_flows and between circuits in run_suite;
+    /// once passed, decomp::DeadlineExceeded propagates out. The ABC/DC
+    /// passes themselves are not interruptible. Unset = no deadline.
     std::optional<std::chrono::steady_clock::time_point> deadline;
     /// Absolute soft budget (DecompFlowParams::soft_budget): once passed,
     /// the BDS flows degrade remaining supernodes down `degrade_ladder`
@@ -140,8 +140,8 @@ void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
 [[nodiscard]] SynthesisResult flow_abc(const net::Network& input);
 [[nodiscard]] SynthesisResult flow_dc(const net::Network& input);
 
-/// All four, in Table II column order. The results are identical at any
-/// `options.jobs`.
+/// All four, in Table II column order, one after another on the calling
+/// thread; `options.jobs` does not apply.
 [[nodiscard]] std::vector<SynthesisResult> run_all_flows(const net::Network& input,
                                                          const FlowOptions& options = {});
 
@@ -156,10 +156,10 @@ void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
 /// Batched suite synthesis: run_flow(inputs[i], flow) for every input,
 /// fanned out one circuit per runner across up to `options.jobs` runners
 /// on the shared process pool (runtime::global_pool(); 1 = serial on the
-/// calling thread, <= 0 = all hardware threads). A single input keeps the
-/// whole budget for its own supernode pipeline instead. Networks are
+/// calling thread, <= 0 = all hardware threads). Networks are
 /// independent, so the outputs are identical at any job count; only
-/// wall-clock changes. This is what the Table I/II sweeps, the bench
+/// wall-clock changes. Cancellation and the hard deadline are checked
+/// before each circuit. This is what the Table I/II sweeps, the bench
 /// harness and SynthesisService jobs (flows/service.hpp) run.
 [[nodiscard]] std::vector<std::vector<SynthesisResult>> run_suite(
     const std::vector<net::Network>& inputs, const FlowOptions& options = {},

@@ -7,14 +7,14 @@
 // lanes (kHigh drains before kNormal; FIFO within a lane); at most
 // `max_concurrent_jobs` run at once, each as one task on the shared
 // process pool (runtime::global_pool() unless a pool is injected). Inside
-// a job, the per-job `jobs` budget bounds how many pool runners the job
-// may occupy — supernode-level parallelism for single-network jobs,
-// circuit-level for suites — so one heavy job cannot starve the queue.
+// a suite job, the per-job `jobs` budget bounds how many circuits run at
+// once, so one heavy job cannot starve the queue; a single-network job
+// runs on the one pool thread that picked it up.
 //
-// Because every layer below (parallel_for, the pipelined tape replay) is
-// caller-participating, a job always makes progress on the pool thread
-// that runs it even when the pool is saturated: admission control is the
-// only queueing point, and there is no nested-parallelism deadlock.
+// Because run_suite's parallel_for is caller-participating, a job always
+// makes progress on the pool thread that runs it even when the pool is
+// saturated: admission control is the only queueing point, and there is
+// no nested-parallelism deadlock.
 //
 // Results are byte-identical to serial runs: a job computes exactly
 // run_suite(inputs, params, params.flow), which is deterministic at any
@@ -69,9 +69,8 @@ enum class JobPriority { kNormal, kHigh };
 /// A job's configuration: the FlowOptions every flow entry point takes,
 /// plus which flows to run and the admission lane. For a job, the
 /// inherited knobs mean:
-///   * `jobs` — how many pool runners the job may occupy: supernode-level
-///     for a single network, circuit-level for a suite. Never changes the
-///     result.
+///   * `jobs` — how many circuits of a suite job run at once (a
+///     single-network job runs on one thread). Never changes the result.
 ///   * `deadline` / `soft_budget` — absolute instants the caller fixes
 ///     before submit(), so queue wait counts against both. A job whose
 ///     deadline passes before it dispatches is shed without running; a

@@ -1,20 +1,23 @@
 #pragma once
-// GateTape: the recording GateSink behind the parallel synthesis pipeline.
+// GateTape: the recording GateSink behind per-supernode decomposition and
+// the cone cache.
 //
-// A worker decomposing one supernode writes its factoring tree into a tape
-// instead of the shared hash-consed builder. Tape Signals live in a
+// Decomposing one supernode writes its factoring tree into a tape instead
+// of the flow's hash-consed builder. Tape Signals live in a
 // tape-local id space — leaf placeholders, a constant, and the results of
 // earlier tape operations — so recording needs no shared mutable state and
 // no knowledge of where the supernode's leaves will end up in the output
-// network. The flow then replays the tapes serially, in supernode order,
-// into the real builder.
+// network, which is what lets the cone cache share a tape between
+// circuits. The flow then replays the tapes in supernode order into the
+// real builder.
 //
 // Determinism contract: `replay` re-issues exactly the call sequence the
 // engine made while recording, with leaf placeholders substituted by the
 // caller's real signals. Because the engine never branches on the Signals
 // a sink returns, replaying into a `HashedNetworkBuilder` produces the
 // same network a direct-emission run would have produced — on-line
-// sharing, constant folding and all — at any worker-thread count.
+// sharing, constant folding and all — whether the tape was just recorded
+// or served from the cone cache.
 //
 // Tape-local id layout (for a tape over L leaves):
 //   [0, L)   leaf placeholders, in leaf order;

@@ -1,21 +1,22 @@
 #pragma once
-// Thread pool for the parallel synthesis pipeline: one mutex-guarded FIFO
-// queue shared by every worker.
+// Thread pool behind parallel suites and service jobs: one mutex-guarded
+// FIFO queue shared by every worker.
 //
-// The pool's traffic is coarse: HelperSet runners that pull loop indices
-// from a shared counter (so load balancing happens inside the runner, not
-// in the queue) and one task per admitted service job. A single queue in
-// submission order is all that needs; skewed loads are absorbed because an
-// idle worker takes the next queued task whoever submitted it.
+// The pool's traffic is coarse: parallel_for helper runners that pull
+// loop indices from a shared counter (so load balancing happens inside the
+// runner, not in the queue) and one task per admitted service job. A
+// single queue in submission order is all that needs; skewed loads are
+// absorbed because an idle worker takes the next queued task whoever
+// submitted it.
 //
 // Determinism note: the pool schedules non-deterministically — callers
 // that need reproducible output must make tasks independent and merge
-// results in a fixed order (the flow layer's tape replay does exactly
-// that). Nothing in this file depends on timing for correctness.
+// results in a fixed order (flows::run_suite does exactly that). Nothing
+// in this file depends on timing for correctness.
 //
 // This header is the pool *primitive* only. The process-wide shared pool
-// (`runtime::global_pool()`) and the data-parallel primitives built on it
-// (`parallel_for`, `HelperSet`) live in runtime/scheduler.hpp.
+// (`runtime::global_pool()`) and `parallel_for`, built on it, live in
+// runtime/scheduler.hpp.
 
 #include <condition_variable>
 #include <cstddef>

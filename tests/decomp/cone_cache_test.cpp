@@ -18,6 +18,7 @@
 
 #include "benchgen/suite.hpp"
 #include "decomp/flow.hpp"
+#include "flows/flows.hpp"
 #include "flows/service.hpp"
 #include "network/blif.hpp"
 #include "network/cec.hpp"
@@ -66,17 +67,34 @@ struct FlowRun {
     EngineStats stats;
 };
 
-FlowRun run_flow(const Network& input, bool cone_cache, int jobs,
-             const std::string& preset = "paper") {
+FlowRun run_flow(const Network& input, bool cone_cache,
+                 const std::string& preset = "paper") {
     DecompFlowParams params;
     params.engine.preset = preset;
     params.cone_cache = cone_cache;
-    params.jobs = jobs;
     const DecompFlowResult r = decompose_network(input, params);
     const net::NetworkStats s = r.network.stats();
     return FlowRun{Fingerprint{net::write_blif(r.network), s.total(), s.maj_nodes,
-                           simulation_signature(r.network)},
-               r.engine_stats};
+                               simulation_signature(r.network)},
+                   r.engine_stats};
+}
+
+/// The BDS-MAJ flow over `inputs` through flows::run_suite at `jobs`, one
+/// run per circuit in input order.
+std::vector<FlowRun> suite_runs(const std::vector<Network>& inputs, bool cone_cache,
+                                int jobs) {
+    flows::FlowOptions options;
+    options.cone_cache = cone_cache;
+    options.jobs = jobs;
+    std::vector<FlowRun> out;
+    for (const auto& r : flows::run_suite(inputs, options, "bdsmaj")) {
+        const Network& net = r[0].optimized;
+        out.push_back(FlowRun{Fingerprint{net::write_blif(net), r[0].optimized_stats.total(),
+                                          r[0].optimized_stats.maj_nodes,
+                                          simulation_signature(net)},
+                              r[0].engine_stats});
+    }
+    return out;
 }
 
 TEST(ConeCache, CacheOnEqualsCacheOffAcrossMcncSuite) {
@@ -85,9 +103,9 @@ TEST(ConeCache, CacheOnEqualsCacheOffAcrossMcncSuite) {
     ConeCache::instance().clear();
     for (const benchgen::BenchmarkCase& bc : benchgen::table_suite(/*quick=*/true)) {
         if (!bc.is_mcnc) continue;
-        const FlowRun off = run_flow(bc.network, /*cone_cache=*/false, 1);
-        const FlowRun cold = run_flow(bc.network, /*cone_cache=*/true, 1);
-        const FlowRun warm = run_flow(bc.network, /*cone_cache=*/true, 1);
+        const FlowRun off = run_flow(bc.network, /*cone_cache=*/false);
+        const FlowRun cold = run_flow(bc.network, /*cone_cache=*/true);
+        const FlowRun warm = run_flow(bc.network, /*cone_cache=*/true);
         ASSERT_EQ(off.fp.blif, cold.fp.blif) << bc.name << ": cold drifted";
         ASSERT_EQ(off.fp.blif, warm.fp.blif) << bc.name << ": warm drifted";
         EXPECT_EQ(off.fp, cold.fp) << bc.name;
@@ -104,26 +122,33 @@ TEST(ConeCache, CacheOnEqualsCacheOffAcrossMcncSuite) {
 }
 
 TEST(ConeCache, ByteIdenticalAtAnyJobCountOnAndOff) {
-    // jobs x cache matrix on the most self-similar circuits: every cell
-    // must produce the same bytes.
-    for (const char* name : {"C6288", "dalu"}) {
-        const Network input = benchgen::benchmark_by_name(name, /*quick=*/true);
-        ConeCache::instance().clear();
-        const Fingerprint baseline = run_flow(input, /*cone_cache=*/false, 1).fp;
-        for (const bool cached : {false, true}) {
-            for (const int jobs : {1, 4}) {
-                ConeCache::instance().clear();
-                const FlowRun r = run_flow(input, cached, jobs);
-                ASSERT_EQ(baseline.blif, r.fp.blif)
-                    << name << " cache=" << cached << " jobs=" << jobs;
-                EXPECT_EQ(baseline, r.fp)
-                    << name << " cache=" << cached << " jobs=" << jobs;
+    // jobs x cache matrix through run_suite on a suite led by the most
+    // self-similar circuits: every cell must produce the same bytes, and
+    // at jobs=8 the circuits hit the shared cache concurrently.
+    const std::vector<std::string> names = {"C6288", "dalu", "alu2", "f51m"};
+    std::vector<Network> inputs;
+    for (const std::string& name : names) {
+        inputs.push_back(benchgen::benchmark_by_name(name, /*quick=*/true));
+    }
+    ConeCache::instance().clear();
+    const std::vector<FlowRun> baseline = suite_runs(inputs, /*cone_cache=*/false, 1);
+    for (const bool cached : {false, true}) {
+        for (const int jobs : {1, 8}) {
+            ConeCache::instance().clear();
+            const std::vector<FlowRun> r = suite_runs(inputs, cached, jobs);
+            for (std::size_t i = 0; i < inputs.size(); ++i) {
+                ASSERT_EQ(baseline[i].fp.blif, r[i].fp.blif)
+                    << names[i] << " cache=" << cached << " jobs=" << jobs;
+                EXPECT_EQ(baseline[i].fp, r[i].fp)
+                    << names[i] << " cache=" << cached << " jobs=" << jobs;
             }
         }
-        // And once more WITHOUT clearing: fully warm at jobs=4.
-        const FlowRun warm = run_flow(input, /*cone_cache=*/true, 4);
-        ASSERT_EQ(baseline.blif, warm.fp.blif) << name << " warm jobs=4";
-        EXPECT_EQ(warm.stats.cone_cache_misses, 0) << name;
+    }
+    // And once more WITHOUT clearing: fully warm at jobs=8.
+    const std::vector<FlowRun> warm = suite_runs(inputs, /*cone_cache=*/true, 8);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        ASSERT_EQ(baseline[i].fp.blif, warm[i].fp.blif) << names[i] << " warm jobs=8";
+        EXPECT_EQ(warm[i].stats.cone_cache_misses, 0) << names[i];
     }
 }
 
@@ -133,7 +158,7 @@ TEST(ConeCache, IntraCircuitSelfSimilarityHitsOnC6288) {
     // must serve most supernodes from the cache.
     ConeCache::instance().clear();
     const Network input = benchgen::benchmark_by_name("C6288", /*quick=*/true);
-    const FlowRun cold = run_flow(input, /*cone_cache=*/true, 1);
+    const FlowRun cold = run_flow(input, /*cone_cache=*/true);
     EXPECT_GT(cold.stats.cone_cache_hits, cold.stats.cone_cache_misses)
         << "an array multiplier should be dominated by repeated cones";
 }
@@ -142,12 +167,12 @@ TEST(ConeCache, EvictionUnderTinyBudgetNeverChangesResults) {
     const Network input = benchgen::benchmark_by_name("dalu", /*quick=*/true);
     ConeCache& cache = ConeCache::instance();
     cache.clear();
-    const Fingerprint baseline = run_flow(input, /*cone_cache=*/false, 1).fp;
+    const Fingerprint baseline = run_flow(input, /*cone_cache=*/false).fp;
 
     const std::size_t old_budget = cache.budget_bytes();
     cache.set_budget_bytes(4 << 10);  // 4 KiB: a handful of tapes at most
     cache.clear();
-    const FlowRun squeezed = run_flow(input, /*cone_cache=*/true, 1);
+    const FlowRun squeezed = run_flow(input, /*cone_cache=*/true);
     const ConeCacheStats cs = cache.stats();
     cache.set_budget_bytes(old_budget);
     cache.clear();
@@ -356,8 +381,8 @@ TEST(ConeCache, StructurallyDistinctCanonicalEqualConesShareOneEntry) {
         const auto a = not_and_net.add_input("a"), b = not_and_net.add_input("b");
         not_and_net.add_output("o", not_and_net.add_not(not_and_net.add_and(a, b)));
     }
-    const FlowRun first = run_flow(nand_net, /*cone_cache=*/true, 1);
-    const FlowRun second = run_flow(not_and_net, /*cone_cache=*/true, 1);
+    const FlowRun first = run_flow(nand_net, /*cone_cache=*/true);
+    const FlowRun second = run_flow(not_and_net, /*cone_cache=*/true);
     EXPECT_GT(first.stats.cone_cache_misses, 0);
     EXPECT_EQ(second.stats.cone_cache_misses, 0)
         << "the folded cone must hit the NAND network's entry";
@@ -373,12 +398,12 @@ TEST(ConeCache, ZeroBudgetDisablesRetentionNotCorrectness) {
     cache.set_budget_bytes(0);
     cache.clear();
     const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
-    const FlowRun r = run_flow(input, /*cone_cache=*/true, 1);
+    const FlowRun r = run_flow(input, /*cone_cache=*/true);
     EXPECT_EQ(cache.stats().entries, 0) << "budget 0 must retain nothing";
     EXPECT_EQ(r.stats.cone_cache_hits, 0);
     cache.set_budget_bytes(old_budget);
     cache.clear();
-    const FlowRun baseline = run_flow(input, /*cone_cache=*/false, 1);
+    const FlowRun baseline = run_flow(input, /*cone_cache=*/false);
     EXPECT_EQ(baseline.fp.blif, r.fp.blif);
     cache.clear();
 }

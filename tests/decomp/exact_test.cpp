@@ -178,9 +178,9 @@ TEST(Exact, WideSupportIsRejected) {
 }
 
 TEST(Exact, TapeReplayEqualsDirectEmission) {
-    // The replay program must compose with the parallel pipeline's tape
-    // IR: recording emit_exact_cone into a GateTape and replaying it into
-    // a builder must equal emitting into the builder directly.
+    // The replay program must compose with the flow's tape IR: recording
+    // emit_exact_cone into a GateTape and replaying it into a builder must
+    // equal emitting into the builder directly.
     std::mt19937_64 rng(41);
     for (int trial = 0; trial < 10; ++trial) {
         const auto tt16 = static_cast<std::uint16_t>(rng());

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
+#include "flows/flows.hpp"
 #include "network/blif.hpp"
 #include "network/cec.hpp"
 #include "tt/truth_table.hpp"
@@ -216,17 +218,24 @@ TEST(Flow, ConvergingSiftFlowStaysEquivalent) {
 }
 
 TEST(Flow, ReorderTelemetryIsDeterministicAcrossJobCounts) {
-    const Network input = random_control(14, 5, 90, 0xabc);
-    DecompFlowParams p1;
-    p1.jobs = 1;
-    DecompFlowParams p4;
-    p4.jobs = 4;
-    const DecompFlowResult r1 = decompose_network(input, p1);
-    const DecompFlowResult r4 = decompose_network(input, p4);
-    EXPECT_EQ(r1.engine_stats.sift_swaps, r4.engine_stats.sift_swaps);
-    EXPECT_EQ(r1.engine_stats.sift_fast_swaps, r4.engine_stats.sift_fast_swaps);
-    EXPECT_EQ(r1.engine_stats.sift_lb_aborts, r4.engine_stats.sift_lb_aborts);
-    EXPECT_EQ(r1.engine_stats.peak_bdd_nodes, r4.engine_stats.peak_bdd_nodes);
+    // Circuits of one suite run concurrently at jobs > 1; each circuit's
+    // sift telemetry must not depend on that.
+    const std::vector<Network> inputs = {
+        random_control(14, 5, 90, 0xabc), random_control(12, 4, 70, 0x123),
+        random_control(16, 6, 110, 0x777), ripple_adder(6)};
+    flows::FlowOptions options;
+    options.jobs = 1;
+    const auto r1 = flows::run_suite(inputs, options, "bdsmaj");
+    options.jobs = 8;
+    const auto r8 = flows::run_suite(inputs, options, "bdsmaj");
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        const EngineStats& a = r1[i][0].engine_stats;
+        const EngineStats& b = r8[i][0].engine_stats;
+        EXPECT_EQ(a.sift_swaps, b.sift_swaps) << i;
+        EXPECT_EQ(a.sift_fast_swaps, b.sift_fast_swaps) << i;
+        EXPECT_EQ(a.sift_lb_aborts, b.sift_lb_aborts) << i;
+        EXPECT_EQ(a.peak_bdd_nodes, b.peak_bdd_nodes) << i;
+    }
 }
 
 }  // namespace

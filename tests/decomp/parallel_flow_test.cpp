@@ -1,8 +1,10 @@
-// Determinism of the parallel supernode pipeline: decompose_network must
-// produce byte-identical results at any worker-thread count. Tapes are
-// built in parallel but replayed serially in supernode order, so the
-// output network — node ids, gate counts, everything down to the BLIF
-// text — cannot depend on scheduling.
+// Determinism of parallel synthesis: flows::run_suite must produce
+// byte-identical results at any worker-thread count. Circuits run in
+// parallel, one per runner, but each circuit's decomposition runs on one
+// thread and replays its tapes in supernode order, so every output
+// network — node ids, gate counts, everything down to the BLIF text —
+// cannot depend on scheduling. Running several circuits at once also puts
+// concurrent traffic on the shared ConeCache and ManagerPool.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 
 #include "benchgen/suite.hpp"
 #include "decomp/flow.hpp"
+#include "flows/flows.hpp"
 #include "network/blif.hpp"
 #include "network/cec.hpp"
 #include "network/simulate.hpp"
@@ -54,97 +57,107 @@ struct Fingerprint {
     bool operator==(const Fingerprint&) const = default;
 };
 
-Fingerprint fingerprint_at(const Network& input, int jobs, bool use_majority) {
-    DecompFlowParams params;
-    params.engine.use_majority = use_majority;
-    params.jobs = jobs;
-    const DecompFlowResult r = decompose_network(input, params);
-    const net::NetworkStats s = r.network.stats();
-    return Fingerprint{net::write_blif(r.network), s.total(), s.maj_nodes,
-                       simulation_signature(r.network)};
+std::vector<Network> circuits(const std::vector<std::string>& names) {
+    std::vector<Network> inputs;
+    for (const std::string& name : names) {
+        inputs.push_back(benchgen::benchmark_by_name(name, /*quick=*/true));
+    }
+    return inputs;
+}
+
+/// One BDS flow over `inputs` through run_suite at `jobs`: the per-circuit
+/// results, in input order.
+std::vector<flows::SynthesisResult> suite_at(const std::vector<Network>& inputs,
+                                             int jobs, bool use_majority) {
+    flows::FlowOptions options;
+    options.jobs = jobs;
+    std::vector<flows::SynthesisResult> out;
+    for (auto& r : flows::run_suite(inputs, options, use_majority ? "bdsmaj" : "bdspga")) {
+        out.push_back(std::move(r[0]));
+    }
+    return out;
+}
+
+std::vector<Fingerprint> fingerprints_at(const std::vector<Network>& inputs, int jobs,
+                                         bool use_majority) {
+    std::vector<Fingerprint> out;
+    for (const flows::SynthesisResult& r : suite_at(inputs, jobs, use_majority)) {
+        out.push_back(Fingerprint{net::write_blif(r.optimized), r.optimized_stats.total(),
+                                  r.optimized_stats.maj_nodes,
+                                  simulation_signature(r.optimized)});
+    }
+    return out;
 }
 
 TEST(ParallelFlow, McncSuiteIsDeterministicAcrossJobCounts) {
-    // The ISSUE's contract: gate counts and simulation signatures — and,
-    // stronger, the whole BLIF text — identical for jobs = 1, 2, 8 on the
-    // MCNC suite.
-    for (const benchgen::BenchmarkCase& bc : benchgen::table_suite(/*quick=*/true)) {
+    // Gate counts and simulation signatures — and, stronger, the whole
+    // BLIF text — identical for jobs = 1, 2, 8 on the MCNC suite.
+    std::vector<std::string> names;
+    std::vector<Network> inputs;
+    for (benchgen::BenchmarkCase& bc : benchgen::table_suite(/*quick=*/true)) {
         if (!bc.is_mcnc) continue;
-        const Fingerprint serial = fingerprint_at(bc.network, 1, true);
-        for (const int jobs : {2, 8}) {
-            const Fingerprint parallel = fingerprint_at(bc.network, jobs, true);
-            EXPECT_EQ(serial.total_gates, parallel.total_gates)
-                << bc.name << " jobs=" << jobs;
-            EXPECT_EQ(serial.maj_gates, parallel.maj_gates)
-                << bc.name << " jobs=" << jobs;
-            EXPECT_EQ(serial.signature, parallel.signature)
-                << bc.name << " jobs=" << jobs;
-            ASSERT_EQ(serial.blif, parallel.blif)
-                << bc.name << ": output network drifted at jobs=" << jobs;
+        names.push_back(bc.name);
+        inputs.push_back(std::move(bc.network));
+    }
+    ASSERT_GE(inputs.size(), 4u);
+    const std::vector<Fingerprint> serial = fingerprints_at(inputs, 1, true);
+    for (const int jobs : {2, 8}) {
+        const std::vector<Fingerprint> parallel = fingerprints_at(inputs, jobs, true);
+        ASSERT_EQ(serial.size(), parallel.size());
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            EXPECT_EQ(serial[i].total_gates, parallel[i].total_gates)
+                << names[i] << " jobs=" << jobs;
+            EXPECT_EQ(serial[i].maj_gates, parallel[i].maj_gates)
+                << names[i] << " jobs=" << jobs;
+            EXPECT_EQ(serial[i].signature, parallel[i].signature)
+                << names[i] << " jobs=" << jobs;
+            ASSERT_EQ(serial[i].blif, parallel[i].blif)
+                << names[i] << ": output network drifted at jobs=" << jobs;
         }
     }
 }
 
-TEST(ParallelFlow, TightReplayWindowIsStillByteIdentical) {
-    // The pipelined replay bounds decomposed-but-unreplayed tapes with a
-    // window; even the tightest window (1) — which forces maximal
-    // blocking between decomposers and the replayer — must not change a
-    // byte of the output.
-    const Network input = benchgen::benchmark_by_name("C6288", /*quick=*/true);
-    const Fingerprint serial = fingerprint_at(input, 1, true);
-    for (const int window : {1, 3}) {
-        DecompFlowParams params;
-        params.jobs = 8;
-        params.replay_window = window;
-        const DecompFlowResult r = decompose_network(input, params);
-        const net::NetworkStats s = r.network.stats();
-        EXPECT_EQ(serial.total_gates, s.total()) << "window " << window;
-        ASSERT_EQ(serial.blif, net::write_blif(r.network)) << "window " << window;
-    }
-}
-
 TEST(ParallelFlow, BdsPgaModeIsDeterministicToo) {
-    const Network input = benchgen::benchmark_by_name("C1355", /*quick=*/true);
-    const Fingerprint serial = fingerprint_at(input, 1, false);
-    const Fingerprint parallel = fingerprint_at(input, 8, false);
-    EXPECT_EQ(serial, parallel);
+    const std::vector<Network> inputs = circuits({"C1355", "alu2", "f51m", "C6288"});
+    EXPECT_EQ(fingerprints_at(inputs, 1, false), fingerprints_at(inputs, 8, false));
 }
 
 TEST(ParallelFlow, HardwareJobsSettingIsDeterministic) {
     // jobs <= 0 resolves to all hardware threads; output must still match.
-    const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
-    const Fingerprint serial = fingerprint_at(input, 1, true);
-    const Fingerprint hw = fingerprint_at(input, 0, true);
-    EXPECT_EQ(serial, hw);
+    const std::vector<Network> inputs = circuits({"f51m", "alu2", "C1355", "vda"});
+    EXPECT_EQ(fingerprints_at(inputs, 1, true), fingerprints_at(inputs, 0, true));
 }
 
 TEST(ParallelFlow, ParallelResultIsEquivalentToInput) {
-    // Determinism is necessary but not sufficient — the jobs=8 result must
-    // also still compute the input function.
-    for (const char* name : {"dalu", "apex6"}) {
-        const Network input = benchgen::benchmark_by_name(name, /*quick=*/true);
-        DecompFlowParams params;
-        params.jobs = 8;
-        const DecompFlowResult r = decompose_network(input, params);
-        EXPECT_TRUE(net::check_equivalent(input, r.network).equivalent) << name;
+    // Determinism is necessary but not sufficient — the jobs=8 results must
+    // also still compute the input functions.
+    const std::vector<std::string> names = {"dalu", "apex6", "f51m", "alu2"};
+    const std::vector<Network> inputs = circuits(names);
+    const std::vector<flows::SynthesisResult> results = suite_at(inputs, 8, true);
+    ASSERT_EQ(results.size(), inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        EXPECT_TRUE(net::check_equivalent(inputs[i], results[i].optimized).equivalent)
+            << names[i];
     }
 }
 
 TEST(ParallelFlow, EngineStatsMatchAcrossJobCounts) {
-    const Network input = benchgen::benchmark_by_name("C6288", /*quick=*/true);
-    DecompFlowParams p1, p8;
-    p8.jobs = 8;
-    const DecompFlowResult r1 = decompose_network(input, p1);
-    const DecompFlowResult r8 = decompose_network(input, p8);
-    EXPECT_EQ(r1.supernode_count, r8.supernode_count);
-    EXPECT_EQ(r1.engine_stats.and_steps, r8.engine_stats.and_steps);
-    EXPECT_EQ(r1.engine_stats.or_steps, r8.engine_stats.or_steps);
-    EXPECT_EQ(r1.engine_stats.xor_steps, r8.engine_stats.xor_steps);
-    EXPECT_EQ(r1.engine_stats.maj_steps, r8.engine_stats.maj_steps);
-    EXPECT_EQ(r1.engine_stats.mux_steps, r8.engine_stats.mux_steps);
-    EXPECT_EQ(r1.engine_stats.maj_attempts, r8.engine_stats.maj_attempts);
-    EXPECT_EQ(r1.engine_stats.maj_rejected, r8.engine_stats.maj_rejected);
-    EXPECT_EQ(r1.engine_stats.literal_leaves, r8.engine_stats.literal_leaves);
+    const std::vector<Network> inputs = circuits({"C6288", "dalu", "alu2", "f51m"});
+    const std::vector<flows::SynthesisResult> r1 = suite_at(inputs, 1, true);
+    const std::vector<flows::SynthesisResult> r8 = suite_at(inputs, 8, true);
+    ASSERT_EQ(r1.size(), r8.size());
+    for (std::size_t i = 0; i < r1.size(); ++i) {
+        const EngineStats& a = r1[i].engine_stats;
+        const EngineStats& b = r8[i].engine_stats;
+        EXPECT_EQ(a.and_steps, b.and_steps) << i;
+        EXPECT_EQ(a.or_steps, b.or_steps) << i;
+        EXPECT_EQ(a.xor_steps, b.xor_steps) << i;
+        EXPECT_EQ(a.maj_steps, b.maj_steps) << i;
+        EXPECT_EQ(a.mux_steps, b.mux_steps) << i;
+        EXPECT_EQ(a.maj_attempts, b.maj_attempts) << i;
+        EXPECT_EQ(a.maj_rejected, b.maj_rejected) << i;
+        EXPECT_EQ(a.literal_leaves, b.literal_leaves) << i;
+    }
 }
 
 }  // namespace

@@ -38,11 +38,10 @@ std::uint64_t fnv64(const std::string& s) {
 }
 
 DecompFlowResult run_preset(const Network& input, const std::string& preset,
-                            int jobs = 1, bool use_majority = true) {
+                            bool use_majority = true) {
     DecompFlowParams params;
     params.engine.preset = preset;
     params.engine.use_majority = use_majority;
-    params.jobs = jobs;
     return decompose_network(input, params);
 }
 
@@ -87,8 +86,8 @@ TEST(Strategy, UnknownPresetThrowsAtDecomposerConstruction) {
     EXPECT_THROW(BddDecomposer(mgr, builder, {}, params), std::invalid_argument);
 }
 
-// Golden fingerprints of the pre-refactor monolithic engine (captured at
-// jobs=1 on the quick MCNC suite before the strategy framework landed):
+// Golden fingerprints of the pre-refactor monolithic engine (captured on
+// the quick MCNC suite before the strategy framework landed):
 // {circuit, use_majority, total gates, MAJ gates, FNV-1a of the BLIF}.
 // The `paper` preset (with and without use_majority, the BDS-PGA
 // baseline) must stay byte-for-byte on this table.
@@ -125,18 +124,13 @@ constexpr Golden kGolden[] = {
 TEST(Strategy, PaperPresetIsByteIdenticalToPreRefactorEngine) {
     for (const Golden& g : kGolden) {
         const Network input = benchgen::benchmark_by_name(g.name, /*quick=*/true);
-        for (const int jobs : {1, 4}) {
-            const DecompFlowResult r =
-                run_preset(input, "paper", jobs, g.use_majority);
-            const net::NetworkStats s = r.network.stats();
-            EXPECT_EQ(s.total(), g.total_gates)
-                << g.name << " maj=" << g.use_majority << " jobs=" << jobs;
-            EXPECT_EQ(s.maj_nodes, g.maj_gates)
-                << g.name << " maj=" << g.use_majority << " jobs=" << jobs;
-            EXPECT_EQ(fnv64(net::write_blif(r.network)), g.blif_fnv)
-                << g.name << " maj=" << g.use_majority << " jobs=" << jobs
-                << ": BLIF drifted from the pre-refactor engine";
-        }
+        const DecompFlowResult r = run_preset(input, "paper", g.use_majority);
+        const net::NetworkStats s = r.network.stats();
+        EXPECT_EQ(s.total(), g.total_gates) << g.name << " maj=" << g.use_majority;
+        EXPECT_EQ(s.maj_nodes, g.maj_gates) << g.name << " maj=" << g.use_majority;
+        EXPECT_EQ(fnv64(net::write_blif(r.network)), g.blif_fnv)
+            << g.name << " maj=" << g.use_majority
+            << ": BLIF drifted from the pre-refactor engine";
     }
 }
 
@@ -152,14 +146,25 @@ TEST(Strategy, EveryPresetPassesTheEquivalenceOracleOnMcnc) {
 }
 
 TEST(Strategy, PresetsAreDeterministicAcrossJobCounts) {
-    // Determinism is a pipeline property, not a paper-ladder one: the new
-    // presets must be byte-identical at any worker count too.
-    const Network input = benchgen::benchmark_by_name("dalu", /*quick=*/true);
+    // Determinism is a suite property, not a paper-ladder one: the new
+    // presets must be byte-identical at any run_suite job count too.
+    const std::vector<std::string> names = {"dalu", "alu2", "f51m", "C6288"};
+    std::vector<Network> inputs;
+    for (const std::string& name : names) {
+        inputs.push_back(benchgen::benchmark_by_name(name, /*quick=*/true));
+    }
     for (const char* preset : {"exact-aggressive", "best-cost"}) {
-        const DecompFlowResult serial = run_preset(input, preset, 1);
-        const DecompFlowResult parallel = run_preset(input, preset, 8);
-        EXPECT_EQ(net::write_blif(serial.network), net::write_blif(parallel.network))
-            << preset;
+        flows::FlowOptions options;
+        options.preset = preset;
+        options.jobs = 1;
+        const auto serial = flows::run_suite(inputs, options, "bdsmaj");
+        options.jobs = 8;
+        const auto parallel = flows::run_suite(inputs, options, "bdsmaj");
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            EXPECT_EQ(net::write_blif(serial[i][0].optimized),
+                      net::write_blif(parallel[i][0].optimized))
+                << preset << " " << names[i];
+        }
     }
 }
 
@@ -291,7 +296,7 @@ TEST(Strategy, UseMajorityFalseStripsTheMajorityStage) {
                                          StrategyKind::kShannonMux}));
 
     const Network input = benchgen::benchmark_by_name("alu2", /*quick=*/true);
-    const DecompFlowResult stripped = run_preset(input, "paper", 1, false);
+    const DecompFlowResult stripped = run_preset(input, "paper", false);
     EXPECT_GT(stripped.engine_stats.total_steps(), 0);
     EXPECT_EQ(stripped.engine_stats.maj_steps, 0);
     EXPECT_EQ(stripped.engine_stats.maj_attempts, 0);

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <vector>
+
 #include "benchgen/arith.hpp"
 #include "benchgen/mcnc.hpp"
+#include "benchgen/suite.hpp"
 #include "network/cec.hpp"
 
 namespace bdsmaj::flows {
@@ -124,6 +128,23 @@ TEST(Flows, SignOffKeepsItsStats) {
     const SynthesisResult unverified = flow_bdsmaj(wide, FlowOptions{});
     EXPECT_EQ(unverified.signoff.bdd_checks + unverified.signoff.sat_checks, 0);
     EXPECT_EQ(unverified.signoff.cec.sat_calls, 0u);
+}
+
+TEST(Flows, SuiteStopsBetweenCircuitsAfterDeadline) {
+    // The ABC and DC passes are not interruptible, so an expired hard
+    // deadline must stop a suite at its between-circuit checkpoint, not
+    // only inside the BDS decompositions.
+    std::vector<Network> inputs;
+    for (const char* name : {"alu2", "f51m", "dalu", "apex6"}) {
+        inputs.push_back(benchgen::benchmark_by_name(name, /*quick=*/true));
+    }
+    FlowOptions options;
+    options.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    options.verify = false;
+    for (const char* flow : {"abc", "dc", "bdsmaj"}) {
+        EXPECT_THROW((void)run_suite(inputs, options, flow), decomp::DeadlineExceeded)
+            << flow;
+    }
 }
 
 }  // namespace

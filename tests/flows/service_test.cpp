@@ -327,13 +327,8 @@ TEST(SynthesisService, RunningJobStopsAtNextCheckpoint) {
     params.cancel = &token;
     EXPECT_THROW((void)decomp::decompose_network(input, params),
                  decomp::FlowCancelled);
-    // Parallel path checkpoints too.
-    params.jobs = 4;
-    EXPECT_THROW((void)decomp::decompose_network(input, params),
-                 decomp::FlowCancelled);
     // An unset token changes nothing.
     token.store(false);
-    params.jobs = 1;
     const decomp::DecompFlowResult r = decomp::decompose_network(input, params);
     EXPECT_TRUE(net::check_equivalent(input, r.network).equivalent);
 }

@@ -1,5 +1,5 @@
-// Process-wide scheduler: the shared global pool, environment sizing,
-// HelperSet revocation, and the caller-participating parallel_for —
+// Process-wide scheduler: the shared global pool, environment sizing, and
+// the caller-participating parallel_for with helper revocation —
 // including re-entrant use from inside pool tasks, which is the property
 // the whole service layer leans on.
 
@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <latch>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -58,45 +59,45 @@ TEST(Scheduler, GlobalPoolRunsSubmittedTasks) {
     EXPECT_EQ(ran.load(), 100);
 }
 
-TEST(HelperSet, StartedHelpersRunAndJoinWaits) {
-    std::atomic<int> calls{0};
-    std::vector<std::atomic<int>> per_slot(5);
-    const std::function<void(int)> body = [&](int slot) {
-        ASSERT_GE(slot, 1);
-        ASSERT_LE(slot, 4);
-        per_slot[static_cast<std::size_t>(slot)].fetch_add(1);
-        calls.fetch_add(1);
-    };
-    {
-        HelperSet helpers(4, body);
-        helpers.join();
-    }
-    // Every slot ran at most once (revoked helpers never run at all).
-    for (int s = 1; s <= 4; ++s) {
-        EXPECT_LE(per_slot[static_cast<std::size_t>(s)].load(), 1);
-    }
-    EXPECT_LE(calls.load(), 4);
-}
-
-TEST(HelperSet, JoinIsIdempotentAndDestructorJoins) {
-    std::atomic<int> calls{0};
-    const std::function<void(int)> body = [&](int) { calls.fetch_add(1); };
-    HelperSet helpers(2, body);
-    helpers.join();
-    helpers.join();  // second join must return immediately
-    SUCCEED();
-}
-
 TEST(ParallelFor, CoversAllIndicesExactlyOnceOnSharedPool) {
     constexpr std::size_t kN = 777;
     std::vector<std::atomic<int>> hits(kN);
-    const int workers = parallel_for_worker_count(kN, 4);
-    parallel_for(kN, 4, [&](std::size_t i, int worker) {
-        EXPECT_GE(worker, 0);
-        EXPECT_LT(worker, workers);
-        hits[i].fetch_add(1);
-    });
+    parallel_for(kN, 4, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+TEST(ParallelFor, CompletesOnASaturatedPoolAndRevokedHelpersNeverRun) {
+    // Every pool worker is parked on a latch, so none of parallel_for's
+    // helpers can start: the calling thread must do all the work itself.
+    // When the workers are released the queued helpers finally run, but
+    // they were revoked when the loop finished and must not touch the body.
+    ThreadPool& pool = global_pool();
+    std::latch release(1);
+    std::atomic<int> parked{0};
+    for (int w = 0; w < pool.size(); ++w) {
+        pool.submit([&] {
+            parked.fetch_add(1);
+            release.wait();
+        });
+    }
+    while (parked.load() < pool.size()) std::this_thread::yield();
+
+    constexpr std::size_t kN = 100;
+    std::vector<std::atomic<int>> hits(kN);
+    std::atomic<int> calls{0};
+    std::thread foreign([&] {
+        parallel_for(kN, 8, [&](std::size_t i) {
+            hits[i].fetch_add(1);
+            calls.fetch_add(1);
+        });
+    });
+    foreign.join();
+    EXPECT_EQ(calls.load(), static_cast<int>(kN));
+    for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
+
+    release.count_down();
+    pool.wait_idle();
+    EXPECT_EQ(calls.load(), static_cast<int>(kN));
 }
 
 TEST(ParallelFor, ReentrantFromInsidePoolTasks) {
@@ -106,17 +107,17 @@ TEST(ParallelFor, ReentrantFromInsidePoolTasks) {
     // wait-for-workers design.
     const int lanes = global_pool().size() + 2;
     std::atomic<long> total{0};
-    parallel_for(static_cast<std::size_t>(lanes), lanes, [&](std::size_t, int) {
-        parallel_for(64, 4, [&](std::size_t, int) { total.fetch_add(1); });
+    parallel_for(static_cast<std::size_t>(lanes), lanes, [&](std::size_t) {
+        parallel_for(64, 4, [&](std::size_t) { total.fetch_add(1); });
     });
     EXPECT_EQ(total.load(), static_cast<long>(lanes) * 64);
 }
 
 TEST(ParallelFor, DeeplyNestedStillCompletes) {
     std::atomic<long> total{0};
-    parallel_for(4, 4, [&](std::size_t, int) {
-        parallel_for(4, 4, [&](std::size_t, int) {
-            parallel_for(4, 4, [&](std::size_t, int) { total.fetch_add(1); });
+    parallel_for(4, 4, [&](std::size_t) {
+        parallel_for(4, 4, [&](std::size_t) {
+            parallel_for(4, 4, [&](std::size_t) { total.fetch_add(1); });
         });
     });
     EXPECT_EQ(total.load(), 64);
@@ -132,7 +133,7 @@ TEST(ParallelFor, ManyConcurrentCallsFromForeignThreads) {
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&grand] {
             std::vector<std::atomic<int>> hits(kN);
-            parallel_for(kN, 3, [&](std::size_t i, int) { hits[i].fetch_add(1); });
+            parallel_for(kN, 3, [&](std::size_t i) { hits[i].fetch_add(1); });
             long sum = 0;
             for (std::size_t i = 0; i < kN; ++i) sum += hits[i].load();
             grand.fetch_add(sum);

@@ -86,20 +86,15 @@ TEST(ThreadPool, DrainPolicyRunsEverythingQueuedAtDestruction) {
 TEST(ParallelFor, CoversAllIndicesExactlyOnce) {
     constexpr std::size_t kN = 777;
     std::vector<std::atomic<int>> hits(kN);
-    parallel_for(kN, 4, [&](std::size_t i, int worker) {
-        EXPECT_GE(worker, 0);
-        EXPECT_LT(worker, 4);
-        hits[i].fetch_add(1);
-    });
+    parallel_for(kN, 4, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
 TEST(ParallelFor, InlineWhenSerial) {
-    // jobs <= 1 runs on the calling thread with worker id 0.
+    // jobs <= 1 runs on the calling thread.
     const std::thread::id self = std::this_thread::get_id();
     std::size_t visited = 0;
-    parallel_for(16, 1, [&](std::size_t, int worker) {
-        EXPECT_EQ(worker, 0);
+    parallel_for(16, 1, [&](std::size_t) {
         EXPECT_EQ(std::this_thread::get_id(), self);
         ++visited;
     });
@@ -112,26 +107,12 @@ TEST(ParallelFor, BodyExceptionRethrownOnCaller) {
     std::atomic<int> ran{0};
     EXPECT_THROW(
         parallel_for(50, 4,
-                     [&](std::size_t i, int) {
+                     [&](std::size_t i) {
                          ran.fetch_add(1);
                          if (i == 7) throw std::runtime_error("boom");
                      }),
         std::runtime_error);
     EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(ParallelFor, WorkerCountMatchesScratchContract) {
-    // Callers size per-worker scratch with parallel_for_worker_count; the
-    // worker ids handed to the body must stay below it.
-    for (const auto& [n, jobs] : std::vector<std::pair<std::size_t, int>>{
-             {0, 4}, {1, 4}, {3, 8}, {100, 4}, {16, 1}}) {
-        const int workers = parallel_for_worker_count(n, jobs);
-        ASSERT_GE(workers, 1);
-        parallel_for(n, jobs, [&, workers](std::size_t, int worker) {
-            EXPECT_GE(worker, 0);
-            EXPECT_LT(worker, workers);
-        });
-    }
 }
 
 TEST(EffectiveJobs, ResolvesRequests) {

@@ -18,8 +18,6 @@
 //   --sift-max-vars N             sift at most N variables per pass
 //   --k-local F / --k-global F    majority selection sizing factors
 //   --iterations N                balancing iteration limit
-//   --jobs N                      per-run worker budget (0 = all cores);
-//                                 output is identical at any setting
 //   --cone-cache-mb N             memory budget of the process-wide cone
 //                                 result cache (default 64); repeated cones
 //                                 replay cached tapes instead of being
@@ -62,7 +60,7 @@
 //   --pool N                      shared-pool thread count (otherwise the
 //                                 BDSMAJ_JOBS env var / all cores)
 //   --max-jobs N                  jobs admitted concurrently (default:
-//                                 pool size); --jobs is each job's budget
+//                                 pool size)
 //
 // `@name` uses a built-in generator from the paper's suite, e.g.
 // `bdsmaj_cli @C6288` or `bdsmaj_cli "@Div 18 bit"`, and batch mode mixes
@@ -195,9 +193,7 @@ void print_help(std::FILE* to) {
         "                               corrupt file loads nothing) and save the\n"
         "                               materialized classes back on exit\n"
         "\n"
-        "parallelism and caching:\n"
-        "  --jobs N                     per-run worker budget (0 = all cores);\n"
-        "                               output is identical at any setting\n"
+        "caching:\n"
         "  --cone-cache-mb N            memory budget of the process-wide cone\n"
         "                               result cache (default 64); repeated cones\n"
         "                               replay cached tapes - results are identical\n"
@@ -237,7 +233,7 @@ void print_help(std::FILE* to) {
         "  --pool N                     shared-pool thread count (otherwise the\n"
         "                               BDSMAJ_JOBS env var / all cores)\n"
         "  --max-jobs N                 jobs admitted concurrently (default: pool\n"
-        "                               size); --jobs is each job's budget\n"
+        "                               size)\n"
         "\n"
         "inputs:\n"
         "  @name                        built-in generator from the paper's suite,\n"
@@ -512,8 +508,6 @@ int main(int argc, char** argv) {
             if (!value(job.maj.k_global)) return 2;
         } else if (arg == "--iterations") {
             if (!value(job.maj.max_iterations, kNonNegative)) return 2;
-        } else if (arg == "--jobs") {
-            if (!value(job.jobs)) return 2;
         } else if (arg == "--pool") {
             if (!value(opt.pool, kNonNegative)) return 2;
         } else if (arg == "--max-jobs") {

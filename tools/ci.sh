@@ -3,9 +3,9 @@
 # smoke configuration, failing on a >20% wall-time regression (or >20%
 # ops/sec drop) against the smoke_reference block of the committed
 # BENCH_core.json — and on any output-fingerprint drift, which would mean
-# the synthesis results themselves changed. The smoke run also pushes the
-# suite through the parallel pipeline at jobs = 1/2/4 and fails if the
-# jobs=4 fingerprints differ from jobs=1 (thread-count determinism), and
+# the synthesis results themselves changed. The smoke run also runs the
+# suite through flows::run_suite at jobs = 1/2/4 (circuits in parallel)
+# and fails if the jobs=4 fingerprints differ from jobs=1, and
 # runs the equivalence-oracle shootout, failing on any verdict drift or a
 # >tolerance SAT wall-time regression. The cone-memoization sweep fails if
 # a cached run's bytes drift from the cache-off run, if the C6288 hit rate
@@ -97,7 +97,7 @@ cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug \
       -DBDSMAJ_BUILD_BENCH=OFF -DBDSMAJ_BUILD_EXAMPLES=OFF \
       ${EXTRA_CMAKE_ARGS[@]+"${EXTRA_CMAKE_ARGS[@]}"} >/dev/null
 cmake --build build-debug -j"$JOBS" --target bdsmaj_tests
-(cd build-debug && ctest -R 'Flows|SynthesisService|Robustness|ManagerReset|ManagerPool|ThreadPool|ParallelFor|Scheduler|HelperSet|EffectiveJobs' \
+(cd build-debug && ctest -R 'Flows|SynthesisService|Robustness|ManagerReset|ManagerPool|ThreadPool|ParallelFor|Scheduler|EffectiveJobs' \
                          --output-on-failure -j"$JOBS")
 
 if [[ "${BDSMAJ_CI_SKIP_CHAOS:-0}" != "0" ]]; then
@@ -219,8 +219,8 @@ else:
                             f"({c['post_sift_nodes_plain']} vs "
                             f"{c['post_sift_nodes_symmetry']})")
 
-# Thread-count determinism: the parallel pipeline must produce identical
-# outputs at jobs = 1/2/4. The harness compares the per-level fingerprints
+# Thread-count determinism: run_suite must produce identical outputs at
+# jobs = 1/2/4. The harness compares the per-level fingerprints
 # itself; any mismatch (in particular jobs=4 vs jobs=1) fails the gate.
 scaling = fresh.get("thread_scaling")
 if scaling is None:
