@@ -614,7 +614,8 @@ ServiceBenchResult bench_service(bool smoke, const Table2Result& t2) {
 }
 
 // ---------------------------------------------------------------------------
-// Preset sweep: every strategy preset over the MCNC circuits.
+// Preset sweep: every strategy preset over the MCNC circuits, each timed
+// from a cold cone cache.
 // ---------------------------------------------------------------------------
 
 struct PresetEntry {
@@ -643,6 +644,9 @@ std::vector<PresetEntry> bench_preset_sweep() {
         entry.preset = p.name;
         entry.circuits = static_cast<int>(inputs.size());
         std::vector<net::Network> results;
+        // Earlier sections leave the process-wide cone cache warm; clearing
+        // it makes every preset's time a cold-cache time.
+        decomp::ConeCache::instance().clear();
         const auto start = Clock::now();
         for (const net::Network& input : inputs) {
             decomp::DecompFlowParams params;
@@ -1039,7 +1043,7 @@ int main(int argc, char** argv) {
                 sv.jobs, sv.seconds, sv.pool_threads,
                 sv.matches_serial ? "matches serial" : "DRIFTED");
 
-    std::printf("bench_core: preset sweep (MCNC suite)...\n");
+    std::printf("bench_core: preset sweep (MCNC suite, cold cone cache)...\n");
     const std::vector<PresetEntry> presets = bench_preset_sweep();
     for (const PresetEntry& p : presets) {
         std::printf("  %-18s %.2f s, decomposed %ld, mapped %ld, eq %d/%d\n",
@@ -1241,24 +1245,19 @@ int main(int argc, char** argv) {
     std::fprintf(f, "    \"entries\": [\n");
     for (std::size_t i = 0; i < presets.size(); ++i) {
         const PresetEntry& p = presets[i];
-        // npn hits/misses are recorded for telemetry but are NOT part of
-        // the fingerprint: they depend on what earlier sections already
-        // pushed into the process-wide exact cache.
         std::fprintf(f,
                      "      {\"preset\": \"%s\", \"seconds\": %.3f, "
                      "\"equivalent\": %d, \"fingerprint\": "
                      "{\"decomposed_gates\": %ld, \"mapped_gates\": %ld, "
                      "\"mapped_area\": %.4f, \"engine_steps\": "
                      "[%d, %d, %d, %d, %d, %d, %d, %d], "
-                     "\"symmetric_steps\": %d}, "
-                     "\"npn_hits\": %lld, \"npn_misses\": %lld}%s\n",
+                     "\"symmetric_steps\": %d}}%s\n",
                      p.preset.c_str(), p.seconds, p.equivalent,
                      p.decomposed_gates, p.mapped_gates, p.mapped_area,
                      p.stats.and_steps, p.stats.or_steps, p.stats.xor_steps,
                      p.stats.maj_steps, p.stats.mux_steps, p.stats.exact_steps,
                      p.stats.gen_xor_steps, p.stats.literal_leaves,
                      p.stats.symmetric_steps,
-                     p.stats.npn_cache_hits, p.stats.npn_cache_misses,
                      i + 1 < presets.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n");

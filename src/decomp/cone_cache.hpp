@@ -4,7 +4,7 @@
 // Real workloads are massively self-similar — C6288 and the benchgen
 // Wallace multipliers are hundreds of copies of the same full-adder cones,
 // and a long-lived SynthesisService re-synthesizes identical cones across
-// jobs. This module generalizes the NPN exact cache's memoization idea
+// jobs. This module generalizes the exact tier's per-NPN-class reuse
 // from 4-input truth tables to whole supernodes: a canonical signature of
 // the cone keys the supernode's position-independent GateTape (plus its
 // per-cone EngineStats), so `decompose_network` can skip the

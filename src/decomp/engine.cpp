@@ -30,8 +30,6 @@ EngineStats& EngineStats::operator+=(const EngineStats& o) {
     literal_leaves += o.literal_leaves;
     sym_cone_checks += o.sym_cone_checks;
     sym_cone_total += o.sym_cone_total;
-    npn_cache_hits += o.npn_cache_hits;
-    npn_cache_misses += o.npn_cache_misses;
     cone_cache_hits += o.cone_cache_hits;
     cone_cache_misses += o.cone_cache_misses;
     cone_cache_evictions += o.cone_cache_evictions;

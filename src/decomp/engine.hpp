@@ -11,7 +11,7 @@
 // `best-cost` preset. The stages themselves live in strategy.cpp:
 //
 //   0. constants / literals terminate the recursion (engine-internal);
-//   1. ExactSmallConeStrategy  — optional: NPN-cached minimal structures
+//   1. ExactSmallConeStrategy  — optional: precompiled minimal structures
 //      for cones with <= 4 support variables (decomp/exact.hpp);
 //   2. MajorityStrategy        — MAJ "on the top of the dominator nodes
 //      search", accepted only when globally advantageous (k_global);
@@ -54,10 +54,10 @@ struct EngineParams {
 };
 
 /// Counts of applied decompositions, one increment per recursion step.
-/// npn_cache_* describe the process-wide exact-structure cache and are the
-/// only fields that depend on prior process history (a class enumerated by
-/// an earlier run is a hit here), so they are excluded from determinism
-/// fingerprints; everything else is a pure function of input and preset.
+/// cone_cache_* describe the process-wide cone cache and are the only
+/// fields that depend on prior process history, so they are excluded from
+/// determinism fingerprints; everything else is a pure function of input
+/// and preset.
 struct EngineStats {
     int and_steps = 0;
     int or_steps = 0;
@@ -76,13 +76,11 @@ struct EngineStats {
     // separately, counted by symmetric_steps).
     long long sym_cone_checks = 0;
     long long sym_cone_total = 0;
-    long long npn_cache_hits = 0;
-    long long npn_cache_misses = 0;
     // Cone-memoization telemetry (decomp/cone_cache.hpp; filled by the
-    // flow layer). Like npn_cache_*, hit/miss/eviction counts depend on
-    // prior process history — a cone decomposed by an earlier run or a
-    // concurrent worker is a hit here — so all cone_cache_* fields stay
-    // outside the determinism fingerprints. The decomposition RESULTS are
+    // flow layer). Hit/miss/eviction counts depend on prior process
+    // history — a cone decomposed by an earlier run or a concurrent worker
+    // is a hit here — so all cone_cache_* fields stay outside the
+    // determinism fingerprints. The decomposition RESULTS are
     // history-independent either way: a hit replays the byte-identical
     // tape a cold run would have produced.
     long long cone_cache_hits = 0;

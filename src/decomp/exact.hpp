@@ -9,13 +9,13 @@
 // polarity), so AND with input/output complements subsumes OR/NAND/NOR and
 // XOR subsumes XNOR.
 //
-// Costs come from a one-time dynamic program over all 65536 truth tables
-// (Dijkstra by gate count: cost(op(a, b)) <= cost(a) + cost(b) + 1, with
-// 3-input MAJ/MUX taking at least one literal operand — the tractable tree
-// grammar; see docs/performance.md). Per-class replay programs are
-// materialized lazily on first miss into a process-wide, mutex-sharded
-// cache shared by every decomposer on every thread: one enumeration serves
-// all jobs for the rest of the process lifetime.
+// The programs are compiled in: tools/gen_exact_table.cpp runs the
+// dynamic program over all 65536 truth tables once, offline (Dijkstra by
+// gate count: cost(op(a, b)) <= cost(a) + cost(b) + 1, with 3-input
+// MAJ/MUX taking at least one literal operand — the tractable tree grammar;
+// see docs/exact-synthesis.md), and writes the committed
+// decomp/exact_table.inc. A lookup is a binary search over that constant
+// table; nothing is computed, locked or loaded at run time.
 //
 // A structure is a straight-line program over canonical-space inputs; the
 // ConeMatch carries the NPN transform that binds those inputs back onto the
@@ -23,15 +23,9 @@
 // GateSink — the shared hash-consing builder or a worker's GateTape alike.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "bdd/bdd.hpp"
 #include "network/gate_sink.hpp"
@@ -47,16 +41,20 @@ struct ExactRef {
     std::uint8_t index = kConstIndex;
     bool complemented = false;  ///< for kConstIndex: true = constant one
 
-    [[nodiscard]] static ExactRef input(int i, bool c) {
+    [[nodiscard]] static constexpr ExactRef input(int i, bool c) {
         return {static_cast<std::uint8_t>(i), c};
     }
-    [[nodiscard]] static ExactRef gate(int g, bool c) {
+    [[nodiscard]] static constexpr ExactRef gate(int g, bool c) {
         return {static_cast<std::uint8_t>(4 + g), c};
     }
-    [[nodiscard]] static ExactRef constant(bool one) { return {kConstIndex, one}; }
-    [[nodiscard]] bool is_const() const noexcept { return index == kConstIndex; }
-    [[nodiscard]] bool is_input() const noexcept { return !is_const() && index < 4; }
-    [[nodiscard]] ExactRef operator!() const { return {index, !complemented}; }
+    [[nodiscard]] static constexpr ExactRef constant(bool one) {
+        return {kConstIndex, one};
+    }
+    [[nodiscard]] constexpr bool is_const() const noexcept { return index == kConstIndex; }
+    [[nodiscard]] constexpr bool is_input() const noexcept {
+        return !is_const() && index < 4;
+    }
+    [[nodiscard]] constexpr ExactRef operator!() const { return {index, !complemented}; }
 };
 
 enum class ExactOp : std::uint8_t { kAnd, kXor, kMaj, kMux };
@@ -66,23 +64,63 @@ struct ExactGate {
     ExactRef a, b, c;  ///< c is used by kMaj and kMux (select = a) only
 };
 
-/// A straight-line replay program computing one NPN-canonical function of
-/// the four canonical-space inputs. Immutable once published by the cache.
-struct ExactStructure {
-    std::uint16_t canonical = 0;   ///< the class this program computes
-    std::vector<ExactGate> gates;  ///< topologically ordered
-    ExactRef output;               ///< may reference an input or constant
+/// Truth tables of the four canonical-space input literals.
+inline constexpr std::array<std::uint16_t, 4> kExactInputTt = {0xaaaa, 0xcccc, 0xf0f0,
+                                                              0xff00};
 
-    [[nodiscard]] int gate_count() const noexcept {
-        return static_cast<int>(gates.size());
+/// One gate over 16-bit truth-table arithmetic.
+[[nodiscard]] constexpr std::uint16_t exact_op_tt(ExactOp op, std::uint16_t a,
+                                                  std::uint16_t b, std::uint16_t c) {
+    switch (op) {
+        case ExactOp::kAnd: return a & b;
+        case ExactOp::kXor: return a ^ b;
+        case ExactOp::kMaj:
+            return static_cast<std::uint16_t>((a & b) | (a & c) | (b & c));
+        case ExactOp::kMux:  // a ? b : c
+            return static_cast<std::uint16_t>((a & b) | (~a & c));
+    }
+    return 0;
+}
+
+/// Largest program of any class in the compiled table.
+inline constexpr int kMaxExactGates = 5;
+
+/// A straight-line replay program computing one NPN-canonical function of
+/// the four canonical-space inputs: one entry of the compiled table.
+struct ExactStructure {
+    std::uint16_t canonical = 0;  ///< the class this program computes
+    /// Minimal gate count in the tree grammar (exact_gate_cost). The
+    /// program shares repeated sub-functions, so it may be smaller.
+    std::uint8_t tree_cost = 0;
+    std::uint8_t num_gates = 0;
+    std::array<ExactGate, kMaxExactGates> gate_array{};  ///< topologically ordered
+    ExactRef output;  ///< may reference an input or constant
+
+    [[nodiscard]] constexpr int gate_count() const noexcept { return num_gates; }
+    [[nodiscard]] constexpr std::span<const ExactGate> gates() const noexcept {
+        return {gate_array.data(), num_gates};
     }
     /// Evaluate the program over 16-bit truth-table arithmetic; returns the
-    /// function of the output. Used by tests and debug assertions to prove
-    /// the program really computes `canonical`.
-    [[nodiscard]] std::uint16_t eval_tt() const;
+    /// function of the output. The table is checked with this at compile
+    /// time, so every entry provably computes `canonical`.
+    [[nodiscard]] constexpr std::uint16_t eval_tt() const {
+        std::array<std::uint16_t, kMaxExactGates> value{};
+        const auto resolve = [&value](const ExactRef& r) -> std::uint16_t {
+            if (r.is_const()) return r.complemented ? 0xffff : 0x0000;
+            const std::uint16_t v = r.is_input() ? kExactInputTt[r.index]
+                                                 : value[static_cast<std::size_t>(r.index - 4)];
+            return r.complemented ? static_cast<std::uint16_t>(~v) : v;
+        };
+        for (std::size_t g = 0; g < num_gates; ++g) {
+            const ExactGate& gate = gate_array[g];
+            value[g] = exact_op_tt(gate.op, resolve(gate.a), resolve(gate.b),
+                                   resolve(gate.c));
+        }
+        return resolve(output);
+    }
 };
 
-/// How a concrete cone maps onto a cached structure: its truth table over
+/// How a concrete cone maps onto a table structure: its truth table over
 /// the (sorted, padded-to-4) support, the NPN class, and the transform
 /// with apply_npn(tt, transform) == structure.canonical.
 struct ConeMatch {
@@ -94,7 +132,7 @@ struct ConeMatch {
 };
 
 /// Widest cone the exact backend serves: every function of up to this many
-/// variables has a 16-bit truth table and a pre-enumerated NPN class.
+/// variables has a 16-bit truth table and an entry in the compiled table.
 inline constexpr int kMaxExactSupport = 4;
 
 /// Extract the truth table of `f` when its support has at most
@@ -106,6 +144,11 @@ inline constexpr int kMaxExactSupport = 4;
                                                   const bdd::Bdd& f,
                                                   int max_support = 4);
 
+/// The compiled program for an NPN-canonical class. Never fails: the table
+/// holds every one of the 222 classes. Counted in
+/// ExactSynthesisCache::stats().hits.
+[[nodiscard]] const ExactStructure& exact_structure(std::uint16_t canonical);
+
 /// Replay `s` into `sink` for the cone described by `match`: canonical
 /// input j resolves through the inverse NPN transform to the leaf signal
 /// of the corresponding support variable (complemented as needed), and the
@@ -116,62 +159,26 @@ inline constexpr int kMaxExactSupport = 4;
                                           net::GateSink& sink,
                                           std::span<const net::Signal> leaves);
 
-/// Telemetry of the process-wide class cache.
+/// Lookup counters. `misses` is always 0: the table is compiled in.
 struct ExactCacheStats {
     std::uint64_t hits = 0;
-    std::uint64_t misses = 0;   ///< first-touch materializations
-    int classes_cached = 0;
+    std::uint64_t misses = 0;
 };
 
-/// Process-wide NPN-class structure cache. Thread-safe; the underlying
-/// cost table is enumerated once per process (on the first miss), the
-/// per-class replay programs are materialized lazily under per-shard
-/// mutexes and then shared by every thread for the process lifetime.
+/// Counters-only view of exact_structure() lookups since process start.
+/// The table itself needs no cache; this class remains for callers that
+/// read the counters.
 class ExactSynthesisCache {
 public:
-    /// The singleton shared by all decomposers/jobs/threads.
     [[nodiscard]] static ExactSynthesisCache& instance();
-
-    /// Structure for an NPN-canonical class; `was_hit` (optional) reports
-    /// whether the program was already materialized. Never fails: every
-    /// 16-bit function is reachable in the enumeration grammar.
-    [[nodiscard]] std::shared_ptr<const ExactStructure> lookup(
-        std::uint16_t canonical, bool* was_hit = nullptr);
-
-    /// Persist every materialized class to `path` (versioned binary
-    /// format), via a temp file + atomic rename so a crash mid-save never
-    /// corrupts an existing cache file. Entries are written in canonical
-    /// order, so the bytes are deterministic for a given class set.
-    /// Returns the number of classes written, or -1 on I/O failure.
-    int save_to_file(const std::string& path) const;
-
-    /// Pre-warm from a file written by save_to_file. Tolerant by design:
-    /// a missing file, bad magic, unknown version or truncated payload
-    /// loads nothing (returns 0) instead of failing the run, and every
-    /// entry is re-validated (reference well-formedness + the program
-    /// must evaluate to its claimed class) before being trusted — a
-    /// corrupted structure is skipped, never served. Already-materialized
-    /// classes keep their in-memory program (first insert wins). Returns
-    /// the number of classes actually inserted.
-    int load_from_file(const std::string& path);
-
     [[nodiscard]] ExactCacheStats stats() const;
 
 private:
     ExactSynthesisCache() = default;
-
-    static constexpr std::size_t kShards = 16;
-    struct Shard {
-        mutable std::mutex mutex;
-        std::unordered_map<std::uint16_t, std::shared_ptr<const ExactStructure>> map;
-    };
-    std::array<Shard, kShards> shards_;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
 };
 
-/// Minimal gate count of `tt` in the enumeration grammar (exposed for
-/// tests; forces the one-time cost enumeration on first call).
+/// Minimal tree gate count of `tt` in the enumeration grammar: the table's
+/// tree cost for npn_canonical(tt) (the cost is NPN-invariant).
 [[nodiscard]] int exact_gate_cost(std::uint16_t tt);
 
 }  // namespace bdsmaj::decomp

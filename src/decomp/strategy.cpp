@@ -251,7 +251,7 @@ public:
 };
 
 /// Exact cone strategy: when the support fits in exact_max_support (<= 4)
-/// variables, serve the minimal cached {MAJ,AND,OR,XOR,MUX,NOT} structure
+/// variables, serve the minimal compiled {MAJ,AND,OR,XOR,MUX,NOT} structure
 /// for the cone's NPN class. The DAG-size pre-filter keeps the reject path
 /// O(1): a reduced BDD over 4 variables never exceeds a handful of nodes.
 class ExactSmallConeStrategy final : public DecompStrategy {
@@ -259,7 +259,7 @@ public:
     /// Largest reduced-BDD node count of any function on <= 4 variables
     /// (3 + 2 + 4 + 2 per level, generously rounded up).
     static constexpr std::size_t kMaxSmallConeNodes = 16;
-    /// Profitability margin: serve a cached structure only when its gate
+    /// Profitability margin: serve a table structure only when its gate
     /// count is below |dag(f)| + this margin (more negative = more
     /// conservative, preserving the ladder's cross-cone sharing). -1 is the
     /// measured sweet spot on the MCNC suite.
@@ -276,14 +276,8 @@ public:
         const int max_support = std::min(ctx.params.exact_max_support, kMaxExactSupport);
         std::optional<ConeMatch> match = match_cone(ctx.mgr, ctx.f, max_support);
         if (!match) return std::nullopt;
-        bool was_hit = false;
         Candidate cand;
-        cand.structure = ExactSynthesisCache::instance().lookup(match->canonical, &was_hit);
-        if (was_hit) {
-            ++ctx.stats.npn_cache_hits;
-        } else {
-            ++ctx.stats.npn_cache_misses;
-        }
+        cand.structure = &exact_structure(match->canonical);
         // Profitability gate: an exact structure is a sharing-opaque block
         // (its gates only unify with structurally identical ones), while
         // the ladder's recursion memoizes shared sub-BDDs across the whole

@@ -50,7 +50,7 @@ enum class SelectionMode { kFirstFit, kBestCost };
 
 /// What one strategy proposes for one recursion step: the operator to
 /// emit plus the sub-functions the engine should recurse into (or, for
-/// kExact, a cached replay program that covers the whole cone).
+/// kExact, a table replay program that covers the whole cone).
 struct Candidate {
     StrategyKind source = StrategyKind::kShannonMux;
     enum class Op {
@@ -61,9 +61,9 @@ struct Candidate {
     /// with `mux_var` as the select literal.
     bdd::Bdd a, b, c;
     int mux_var = -1;
-    /// kExact payload: the cone binding and the cached program.
+    /// kExact payload: the cone binding and the compiled table program.
     ConeMatch match;
-    std::shared_ptr<const ExactStructure> structure;
+    const ExactStructure* structure = nullptr;
     /// kSymmetric payload: the cone's support (manager var indices, in
     /// support order) and its ones-count value vector.
     std::vector<int> sym_vars;

@@ -277,7 +277,6 @@ ServiceStats SynthesisService::stats() const {
     const decomp::ExactCacheStats exact = decomp::ExactSynthesisCache::instance().stats();
     s.exact_cache_hits = static_cast<long long>(exact.hits);
     s.exact_cache_misses = static_cast<long long>(exact.misses);
-    s.exact_cache_classes = exact.classes_cached;
     return s;
 }
 

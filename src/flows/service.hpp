@@ -141,9 +141,8 @@ struct ServiceStats {
     long long cone_cache_evictions = 0;
     long long cone_cache_entries = 0;
     long long cone_cache_bytes = 0;
-    long long exact_cache_hits = 0;
-    long long exact_cache_misses = 0;
-    int exact_cache_classes = 0;
+    long long exact_cache_hits = 0;    ///< exact-table lookups
+    long long exact_cache_misses = 0;  ///< always 0: the table is compiled in
 };
 
 struct ServiceParams {

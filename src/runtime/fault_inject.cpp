@@ -27,7 +27,6 @@ const char* fault_site_name(FaultSite site) noexcept {
     switch (site) {
         case FaultSite::kWorkerTaskEntry: return "worker-task-entry";
         case FaultSite::kConeCacheInsert: return "cone-cache-insert";
-        case FaultSite::kExactCacheIo: return "exact-cache-io";
         case FaultSite::kSatSolve: return "sat-solve";
         case FaultSite::kManagerAlloc: return "manager-alloc";
     }

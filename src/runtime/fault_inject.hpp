@@ -13,9 +13,9 @@
 //
 // Sites deliberately sit on both sides of every containment boundary the
 // service claims to have: a worker task entry (the job-level catch-all), a
-// cone-cache insert (shared-state mutation), exact-cache disk IO (torn
-// files), a SAT solve (deep inside a strategy), and BDD manager node
-// allocation (the same throw path as ManagerParams::max_live_nodes).
+// cone-cache insert (shared-state mutation), a SAT solve (deep inside a
+// strategy), and BDD manager node allocation (the same throw path as
+// ManagerParams::max_live_nodes).
 
 #include <atomic>
 #include <chrono>
@@ -28,11 +28,10 @@ namespace bdsmaj::runtime {
 enum class FaultSite : int {
     kWorkerTaskEntry = 0,  ///< SynthesisService::execute, inside the try
     kConeCacheInsert,      ///< decomp::ConeCache::insert
-    kExactCacheIo,         ///< exact-cache disk load/save (incl. the rename)
     kSatSolve,             ///< sat::Solver::solve entry
     kManagerAlloc,         ///< bdd::Manager::make_node fresh allocation
 };
-inline constexpr int kFaultSiteCount = 5;
+inline constexpr int kFaultSiteCount = 4;
 
 /// Stable human-readable site name; appears in InjectedFault::what() so a
 /// failed future names where the fault was planted.

@@ -20,18 +20,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "benchgen/suite.hpp"
-#include "decomp/exact.hpp"
 #include "flows/flows.hpp"
 #include "flows/service.hpp"
 #include "network/blif.hpp"
 #include "runtime/fault_inject.hpp"
-#include "tt/npn.hpp"
 
 namespace bdsmaj {
 namespace {
@@ -68,13 +64,6 @@ std::vector<Network> small_inputs(std::size_t count) {
         if (inputs.size() >= count) break;
     }
     return inputs;
-}
-
-std::string read_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(static_cast<bool>(in)) << path;
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
 }
 
 TEST(FaultInjectorSchedule, IsDeterministicPerSeed) {
@@ -167,7 +156,7 @@ TEST(ChaosService, DeepFaultSeedSweepFulfillsEveryFuture) {
         GTEST_SKIP() << "build with -DBDSMAJ_FAULT_INJECT=ON";
     }
     // Faults planted deep inside the engine — BDD allocation, SAT solves,
-    // cone-cache inserts, exact-cache IO — plus delay jitter, across
+    // cone-cache inserts — plus delay jitter, across
     // several seeds. The unwinding path crosses pooled managers (which
     // must be discarded, not reused) and shared caches (which must never
     // tear); ASan in the chaos CI stage watches the cleanup.
@@ -190,8 +179,7 @@ TEST(ChaosService, DeepFaultSeedSweepFulfillsEveryFuture) {
         plan.skip_first = 200;
         plan.site_mask = site_bit(FaultSite::kManagerAlloc) |
                          site_bit(FaultSite::kSatSolve) |
-                         site_bit(FaultSite::kConeCacheInsert) |
-                         site_bit(FaultSite::kExactCacheIo);
+                         site_bit(FaultSite::kConeCacheInsert);
         ArmGuard guard(plan);
 
         runtime::ThreadPool pool(4);
@@ -301,51 +289,6 @@ TEST(ChaosService, DelayOnlyJitterChangesNothing) {
                   FaultInjector::instance().delayed(FaultSite::kWorkerTaskEntry),
               0u)
         << "the jitter plan never fired — the test proved nothing";
-}
-
-TEST(ChaosExactCache, LostRenameLeavesDestinationUntouchedAndTmpComplete) {
-    if (!runtime::fault_injection_compiled()) {
-        GTEST_SKIP() << "build with -DBDSMAJ_FAULT_INJECT=ON";
-    }
-    decomp::ExactSynthesisCache& cache = decomp::ExactSynthesisCache::instance();
-    // Materialize something worth saving.
-    ASSERT_NE(cache.lookup(tt::npn_canonical(0x6996)), nullptr);
-
-    const std::string path = testing::TempDir() + "chaos_exact_cache.bin";
-    const std::string tmp = path + ".tmp";
-    std::remove(path.c_str());
-    std::remove(tmp.c_str());
-    {
-        FaultPlan plan;
-        plan.throw_rate = 1.0;
-        plan.site_mask = site_bit(FaultSite::kExactCacheIo);
-        ArmGuard guard(plan);
-        // The "crash between write and rename" window: the save dies after
-        // the tmp file is complete but before the rename lands.
-        EXPECT_THROW((void)cache.save_to_file(path), runtime::InjectedFault);
-    }
-    // Destination never appeared — a reader can't observe a torn file.
-    EXPECT_FALSE(static_cast<bool>(std::ifstream(path, std::ios::binary)));
-    // The orphaned tmp is a complete, valid image: byte-identical to what
-    // an unfaulted save then produces.
-    const std::string tmp_bytes = read_file(tmp);
-    ASSERT_FALSE(tmp_bytes.empty());
-    EXPECT_GT(cache.save_to_file(path), 0);
-    EXPECT_EQ(read_file(path), tmp_bytes);
-
-    {
-        // A load-time IO fault costs the warm start only; nothing crashes
-        // and the cache is untouched.
-        FaultPlan plan;
-        plan.throw_rate = 1.0;
-        plan.site_mask = site_bit(FaultSite::kExactCacheIo);
-        ArmGuard guard(plan);
-        EXPECT_THROW((void)cache.load_from_file(path), runtime::InjectedFault);
-    }
-    // Unfaulted, the same file parses fine (0 inserts: already warm).
-    EXPECT_EQ(cache.load_from_file(path), 0);
-    std::remove(path.c_str());
-    std::remove(tmp.c_str());
 }
 
 TEST(ChaosService, ServiceStaysUsableAfterAChaosEpisode) {

@@ -1,13 +1,12 @@
-// Exact small-cone synthesis backend: the one-time cost enumeration, the
-// NPN-class structure cache, and the de-canonicalizing replay into a
-// GateSink.
+// Exact small-cone synthesis backend: the compiled NPN-class table, its
+// tree costs, and the de-canonicalizing replay into a GateSink.
 
 #include "decomp/exact.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
-#include <thread>
 #include <vector>
 
 #include "network/builder.hpp"
@@ -34,7 +33,7 @@ TEST(Exact, CostsAreSaneOverAllFunctions) {
     EXPECT_EQ(exact_gate_cost(0xaaaa & 0xcccc), 1);  // x0 & x1
     EXPECT_EQ(exact_gate_cost(0xaaaa ^ 0xcccc ^ 0xf0f0 ^ 0xff00), 3);  // parity
     int max_cost = 0;
-    for (int f = 0; f < 0x10000; ++f) {
+    for (int f = 0; f < 0x8000; ++f) {
         const int c = exact_gate_cost(static_cast<std::uint16_t>(f));
         ASSERT_GE(c, 0);
         max_cost = std::max(max_cost, c);
@@ -45,7 +44,6 @@ TEST(Exact, CostsAreSaneOverAllFunctions) {
 }
 
 TEST(Exact, EveryNpnClassStructureComputesItsClass) {
-    ExactSynthesisCache& cache = ExactSynthesisCache::instance();
     std::vector<bool> seen(65536, false);
     int classes = 0;
     for (int f = 0; f < 0x10000; ++f) {
@@ -53,41 +51,63 @@ TEST(Exact, EveryNpnClassStructureComputesItsClass) {
         if (seen[cls]) continue;
         seen[cls] = true;
         ++classes;
-        const auto s = cache.lookup(cls);
-        ASSERT_NE(s, nullptr);
-        ASSERT_EQ(s->eval_tt(), cls) << "class " << cls;
+        const ExactStructure& s = exact_structure(cls);
+        ASSERT_EQ(s.canonical, cls);
+        ASSERT_EQ(s.eval_tt(), cls) << "class " << cls;
         // Reconstruction dedups shared sub-functions into a DAG, so the
         // program never exceeds — and sometimes beats — the tree cost.
-        ASSERT_LE(s->gate_count(), exact_gate_cost(cls));
+        ASSERT_LE(s.gate_count(), exact_gate_cost(cls));
     }
     EXPECT_EQ(classes, tt::npn_class_count());
-    EXPECT_GE(cache.stats().classes_cached, classes);
 }
 
-TEST(Exact, CachedLookupsAreHitsAndReturnTheSameProgram) {
-    ExactSynthesisCache& cache = ExactSynthesisCache::instance();
-    const std::uint16_t cls = tt::npn_canonical(0x1ee1);
-    bool hit1 = false;
-    const auto first = cache.lookup(cls, &hit1);
-    bool hit2 = false;
-    const auto second = cache.lookup(cls, &hit2);
-    EXPECT_TRUE(hit2) << "second lookup must hit";
-    EXPECT_EQ(first.get(), second.get()) << "hits share the published program";
-}
-
-TEST(Exact, ConcurrentLookupsShareOneCache) {
-    ExactSynthesisCache& cache = ExactSynthesisCache::instance();
-    std::vector<std::thread> threads;
-    std::vector<const ExactStructure*> got(8, nullptr);
-    const std::uint16_t cls = tt::npn_canonical(0x6996);
-    for (int t = 0; t < 8; ++t) {
-        threads.emplace_back([&cache, &got, t, cls] {
-            got[static_cast<std::size_t>(t)] = cache.lookup(cls).get();
-        });
+/// Evaluates emitted gates as 16-bit truth tables over four leaves, whose
+/// truth tables use match_cone's minterm order (bit m: input i is bit i
+/// of m).
+class TruthTableSink final : public net::GateSink {
+public:
+    [[nodiscard]] static Signal leaf(int v) {
+        return Signal{static_cast<net::NodeId>(1 + v), false};
     }
-    for (std::thread& t : threads) t.join();
-    for (int t = 1; t < 8; ++t) {
-        EXPECT_EQ(got[0], got[static_cast<std::size_t>(t)]);
+    [[nodiscard]] std::uint16_t tt(Signal s) const {
+        const std::uint16_t t = tts_[s.node];
+        return s.complemented ? static_cast<std::uint16_t>(~t) : t;
+    }
+    Signal constant(bool value) override { return Signal{0, value}; }
+    Signal build_and(Signal a, Signal b) override { return add(tt(a) & tt(b)); }
+    Signal build_or(Signal a, Signal b) override { return add(tt(a) | tt(b)); }
+    Signal build_xor(Signal a, Signal b) override { return add(tt(a) ^ tt(b)); }
+    Signal build_maj(Signal a, Signal b, Signal c) override {
+        return add((tt(a) & tt(b)) | (tt(a) & tt(c)) | (tt(b) & tt(c)));
+    }
+    Signal build_mux(Signal s, Signal t, Signal e) override {
+        return add((tt(s) & tt(t)) | (~tt(s) & tt(e)));
+    }
+
+private:
+    Signal add(int t) {
+        tts_.push_back(static_cast<std::uint16_t>(t));
+        return Signal{static_cast<net::NodeId>(tts_.size() - 1), false};
+    }
+    std::vector<std::uint16_t> tts_ = {0x0000, 0xaaaa, 0xcccc, 0xf0f0, 0xff00};
+};
+
+TEST(Exact, EmitReproducesEveryFourInputFunction) {
+    // Every 4-input function, bound to leaves 0..3 through its own NPN
+    // transform: the table must hold its class, and the emitted gates must
+    // compute exactly f.
+    const std::array<Signal, 4> leaves = {TruthTableSink::leaf(0), TruthTableSink::leaf(1),
+                                          TruthTableSink::leaf(2), TruthTableSink::leaf(3)};
+    for (int f = 0; f < 0x10000; ++f) {
+        ConeMatch match;
+        match.tt = static_cast<std::uint16_t>(f);
+        match.canonical = tt::npn_canonical(match.tt, &match.transform);
+        match.support = {0, 1, 2, 3};
+        match.support_size = 4;
+        TruthTableSink sink;
+        const Signal root =
+            emit_exact_cone(match, exact_structure(match.canonical), sink, leaves);
+        ASSERT_EQ(sink.tt(root), match.tt) << "f = " << f;
     }
 }
 
@@ -125,9 +145,9 @@ TEST(Exact, MatchAndEmitReproducesTheConeFunction) {
         for (int i = 0; i < 7; ++i) {
             leaves.push_back(Signal{network.add_input("x" + std::to_string(i)), false});
         }
-        const auto structure = ExactSynthesisCache::instance().lookup(match->canonical);
+        const ExactStructure& structure = exact_structure(match->canonical);
         const Signal root =
-            emit_exact_cone(*match, *structure, builder, leaves);
+            emit_exact_cone(*match, structure, builder, leaves);
         network.add_output("f", builder.realize(root));
 
         const tt::TruthTable expected = mgr.to_truth_table(f, 7);
@@ -157,9 +177,9 @@ TEST(Exact, SmallSupportFunctionsMatchToo) {
     for (int i = 0; i < 5; ++i) {
         leaves.push_back(Signal{network.add_input("x" + std::to_string(i)), false});
     }
-    const auto structure = ExactSynthesisCache::instance().lookup(match->canonical);
-    EXPECT_EQ(structure->gate_count(), 1) << "a 2-input XOR is one gate";
-    const Signal root = emit_exact_cone(*match, *structure, builder, leaves);
+    const ExactStructure& structure = exact_structure(match->canonical);
+    EXPECT_EQ(structure.gate_count(), 1) << "a 2-input XOR is one gate";
+    const Signal root = emit_exact_cone(*match, structure, builder, leaves);
     network.add_output("f", builder.realize(root));
     for (std::uint64_t m = 0; m < 32; ++m) {
         std::vector<bool> input;
@@ -188,7 +208,7 @@ TEST(Exact, TapeReplayEqualsDirectEmission) {
         const Bdd f = bdd_of_tt(mgr, tt16, {0, 1, 2, 3});
         const std::optional<ConeMatch> match = match_cone(mgr, f);
         ASSERT_TRUE(match.has_value());
-        const auto structure = ExactSynthesisCache::instance().lookup(match->canonical);
+        const ExactStructure& structure = exact_structure(match->canonical);
 
         net::Network direct_net;
         net::HashedNetworkBuilder direct(direct_net);
@@ -198,12 +218,12 @@ TEST(Exact, TapeReplayEqualsDirectEmission) {
                 Signal{direct_net.add_input("x" + std::to_string(i)), false});
         }
         direct_net.add_output("f", direct.realize(emit_exact_cone(
-                                       *match, *structure, direct, direct_leaves)));
+                                       *match, structure, direct, direct_leaves)));
 
         net::GateTape tape(4);
         std::vector<Signal> tape_leaves;
         for (int i = 0; i < 4; ++i) tape_leaves.push_back(tape.leaf(i));
-        tape.set_root(emit_exact_cone(*match, *structure, tape, tape_leaves));
+        tape.set_root(emit_exact_cone(*match, structure, tape, tape_leaves));
         net::Network replay_net;
         net::HashedNetworkBuilder replay(replay_net);
         std::vector<Signal> replay_leaves;

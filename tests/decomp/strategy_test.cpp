@@ -2,8 +2,8 @@
 // to the pre-framework ladder (golden fingerprints captured from the
 // monolithic engine before the refactor), every preset passes the BDD
 // equivalence oracle on the MCNC suite, the exact-aggressive preset
-// strictly reduces mapped gate count, the NPN cache hit path equals the
-// enumeration path, and per-strategy step counts sum to total steps.
+// strictly reduces mapped gate count, two identical exact-aggressive runs
+// emit the same bytes, and per-strategy step counts sum to total steps.
 
 #include "decomp/strategy.hpp"
 
@@ -185,17 +185,15 @@ TEST(Strategy, ExactAggressiveStrictlyReducesMappedGates) {
         exact_stats += exact.engine_stats;
     }
     EXPECT_LT(exact_gates, paper_gates);
-    EXPECT_GT(exact_stats.exact_steps, 0);
-    EXPECT_GT(exact_stats.npn_cache_hits + exact_stats.npn_cache_misses, 0)
-        << "cache activity must be reported in EngineStats";
+    EXPECT_GT(exact_stats.exact_steps, 0)
+        << "exact-table activity must be reported in EngineStats";
 }
 
 TEST(Strategy, NpnCacheHitPathEqualsEnumerationPath) {
-    // Two identical runs: whatever mix of misses (first touch) and hits
-    // (cache already warm) each run sees, the emitted networks must be
-    // byte-identical — the cached program IS the enumerated program.
-    // The cone cache must be off here: with it on, the second run would
-    // replay cached tapes and never touch the NPN cache at all.
+    // Two identical runs must emit byte-identical networks: the exact
+    // tier's answer depends only on the cone's NPN class. The cone cache
+    // must be off here: with it on, the second run would replay cached
+    // tapes and never reach the exact table at all.
     const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
     const auto run_uncached = [&input](const std::string& preset) {
         DecompFlowParams params;
@@ -207,11 +205,6 @@ TEST(Strategy, NpnCacheHitPathEqualsEnumerationPath) {
     const DecompFlowResult second = run_uncached("exact-aggressive");
     EXPECT_EQ(net::write_blif(first.network), net::write_blif(second.network));
     EXPECT_EQ(first.engine_stats.exact_steps, second.engine_stats.exact_steps);
-    // The second run touches only classes the first already materialized.
-    EXPECT_EQ(second.engine_stats.npn_cache_misses, 0);
-    EXPECT_EQ(second.engine_stats.npn_cache_hits,
-              first.engine_stats.npn_cache_hits +
-                  first.engine_stats.npn_cache_misses);
 }
 
 TEST(Strategy, PerStrategyStepsSumToTotalSteps) {

@@ -23,10 +23,6 @@
 //                                 replay cached tapes instead of being
 //                                 re-decomposed — results are identical
 //   --no-cone-cache               disable cone memoization entirely
-//   --exact-cache FILE            warm-start the exact-synthesis NPN cache
-//                                 from FILE at startup (tolerant: a missing
-//                                 or corrupt file loads nothing) and save
-//                                 the materialized classes back on exit
 //   --help / -h                   the full option reference on stdout
 //   --quick                       reduced widths for @benchmarks
 //   --verify                      equivalence-check outputs (default on)
@@ -80,7 +76,6 @@
 
 #include "benchgen/suite.hpp"
 #include "decomp/cone_cache.hpp"
-#include "decomp/exact.hpp"
 #include "decomp/strategy.hpp"
 #include "flows/flows.hpp"
 #include "flows/service.hpp"
@@ -114,7 +109,6 @@ struct Options {
     int pool = 0;
     int max_jobs = 0;
     int cone_cache_mb = -1;  ///< -1 = keep the library default (64 MiB)
-    std::optional<std::string> exact_cache_path;
     /// --deadline-ms / --soft-budget-ms (<= 0 = off). Each run turns them
     /// into absolute instants as it starts (see armed()).
     double deadline_after_ms = 0.0;
@@ -186,12 +180,6 @@ void print_help(std::FILE* to) {
         "  --sift-max-vars N            sift at most N variables per pass\n"
         "  --k-local F / --k-global F   majority selection sizing factors\n"
         "  --iterations N               balancing iteration limit\n"
-        "\n"
-        "exact synthesis (the exact-* presets):\n"
-        "  --exact-cache FILE           warm-start the exact-synthesis cache from\n"
-        "                               FILE at startup (tolerant: a missing or\n"
-        "                               corrupt file loads nothing) and save the\n"
-        "                               materialized classes back on exit\n"
         "\n"
         "caching:\n"
         "  --cone-cache-mb N            memory budget of the process-wide cone\n"
@@ -284,10 +272,6 @@ void print_result(const net::Network& input, const flows::SynthesisResult& resul
                         e.steps_for(decomp::StrategyKind::kGeneralizedXor),
                         e.steps_for(decomp::StrategyKind::kShannonMux),
                         e.total_steps(), e.literal_leaves);
-            if (e.npn_cache_hits + e.npn_cache_misses > 0) {
-                std::printf("  npn cache: hits=%lld misses=%lld\n", e.npn_cache_hits,
-                            e.npn_cache_misses);
-            }
             // Reordering effort across the supernode managers.
             if (e.sift_swaps + e.sift_fast_swaps + e.sift_lb_aborts > 0) {
                 std::printf("  reorder: swaps=%lld fast-swaps=%lld lb-aborts=%lld "
@@ -334,39 +318,13 @@ void print_result(const net::Network& input, const flows::SynthesisResult& resul
                 result.equivalence ? " [verified]" : "");
 }
 
-/// Process-wide memoization summary (cone tape cache + exact NPN cache),
-/// shared by the single and batch paths.
+/// Process-wide cone tape cache summary, shared by the single and batch
+/// paths.
 void print_cache_summary() {
     const decomp::ConeCacheStats cone = decomp::ConeCache::instance().stats();
-    const decomp::ExactCacheStats exact = decomp::ExactSynthesisCache::instance().stats();
     std::printf("caches: cone hits=%lld misses=%lld evictions=%lld entries=%lld "
-                "bytes=%lld | exact hits=%llu misses=%llu classes=%d\n",
-                cone.hits, cone.misses, cone.evictions, cone.entries, cone.bytes,
-                static_cast<unsigned long long>(exact.hits),
-                static_cast<unsigned long long>(exact.misses), exact.classes_cached);
-}
-
-/// --exact-cache startup warm-load; tolerant of a missing/corrupt file.
-void load_exact_cache(const Options& opt) {
-    if (!opt.exact_cache_path) return;
-    const int n = decomp::ExactSynthesisCache::instance().load_from_file(*opt.exact_cache_path);
-    if (!opt.quiet && n > 0) {
-        std::printf("exact cache: loaded %d classes from %s\n", n,
-                    opt.exact_cache_path->c_str());
-    }
-}
-
-/// --exact-cache exit save (atomic rename; best-effort).
-void save_exact_cache(const Options& opt) {
-    if (!opt.exact_cache_path) return;
-    const int n = decomp::ExactSynthesisCache::instance().save_to_file(*opt.exact_cache_path);
-    if (n < 0) {
-        std::fprintf(stderr, "warning: could not save exact cache to %s\n",
-                     opt.exact_cache_path->c_str());
-    } else if (!opt.quiet) {
-        std::printf("exact cache: saved %d classes to %s\n", n,
-                    opt.exact_cache_path->c_str());
-    }
+                "bytes=%lld\n",
+                cone.hits, cone.misses, cone.evictions, cone.entries, cone.bytes);
 }
 
 /// Batch service mode: every input becomes one async job on the shared
@@ -516,8 +474,6 @@ int main(int argc, char** argv) {
             if (!value(opt.cone_cache_mb, kNonNegative)) return 2;
         } else if (arg == "--no-cone-cache") {
             job.cone_cache = false;
-        } else if (arg == "--exact-cache") {
-            if (!value(opt.exact_cache_path)) return 2;
         } else if (arg == "--deadline-ms") {
             if (!value(opt.deadline_after_ms)) return 2;
         } else if (arg == "--soft-budget-ms") {
@@ -596,12 +552,7 @@ int main(int argc, char** argv) {
             static_cast<std::size_t>(opt.cone_cache_mb) << 20);
     }
     if (opt.pool > 0) runtime::configure_global_pool(opt.pool);
-    load_exact_cache(opt);
-    if (batch) {
-        const int rc = run_batch(opt);
-        save_exact_cache(opt);
-        return rc;
-    }
+    if (batch) return run_batch(opt);
 
     net::Network input;
     try {
@@ -635,6 +586,5 @@ int main(int argc, char** argv) {
 
     if (opt.out) net::write_blif_file(result.optimized, *opt.out);
     if (opt.map_out) net::write_blif_file(result.mapped.netlist, *opt.map_out);
-    save_exact_cache(opt);
     return 0;
 }
