@@ -5,6 +5,7 @@
 
 #include "aig/convert.hpp"
 #include "aig/opt.hpp"
+#include "mapping/certify.hpp"
 #include "network/cleanup.hpp"
 #include "runtime/scheduler.hpp"
 
@@ -35,24 +36,41 @@ void checkpoint(const FlowOptions& options) {
 }  // namespace
 
 void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
-                             net::EquivEngine oracle) {
+                             const FlowOptions& options) {
     const auto start = Clock::now();
     net::CecParams cec;
-    cec.engine = oracle;
-    for (const net::Network* stage :
-         {&result.optimized, &result.mapped.netlist}) {
+    cec.engine = options.oracle;
+    SignOffStats& so = result.signoff;
+    const auto prove = [&](const net::Network& stage, double& stage_seconds) {
+        checkpoint(options);
+        const auto stage_start = Clock::now();
         net::CecStats stats;
-        net::EquivalenceResult eq = net::check_equivalent(input, *stage, cec, &stats);
-        result.signoff.cec += stats;
-        if (eq.engine == net::EquivEngine::kBdd) ++result.signoff.bdd_checks;
-        if (eq.engine == net::EquivEngine::kSat) ++result.signoff.sat_checks;
+        net::EquivalenceResult eq = net::check_equivalent(input, stage, cec, &stats);
+        stage_seconds += seconds_since(stage_start);
+        so.cec += stats;
+        if (eq.engine == net::EquivEngine::kBdd) ++so.bdd_checks;
+        if (eq.engine == net::EquivEngine::kSat) ++so.sat_checks;
         if (!eq.equivalent) {
             throw std::runtime_error(
                 result.flow_name + ": verification failed (engine " +
                 net::equiv_engine_name(eq.engine) + "): " + eq.reason);
         }
         result.equivalence = std::move(eq);
+    };
+    prove(result.optimized, so.optimized_check_seconds);
+    // input == optimized is proven; under kAuto a complete certificate
+    // extends that proof to the mapped netlist.
+    bool mapped_proven = false;
+    if (options.oracle == net::EquivEngine::kAuto) {
+        const auto stage_start = Clock::now();
+        const mapping::MappingCertificate cert =
+            mapping::certify_mapping(result.optimized, result.mapped);
+        so.mapped_check_seconds += seconds_since(stage_start);
+        so.certified_nodes += cert.certified_nodes;
+        mapped_proven = cert.complete();
+        if (!mapped_proven) ++so.certificate_fallbacks;
     }
+    if (!mapped_proven) prove(result.mapped.netlist, so.mapped_check_seconds);
     result.verify_seconds = seconds_since(start);
 }
 
@@ -86,7 +104,7 @@ SynthesisResult from_decomposition(std::string name, const net::Network& input,
     result.optimized_stats = result.optimized.stats();
     result.optimize_seconds = seconds_since(start);
     result.mapped = mapping::map_network(result.optimized, default_library());
-    if (options.verify) verify_synthesis_result(input, result, options.oracle);
+    if (options.verify) verify_synthesis_result(input, result, options);
     return result;
 }
 
@@ -145,9 +163,8 @@ std::vector<SynthesisResult> run_all_flows(const net::Network& input,
     if (options.verify) {
         // The BDS flows signed off inside from_decomposition; ABC and DC
         // take no options, so their sign-off happens here.
-        verify_synthesis_result(input, out[2], options.oracle);
-        checkpoint(options);
-        verify_synthesis_result(input, out[3], options.oracle);
+        verify_synthesis_result(input, out[2], options);
+        verify_synthesis_result(input, out[3], options);
     }
     return out;
 }
@@ -167,7 +184,7 @@ std::vector<SynthesisResult> run_flow(const net::Network& input, const std::stri
     }
     // ABC/DC take no options, so their sign-off happens here (the BDS
     // flows sign off in from_decomposition, "all" in run_all_flows).
-    if (options.verify) verify_synthesis_result(input, result, options.oracle);
+    if (options.verify) verify_synthesis_result(input, result, options);
     return {std::move(result)};
 }
 

@@ -79,23 +79,38 @@ struct FlowOptions {
     /// Degrade-ladder preset names (DecompFlowParams::degrade_ladder);
     /// empty = {"paper", "shannon"}.
     std::vector<std::string> degrade_ladder;
-    /// Equivalence engine for the sign-off below.
+    /// Equivalence engine for the sign-off below. kAuto proves the mapped
+    /// netlist with the local mapping certificate (mapping/certify.hpp)
+    /// and runs a second global check only if that is inconclusive;
+    /// kBdd/kSat always run both global checks.
     net::EquivEngine oracle = net::EquivEngine::kAuto;
     /// Verify each flow's optimized network AND mapped netlist against the
     /// input before returning (all four flows, not just BDS). The mapped
     /// verdict lands in SynthesisResult::equivalence; an inequivalent
     /// result throws std::runtime_error with the counterexample. Exact at
-    /// any input width for every engine but kSim.
+    /// any input width for every engine but kSim. The sign-off obeys
+    /// `cancel` and `deadline` before each global check.
     bool verify = false;
 };
 
-/// What the sign-off did: how many of its checks each engine proved, and
-/// the SAT oracle's counters summed over them. All zero when no sign-off
-/// ran.
+/// What the sign-off did: how many of its global checks each engine
+/// proved, the SAT oracle's counters summed over them, what the mapping
+/// certificate proved, and the time of each stage. All zero when no
+/// sign-off ran.
 struct SignOffStats {
     int bdd_checks = 0;
     int sat_checks = 0;
     net::CecStats cec;
+    /// Optimized-network nodes the mapping certificate proved.
+    int certified_nodes = 0;
+    /// Certificates that were inconclusive, so the mapped netlist went to
+    /// the global check instead.
+    int certificate_fallbacks = 0;
+    /// Wall time of the input <-> optimized check.
+    double optimized_check_seconds = 0.0;
+    /// Wall time of the mapped check: the certificate plus any global
+    /// fallback.
+    double mapped_check_seconds = 0.0;
 };
 
 struct SynthesisResult {
@@ -106,8 +121,10 @@ struct SynthesisResult {
     double optimize_seconds = 0.0;
     decomp::EngineStats engine_stats;  ///< BDS flows only
     /// Oracle verdict for input vs mapped netlist when FlowOptions::verify
-    /// was set (always `equivalent`, or the flow would have thrown);
-    /// `verify_seconds` is the total sign-off time (both checks).
+    /// was set (always `equivalent`, or the flow would have thrown). When
+    /// the mapping certificate proved the netlist, this is the verdict of
+    /// the input <-> optimized check it extends. `verify_seconds` is the
+    /// total sign-off time (both checks).
     std::optional<net::EquivalenceResult> equivalence;
     double verify_seconds = 0.0;
     SignOffStats signoff;  ///< both checks of the sign-off
@@ -117,12 +134,16 @@ struct SynthesisResult {
 [[nodiscard]] const mapping::CellLibrary& default_library();
 
 /// The sign-off behind FlowOptions::verify, exposed for callers that run
-/// flow_abc/flow_dc directly: verifies `result.optimized` and `result.mapped.netlist` against
-/// `input` with the chosen oracle, throws std::runtime_error carrying the
-/// counterexample on mismatch, and records the mapped verdict, the
-/// sign-off wall time and its SignOffStats in the result.
+/// flow_abc/flow_dc directly: verifies `result.optimized` and
+/// `result.mapped.netlist` against `input` with `options.oracle`, throws
+/// std::runtime_error carrying the counterexample on mismatch, and records
+/// the mapped verdict, the sign-off wall time and its SignOffStats in the
+/// result. Before each global check it stops with decomp::FlowCancelled or
+/// decomp::DeadlineExceeded if `options.cancel` is set or
+/// `options.deadline` has passed, so a result is never returned
+/// unverified.
 void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
-                             net::EquivEngine oracle = net::EquivEngine::kAuto);
+                             const FlowOptions& options = {});
 
 /// Flow-name decoration for non-default presets ("BDS-MAJ" ->
 /// "BDS-MAJ(exact-aggressive)"); shared by the flows and the CLI so the

@@ -124,6 +124,11 @@ public:
         return cell3(GateKind::kMaj, a, b, c);
     }
 
+    /// Every complement realize() created, as (node, complement) pairs.
+    [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> complements() const {
+        return {inverter_cache_.begin(), inverter_cache_.end()};
+    }
+
 private:
     Sig hashed(GateKind kind, std::vector<NodeId> fanins) {
         const auto key = std::make_pair(kind, fanins);
@@ -142,7 +147,10 @@ private:
 
 MappedResult map_network(const Network& network, const CellLibrary& lib) {
     // Normalize: covers become gates, MUXes expand, constants fold.
-    const Network prepared = net::cleanup(net::factor_network(network));
+    std::vector<NodeId> factored;
+    std::vector<net::Signal> cleaned;
+    const Network prepared =
+        net::cleanup(net::factor_network(network, &factored), &cleaned);
 
     Network netlist(network.model_name() + "_mapped");
     NetlistBuilder builder(netlist);
@@ -181,7 +189,18 @@ MappedResult map_network(const Network& network, const CellLibrary& lib) {
     for (const net::OutputPort& po : prepared.outputs()) {
         netlist.add_output(po.name, builder.realize(sig[po.driver]));
     }
-    return evaluate_netlist(std::move(netlist), lib);
+    MappedResult result = evaluate_netlist(std::move(netlist), lib);
+    // Compose network -> factored -> prepared -> netlist.
+    result.node_map.resize(network.node_count());
+    for (NodeId id = 0; id < network.node_count(); ++id) {
+        if (factored[id] == net::kNoNode) continue;
+        const net::Signal c = cleaned[factored[id]];
+        if (c.node == net::kNoNode || sig[c.node].node == net::kNoNode) continue;
+        const NetlistBuilder::Sig m = sig[c.node];
+        result.node_map[id] = net::Signal{m.node, m.complemented != c.complemented};
+    }
+    result.complements = builder.complements();
+    return result;
 }
 
 MappedResult evaluate_netlist(Network netlist, const CellLibrary& lib) {

@@ -13,7 +13,12 @@
 //
 // The mapped netlist is a Network restricted to library gate kinds (plus
 // inputs/constants), so simulation-based equivalence against the source
-// network works unchanged.
+// network works unchanged. map_network also returns where each source node
+// landed, which is what the local mapping certificate (mapping/certify.hpp)
+// checks instead of a second global equivalence proof.
+
+#include <utility>
+#include <vector>
 
 #include "mapping/library.hpp"
 #include "network/network.hpp"
@@ -25,6 +30,15 @@ struct MappedResult {
     double area_um2 = 0.0;
     int gate_count = 0;
     double delay_ns = 0.0;
+    /// For each node of the network given to map_network: the netlist node
+    /// computing it and whether that node carries its complement (node
+    /// kNoNode when it lies outside every output cone). Empty from
+    /// evaluate_netlist.
+    std::vector<net::Signal> node_map;
+    /// Complements the mapper materialized, as (node, complement) pairs: an
+    /// INV over the node, the dual XOR/XNOR cell over the same pins, or the
+    /// other constant.
+    std::vector<std::pair<net::NodeId, net::NodeId>> complements;
 };
 
 /// Map `network` (any mix of structured gates and SOP nodes) onto `lib`.

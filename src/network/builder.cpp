@@ -40,6 +40,11 @@ NodeId HashedNetworkBuilder::realize(Signal s) {
     return it->second;
 }
 
+NodeId HashedNetworkBuilder::realized_complement(NodeId node) const {
+    const auto it = inverter_cache_.find(node);
+    return it == inverter_cache_.end() ? kNoNode : it->second;
+}
+
 Signal HashedNetworkBuilder::hashed_gate(GateKind kind, std::vector<NodeId> fanins) {
     if (kind == GateKind::kAnd || kind == GateKind::kOr || kind == GateKind::kXor ||
         kind == GateKind::kXnor || kind == GateKind::kNand || kind == GateKind::kNor ||

@@ -43,6 +43,8 @@ public:
 
     /// Materialize the polarity: emits (and caches) a NOT gate if needed.
     NodeId realize(Signal s);
+    /// The node realize() emitted for the complement of `node`, or kNoNode.
+    [[nodiscard]] NodeId realized_complement(NodeId node) const;
 
 private:
     Signal hashed_gate(GateKind kind, std::vector<NodeId> fanins);

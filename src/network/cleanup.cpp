@@ -17,11 +17,21 @@ public:
     explicit Rebuilder(const Network& in)
         : in_(in), out_(in.model_name()), builder_(out_) {}
 
-    Network run() {
+    Network run(std::vector<Signal>* node_map) {
         map_.assign(in_.node_count(), Signal{});
         for (const NodeId id : in_.topo_order()) visit(id);
         for (const OutputPort& po : in_.outputs()) {
             out_.add_output(po.name, builder_.realize(map_[po.driver]));
+        }
+        if (node_map != nullptr) {
+            // Prefer a materialized complement: when an XNOR is realized as
+            // the dual of an XOR, the output cones may keep only the dual.
+            for (Signal& s : map_) {
+                const NodeId comp =
+                    s.complemented ? builder_.realized_complement(s.node) : kNoNode;
+                if (comp != kNoNode) s = Signal{comp, false};
+            }
+            *node_map = std::move(map_);
         }
         return std::move(out_);
     }
@@ -116,8 +126,8 @@ private:
 
 }  // namespace
 
-Network cleanup(const Network& in) {
-    return Rebuilder(in).run();
+Network cleanup(const Network& in, std::vector<Signal>* node_map) {
+    return Rebuilder(in).run(node_map);
 }
 
 }  // namespace bdsmaj::net

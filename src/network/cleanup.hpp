@@ -9,6 +9,10 @@
 namespace bdsmaj::net {
 
 /// Rebuild the network applying local simplification rules until none fire.
-[[nodiscard]] Network cleanup(const Network& in);
+/// When `node_map` is given it receives, for each node of `in`, the signal
+/// of the result that computes it, complement included (a default Signal,
+/// node kNoNode, for nodes outside every output cone).
+[[nodiscard]] Network cleanup(const Network& in,
+                              std::vector<Signal>* node_map = nullptr);
 
 }  // namespace bdsmaj::net

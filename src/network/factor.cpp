@@ -69,7 +69,7 @@ NodeId synthesize_sop(Network& net, const std::vector<NodeId>& fanins, const Sop
         [&](bool value) { return net.add_constant(value); });
 }
 
-Network factor_network(const Network& in) {
+Network factor_network(const Network& in, std::vector<NodeId>* node_map) {
     Network out(in.model_name());
     std::vector<NodeId> map(in.node_count(), kNoNode);
     for (const NodeId id : in.topo_order()) {
@@ -92,6 +92,7 @@ Network factor_network(const Network& in) {
     for (const OutputPort& po : in.outputs()) {
         out.add_output(po.name, map[po.driver]);
     }
+    if (node_map != nullptr) *node_map = std::move(map);
     return out;
 }
 

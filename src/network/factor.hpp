@@ -109,7 +109,10 @@ auto factor_generic(std::vector<Cube> cubes, const MakeLit& make_lit,
 NodeId synthesize_sop(Network& net, const std::vector<NodeId>& fanins, const Sop& sop);
 
 /// Replace every SOP node of `in` with factored gates; structured gates
-/// pass through unchanged.
-[[nodiscard]] Network factor_network(const Network& in);
+/// pass through unchanged. When `node_map` is given it receives, for each
+/// node of `in`, the node of the result that computes it (kNoNode for
+/// nodes outside every output cone).
+[[nodiscard]] Network factor_network(const Network& in,
+                                     std::vector<NodeId>* node_map = nullptr);
 
 }  // namespace bdsmaj::net

@@ -90,32 +90,9 @@ void simulate_words_into(const Network& network, const std::vector<NodeId>& orde
     }
     for (const NodeId id : order) {
         const Node& n = network.node(id);
-        const auto in = [&](std::size_t k) { return value[n.fanins[k]]; };
-        switch (n.kind) {
-            case GateKind::kInput: break;
-            case GateKind::kConst0: value[id] = 0; break;
-            case GateKind::kConst1: value[id] = ~std::uint64_t{0}; break;
-            case GateKind::kBuf: value[id] = in(0); break;
-            case GateKind::kNot: value[id] = ~in(0); break;
-            case GateKind::kAnd: value[id] = in(0) & in(1); break;
-            case GateKind::kOr: value[id] = in(0) | in(1); break;
-            case GateKind::kNand: value[id] = ~(in(0) & in(1)); break;
-            case GateKind::kNor: value[id] = ~(in(0) | in(1)); break;
-            case GateKind::kXor: value[id] = in(0) ^ in(1); break;
-            case GateKind::kXnor: value[id] = ~(in(0) ^ in(1)); break;
-            case GateKind::kMaj:
-                value[id] = (in(0) & in(1)) | (in(1) & in(2)) | (in(0) & in(2));
-                break;
-            case GateKind::kMux:
-                value[id] = (in(0) & in(1)) | (~in(0) & in(2));
-                break;
-            case GateKind::kSop: {
-                fanin_words.clear();
-                for (const NodeId f : n.fanins) fanin_words.push_back(value[f]);
-                value[id] = n.sop.eval_words(fanin_words);
-                break;
-            }
-        }
+        if (n.kind == GateKind::kInput) continue;
+        value[id] = eval_node_word(
+            n, [&](std::size_t k) { return value[n.fanins[k]]; }, fanin_words);
     }
 }
 

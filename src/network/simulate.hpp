@@ -53,6 +53,35 @@ template <typename FaninFn>
     return terms.empty() ? mgr.zero() : std::move(terms[0]);
 }
 
+/// One node's 64-pattern word from its fanins' words (`in(k)` is fanin k's
+/// word); `fanin_words` is SOP-evaluation scratch. A primary input has no
+/// gate function: callers supply its word, and this returns 0 for it.
+template <typename FaninWord>
+[[nodiscard]] std::uint64_t eval_node_word(const Node& n, FaninWord&& in,
+                                           std::vector<std::uint64_t>& fanin_words) {
+    switch (n.kind) {
+        case GateKind::kInput: return 0;
+        case GateKind::kConst0: return 0;
+        case GateKind::kConst1: return ~std::uint64_t{0};
+        case GateKind::kBuf: return in(0);
+        case GateKind::kNot: return ~in(0);
+        case GateKind::kAnd: return in(0) & in(1);
+        case GateKind::kOr: return in(0) | in(1);
+        case GateKind::kNand: return ~(in(0) & in(1));
+        case GateKind::kNor: return ~(in(0) | in(1));
+        case GateKind::kXor: return in(0) ^ in(1);
+        case GateKind::kXnor: return ~(in(0) ^ in(1));
+        case GateKind::kMaj:
+            return (in(0) & in(1)) | (in(1) & in(2)) | (in(0) & in(2));
+        case GateKind::kMux: return (in(0) & in(1)) | (~in(0) & in(2));
+        case GateKind::kSop:
+            fanin_words.clear();
+            for (std::size_t k = 0; k < n.fanins.size(); ++k) fanin_words.push_back(in(k));
+            return n.sop.eval_words(fanin_words);
+    }
+    return 0;
+}
+
 /// One 64-pattern simulation: `pi_words[i]` is the stimulus of input i
 /// (bit k = pattern k); returns one word per output port.
 [[nodiscard]] std::vector<std::uint64_t> simulate_words(

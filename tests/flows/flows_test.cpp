@@ -105,29 +105,75 @@ TEST(Flows, ResultMetadataIsFilled) {
 }
 
 TEST(Flows, SignOffKeepsItsStats) {
-    // The sign-off records which engine proved each of its two checks
-    // (optimized and mapped, against the input) and the SAT counters.
-    // auto proves narrow circuits by BDD and wide ones by SAT.
+    // The sign-off records which engine proved its global check (optimized
+    // against the input), what the mapping certificate proved for the
+    // mapped netlist, the SAT counters and the time of each stage. auto
+    // proves narrow circuits by BDD and wide ones by SAT.
     FlowOptions options;
     options.verify = true;
     const SynthesisResult narrow = flow_bdsmaj(benchgen::make_ripple_adder(4), options);
-    EXPECT_EQ(narrow.signoff.bdd_checks, 2);
+    EXPECT_EQ(narrow.signoff.bdd_checks, 1);
     EXPECT_EQ(narrow.signoff.sat_checks, 0);
     EXPECT_EQ(narrow.signoff.cec.sat_calls, 0u);
+    EXPECT_GT(narrow.signoff.certified_nodes, 0);
+    EXPECT_EQ(narrow.signoff.certificate_fallbacks, 0);
 
     const Network wide = benchgen::make_ripple_adder(12);  // 24 inputs
     const SynthesisResult r = flow_bdsmaj(wide, options);
     EXPECT_EQ(r.signoff.bdd_checks, 0);
-    EXPECT_EQ(r.signoff.sat_checks, 2);
-    // At least the per-output miters of both checks went to the solver.
-    EXPECT_GE(r.signoff.cec.sat_calls, 2 * wide.outputs().size());
+    EXPECT_EQ(r.signoff.sat_checks, 1);
+    EXPECT_GT(r.signoff.certified_nodes, 0);
+    EXPECT_EQ(r.signoff.certificate_fallbacks, 0);
+    // At least the per-output miters of the one global check went to the
+    // solver.
+    EXPECT_GE(r.signoff.cec.sat_calls, wide.outputs().size());
+    EXPECT_GT(r.signoff.optimized_check_seconds, 0.0);
+    EXPECT_LE(r.signoff.optimized_check_seconds + r.signoff.mapped_check_seconds,
+              r.verify_seconds);
     ASSERT_TRUE(r.equivalence.has_value());
     EXPECT_EQ(r.equivalence->engine, net::EquivEngine::kSat);
+    EXPECT_TRUE(r.equivalence->exact);
 
     // No sign-off, no stats.
     const SynthesisResult unverified = flow_bdsmaj(wide, FlowOptions{});
     EXPECT_EQ(unverified.signoff.bdd_checks + unverified.signoff.sat_checks, 0);
     EXPECT_EQ(unverified.signoff.cec.sat_calls, 0u);
+    EXPECT_EQ(unverified.signoff.certified_nodes, 0);
+}
+
+TEST(Flows, ExplicitOracleRunsBothGlobalChecks) {
+    // --oracle sat|bdd stay the reference path: two global checks, no
+    // certificate.
+    FlowOptions options;
+    options.verify = true;
+    options.oracle = net::EquivEngine::kSat;
+    const SynthesisResult sat = flow_bdsmaj(benchgen::make_ripple_adder(12), options);
+    EXPECT_EQ(sat.signoff.sat_checks, 2);
+    EXPECT_EQ(sat.signoff.certified_nodes, 0);
+    EXPECT_EQ(sat.signoff.certificate_fallbacks, 0);
+    options.oracle = net::EquivEngine::kBdd;
+    const Network narrow = benchgen::make_ripple_adder(4);
+    SynthesisResult abc = flow_abc(narrow);
+    verify_synthesis_result(narrow, abc, options);
+    EXPECT_EQ(abc.signoff.bdd_checks, 2);
+    EXPECT_EQ(abc.signoff.certified_nodes, 0);
+}
+
+TEST(Flows, SignOffObeysTheDeadline) {
+    // ABC and DC cannot be interrupted, but the sign-off after them must
+    // not start once the deadline has passed: no result comes back
+    // unverified.
+    const Network input = benchgen::make_ripple_adder(6);
+    FlowOptions options;
+    options.verify = true;
+    options.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    for (const char* flow : {"abc", "dc"}) {
+        EXPECT_THROW((void)run_flow(input, flow, options), decomp::DeadlineExceeded)
+            << flow;
+    }
+    SynthesisResult result = flow_abc(input);
+    EXPECT_THROW(verify_synthesis_result(input, result, options), decomp::DeadlineExceeded);
+    EXPECT_FALSE(result.equivalence.has_value());
 }
 
 TEST(Flows, SuiteStopsBetweenCircuitsAfterDeadline) {

@@ -29,7 +29,9 @@
 //   --oracle auto|bdd|sat|sim     equivalence engine for --verify
 //                                 (default auto: simulation refutes, then
 //                                 a BDD proof on tiny input counts and the
-//                                 SAT miter sweep everywhere else; sim
+//                                 SAT miter sweep everywhere else for the
+//                                 optimized network, and the local mapping
+//                                 certificate for the mapped netlist; sim
 //                                 alone is not an exact sign-off)
 //   --quiet                       only print the summary line (suppresses
 //                                 the per-strategy engine step counts)
@@ -190,8 +192,11 @@ void print_help(std::FILE* to) {
         "verification:\n"
         "  --no-verify                  skip the equivalence sign-off (default on)\n"
         "  --oracle auto|bdd|sat|sim    equivalence engine for the sign-off\n"
-        "                               (default auto; sim alone is sampled, not\n"
-        "                               an exact sign-off)\n"
+        "                               (default auto: one global check of the\n"
+        "                               optimized network, then the mapped\n"
+        "                               netlist is certified node by node; bdd\n"
+        "                               and sat run both checks globally; sim\n"
+        "                               alone is sampled, not an exact sign-off)\n"
         "\n"
         "deadlines and graceful degradation (BDS flows):\n"
         "  --deadline-ms MS             hard deadline, measured from the start of\n"
@@ -301,14 +306,19 @@ void print_result(const net::Network& input, const flows::SynthesisResult& resul
             }
         }
         // What the equivalence sign-off did (both checks: optimized and
-        // mapped against the input).
+        // mapped against the input; the mapped one by the local mapping
+        // certificate unless it fell back to a global check).
         if (result.equivalence) {
             const flows::SignOffStats& so = result.signoff;
             std::printf("  sign-off: bdd-checks=%d sat-checks=%d sat-calls=%llu "
-                        "conflicts=%llu time=%.3fs\n",
+                        "conflicts=%llu certified-nodes=%d "
+                        "certificate-fallbacks=%d optimized-check=%.3fs "
+                        "mapped-check=%.3fs time=%.3fs\n",
                         so.bdd_checks, so.sat_checks,
                         static_cast<unsigned long long>(so.cec.sat_calls),
                         static_cast<unsigned long long>(so.cec.conflicts),
+                        so.certified_nodes, so.certificate_fallbacks,
+                        so.optimized_check_seconds, so.mapped_check_seconds,
                         result.verify_seconds);
         }
     }

@@ -18,6 +18,10 @@
 # must byte-match what tools/gen_cli_docs.sh regenerates from the fresh
 # binary, and every advertised preset must appear in README.md.
 #
+# The sign-off stage runs the full-size paper suite through bdsmaj_cli
+# and fails if the mapping certificate falls back to a global check on any
+# circuit.
+#
 # The debug stage builds the tier-1 test targets with
 # -DCMAKE_BUILD_TYPE=Debug in its own tree and runs the whole tier-1 suite
 # with asserts enabled (the chaos tests run in the chaos stage).
@@ -86,6 +90,28 @@ echo "==> docs: README preset coverage check"
         exit 1
     fi
 done
+
+echo "==> sign-off: mapping certificate completeness (full-size paper suite)"
+# Under --oracle auto the mapped netlist is proven by the local mapping
+# certificate; an inconclusive certificate falls back to a second global
+# check and still passes. A mapper change that breaks completeness would
+# therefore pass every test while giving the sign-off time back, so every
+# full-size circuit must be certified with no fallback.
+SIGNOFF_LOG=/tmp/bdsmaj_signoff_paper.log
+./build/bdsmaj_cli --preset paper @alu2 @apex6 @bigkey @dalu @f51m @misex3 @seq \
+    @vda @C1355 @C6288 "@4-Op ADD 16 bit" "@CLA 64 bit" "@Div 18 bit" \
+    "@MAC 16 bit" "@Rev (1/X) 19 bit" "@SQRT 32 bit" "@Wallace 16 bit" \
+    > "$SIGNOFF_LOG"
+SIGNOFFS=$(grep -c ' sign-off: ' "$SIGNOFF_LOG" || true)
+if [[ "$SIGNOFFS" -ne 17 ]]; then
+    echo "SIGN-OFF: expected 17 sign-off lines, got $SIGNOFFS (see $SIGNOFF_LOG)"
+    exit 1
+fi
+if grep ' sign-off: ' "$SIGNOFF_LOG" | grep -v ' certificate-fallbacks=0 '; then
+    echo "SIGN-OFF: the mapping certificate fell back to a global check on the"
+    echo "circuits above; the mapper no longer yields a complete certificate."
+    exit 1
+fi
 
 echo "==> debug: the tier-1 suite with asserts enabled"
 # Separate Debug build tree (asserts on): the tier-1 build is Release, so
