@@ -1,10 +1,10 @@
 #pragma once
 // The m-dominator ablation sweep grid (circuits + knob configurations +
 // flow-params wiring), shared by the standalone reproduction harness
-// (ablation_mdom.cpp) and the perf-trajectory harness (bench_main.cpp) so
-// the gated BENCH_core.json fingerprints track the same sweep the
-// reproduction binary runs. The run loops themselves still live in each
-// binary (they aggregate differently).
+// (ablation_mdom.cpp), the perf-trajectory harness (bench_main.cpp) and
+// the golden test that pins the sweep's outputs
+// (tests/integration/golden_test.cpp), so all three run the same sweep.
+// The run loops themselves live in each user (they aggregate differently).
 
 #include <cstdint>
 #include <string>

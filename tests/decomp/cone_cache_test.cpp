@@ -155,12 +155,15 @@ TEST(ConeCache, ByteIdenticalAtAnyJobCountOnAndOff) {
 TEST(ConeCache, IntraCircuitSelfSimilarityHitsOnC6288) {
     // C6288 (quick: arraymult8) is an array multiplier — hundreds of
     // full-adder cones with identical canonical forms. Even a cold run
-    // must serve most supernodes from the cache.
+    // must serve at least 60% of its supernodes from the cache.
     ConeCache::instance().clear();
     const Network input = benchgen::benchmark_by_name("C6288", /*quick=*/true);
     const FlowRun cold = run_flow(input, /*cone_cache=*/true);
-    EXPECT_GT(cold.stats.cone_cache_hits, cold.stats.cone_cache_misses)
-        << "an array multiplier should be dominated by repeated cones";
+    const long long hits = cold.stats.cone_cache_hits;
+    const long long seen = hits + cold.stats.cone_cache_misses;
+    EXPECT_GE(10 * hits, 6 * seen)
+        << "cold hit rate " << hits << "/" << seen
+        << ": canonicalization stopped unifying the multiplier's repeated cones";
 }
 
 TEST(ConeCache, EvictionUnderTinyBudgetNeverChangesResults) {

@@ -102,6 +102,14 @@ TEST(Robustness, NoBudgetMeansNoDegradation) {
     const decomp::DecompFlowResult r = decomp::decompose_network(input, params);
     EXPECT_EQ(r.engine_stats.degraded_supernodes, 0);
     EXPECT_EQ(r.engine_stats.resource_exhausted_cones, 0);
+    // Armed but never triggered (a far-future soft budget and an explicit
+    // ladder), the degradation machinery must not change a single byte.
+    decomp::DecompFlowParams armed;
+    armed.soft_budget = Clock::now() + 1h;
+    armed.degrade_ladder = {"paper", "shannon"};
+    const decomp::DecompFlowResult a = decomp::decompose_network(input, armed);
+    EXPECT_EQ(a.engine_stats.degraded_supernodes, 0);
+    EXPECT_EQ(net::write_blif(a.network), net::write_blif(r.network));
 }
 
 TEST(Robustness, LiveNodeGuardFallsDownLadderPerCone) {

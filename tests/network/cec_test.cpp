@@ -8,6 +8,7 @@
 #include "benchgen/arith.hpp"
 #include "benchgen/mcnc.hpp"
 #include "decomp/flow.hpp"
+#include "network/simulate.hpp"
 
 namespace bdsmaj::net {
 namespace {
@@ -205,6 +206,12 @@ TEST(CheckEquivalent, WideCircuitsGetExactSatSignOffNotRandomDowngrade) {
     const EquivalenceResult rs = check_equivalent(input, ds.network);
     EXPECT_TRUE(rs.equivalent);
     EXPECT_EQ(rs.engine, EquivEngine::kBdd);
+    // Where both engines are tractable, the SAT proof is exact and agrees
+    // with the BDD verdict.
+    const EquivalenceResult sat = sat_equivalent(input, ds.network);
+    EXPECT_TRUE(sat.equivalent);
+    EXPECT_TRUE(sat.exact);
+    EXPECT_EQ(sat.equivalent, bdd_equivalent(input, ds.network).equivalent);
 }
 
 TEST(CheckEquivalent, EngineNamesRoundTrip) {
