@@ -98,10 +98,10 @@ private:
 /// Recoverable resource-guard violation: a manager hit its configured
 /// node-allocation or sift-swap ceiling (ManagerParams::max_live_nodes /
 /// sift_max_swaps). The throwing manager is poisoned — internal state may
-/// be mid-operation — and must be destroyed, not reused; ManagerPool does
-/// this automatically on lease release. Decomposition callers catch it per
-/// supernode and retry the cone on a cheaper parameter ladder, so a
-/// blow-up costs one cone, not one job.
+/// be mid-operation — and must be destroyed, not reset or reused.
+/// Decomposition callers catch it per supernode, replace the manager, and
+/// retry the cone on a cheaper parameter ladder, so a blow-up costs one
+/// cone, not one job.
 class ResourceExhausted : public std::runtime_error {
 public:
     explicit ResourceExhausted(const std::string& what) : std::runtime_error(what) {}
@@ -177,9 +177,10 @@ public:
     /// Manager(num_vars, params) would have — empty unique tables with
     /// their initial bucket counts, identity variable order, cleared
     /// computed table at its initial size, zeroed telemetry — while keeping
-    /// the node-store / table-vector capacities, which is the point of
-    /// pooling (bdd/manager_pool.hpp): a reset manager behaves observably
-    /// identically to a fresh one, so pooled reuse cannot change any
+    /// the node-store / table-vector capacities, so decompose_network can
+    /// reuse one manager for every supernode without re-allocating. The
+    /// constructor runs this same path, so a reset manager behaves
+    /// observably identically to a fresh one and reuse cannot change any
     /// decomposition result. All outstanding Bdd handles must have been
     /// released; must not be called from inside an operation. O(num_vars +
     /// initial cache size), independent of how many nodes existed.
@@ -340,8 +341,7 @@ public:
     /// True after a resource guard or injected fault threw out of an
     /// internal operation: handles stay destructible (dec_ref is
     /// index-safe), but tables may be mid-restructure, so the manager must
-    /// not run further operations, be reset(), or be pooled — destroy it.
-    /// ManagerPool::release honors this automatically.
+    /// not run further operations or be reset() — destroy it.
     [[nodiscard]] bool poisoned() const noexcept { return poisoned_; }
     /// Computed-table hit/miss/insert/collision counters.
     [[nodiscard]] const CacheStats& cache_stats() const noexcept { return cache_stats_; }

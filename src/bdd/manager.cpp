@@ -61,25 +61,18 @@ Bdd Bdd::operator^(const Bdd& o) const { return mgr_->apply_xor(*this, o); }
 // Manager: construction, variables
 // ---------------------------------------------------------------------------
 
-Manager::Manager(int num_vars, ManagerParams params) : params_(params) {
+Manager::Manager(int num_vars, ManagerParams params) {
     nodes_.reserve(1024);
     aux_.reserve(1024);
-    Node terminal;
-    terminal.level = kTerminalLevel;
-    terminal.hi = kEdgeOne;
-    terminal.lo = kEdgeOne;
-    nodes_.push_back(terminal);
-    NodeAux terminal_aux;
-    terminal_aux.ref = 0xffffffffu;  // pinned forever
-    aux_.push_back(terminal_aux);
-    cache_.assign(std::size_t{1} << params_.cache_size_log2, CacheEntry{});
-    for (int i = 0; i < num_vars; ++i) new_var();
+    // One initialization path for fresh and reused managers.
+    reset(num_vars, params);
 }
 
 Manager::~Manager() = default;
 
 void Manager::reset(int num_vars, ManagerParams params) {
     assert(op_depth_ == 0 && "reset during an active operation");
+    assert(!poisoned_ && "reset of a poisoned manager; destroy it instead");
 #ifndef NDEBUG
     // Dead nodes keep their children referenced until a sweep; after it,
     // only nodes held by outstanding handles are still live.

@@ -419,7 +419,7 @@ void Manager::check_sift_budget() {
     if (spent <= params_.sift_max_swaps) return;
     // Between unit swaps the store is structurally consistent and no
     // temporary handles are held, but the sift is abandoned mid-schedule:
-    // poison so the half-reordered manager is destroyed, not pooled.
+    // poison so the half-reordered manager is destroyed, not reset.
     poisoned_ = true;
     throw ResourceExhausted("bdd::Manager: sift_max_swaps ceiling (" +
                             std::to_string(params_.sift_max_swaps) + ") reached");

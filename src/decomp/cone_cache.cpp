@@ -1,10 +1,10 @@
 #include "decomp/cone_cache.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 #include "network/sop.hpp"
 #include "runtime/fault_inject.hpp"
@@ -15,13 +15,6 @@ namespace {
 
 using net::GateKind;
 using net::NodeId;
-
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 // Raw little-endian-as-stored bytes: the blob never leaves the process, so
 // object representation is a valid (and exhaustive) serialization.
@@ -51,11 +44,6 @@ enum : std::uint8_t {
 };
 
 }  // namespace
-
-std::uint64_t cone_sim_word(int round, std::size_t leaf) {
-    return splitmix64((static_cast<std::uint64_t>(static_cast<unsigned>(round)) << 32) ^
-                      static_cast<std::uint64_t>(leaf + 1));
-}
 
 std::string cone_cache_config_blob(const EngineParams& engine,
                                    const bdd::ManagerParams& manager, bool reorder) {
@@ -95,7 +83,6 @@ ConeKey ConeKeyBuilder::build(const net::Network& network, const Supernode& sn,
     const std::size_t num_leaves = sn.leaves.size();
     const std::size_t total = num_leaves + sn.cone.size();
     ref_of_.assign(total, Ref{});
-    sim_.assign(total * kConeSimRounds, 0);
 
     // Mirror build_supernode_bdd's ScratchReset: the dense stamps must be
     // cleared on every exit (including the malformed-cone throw) or they
@@ -142,21 +129,15 @@ ConeKey ConeKeyBuilder::build(const net::Network& network, const Supernode& sn,
         assert(pos_[sn.leaves[i]] == 0);
         pos_[sn.leaves[i]] = static_cast<std::uint32_t>(i + 1);
         ref_of_[i] = Ref{1, static_cast<std::uint32_t>(i), false};
-        for (int r = 0; r < kConeSimRounds; ++r) {
-            sim_[i * kConeSimRounds + r] = cone_sim_word(r, i);
-        }
     }
 
     std::uint32_t num_ops = 0;
     for (std::size_t j = 0; j < sn.cone.size(); ++j) {
         const NodeId id = sn.cone[j];
         const net::Node& n = network.node(id);
-        const auto in = [&](std::size_t k) { return at(n.fanins[k]); };
-        const auto word = [&](std::size_t p, int r) { return sim_[p * kConeSimRounds + r]; };
+        const auto in = [&](std::size_t k) { return ref_of_[at(n.fanins[k])]; };
 
-        const std::size_t self = num_leaves + j;
         Ref ref{};
-        std::uint64_t w[kConeSimRounds] = {};
         const auto emit_op = [&](std::uint8_t opcode) {
             append_raw(key.canonical, opcode);
             ref = Ref{2, num_ops++, false};
@@ -172,27 +153,19 @@ ConeKey ConeKeyBuilder::build(const net::Network& network, const Supernode& sn,
                 break;
             case GateKind::kConst1:
                 ref = Ref{0, 0, true};
-                for (auto& x : w) x = ~std::uint64_t{0};
                 break;
-            case GateKind::kBuf: {
-                const std::size_t p = in(0);
-                ref = ref_of_[p];
-                for (int r = 0; r < kConeSimRounds; ++r) w[r] = word(p, r);
+            case GateKind::kBuf:
+                ref = in(0);
                 break;
-            }
-            case GateKind::kNot: {
-                const std::size_t p = in(0);
-                ref = ref_of_[p];
+            case GateKind::kNot:
+                ref = in(0);
                 ref.complemented = !ref.complemented;
-                for (int r = 0; r < kConeSimRounds; ++r) w[r] = ~word(p, r);
                 break;
-            }
             case GateKind::kAnd:
             case GateKind::kOr:
             case GateKind::kNand:
             case GateKind::kNor: {
-                const std::size_t pa = in(0), pb = in(1);
-                Ref a = ref_of_[pa], b = ref_of_[pb];
+                Ref a = in(0), b = in(1);
                 // OR/NOR run the AND core on complemented operands
                 // (apply_or = !and(!a, !b)); NAND/OR complement the result.
                 const bool or_like = n.kind == GateKind::kOr || n.kind == GateKind::kNor;
@@ -206,18 +179,11 @@ ConeKey ConeKeyBuilder::build(const net::Network& network, const Supernode& sn,
                 append_ref(a);
                 append_ref(b);
                 ref.complemented = out_compl;
-                for (int r = 0; r < kConeSimRounds; ++r) {
-                    const std::uint64_t x = word(pa, r), y = word(pb, r);
-                    std::uint64_t v = or_like ? (x | y) : (x & y);
-                    if (n.kind == GateKind::kNand || n.kind == GateKind::kNor) v = ~v;
-                    w[r] = v;
-                }
                 break;
             }
             case GateKind::kXor:
             case GateKind::kXnor: {
-                const std::size_t pa = in(0), pb = in(1);
-                Ref a = ref_of_[pa], b = ref_of_[pb];
+                Ref a = in(0), b = in(1);
                 // The XOR core strips operand complements; they fold into
                 // the output polarity along with the XNOR complement.
                 bool out_compl = a.complemented != b.complemented;
@@ -229,16 +195,11 @@ ConeKey ConeKeyBuilder::build(const net::Network& network, const Supernode& sn,
                 append_ref(a);
                 append_ref(b);
                 ref.complemented = out_compl;
-                for (int r = 0; r < kConeSimRounds; ++r) {
-                    w[r] = word(pa, r) ^ word(pb, r);
-                    if (n.kind == GateKind::kXnor) w[r] = ~w[r];
-                }
                 break;
             }
             case GateKind::kMaj: {
-                const std::size_t pa = in(0), pb = in(1), pc = in(2);
-                const Ref a = ref_of_[pa];
-                Ref b = ref_of_[pb], c = ref_of_[pc];
+                const Ref a = in(0);
+                Ref b = in(1), c = in(2);
                 // maj(a,b,c) = ite(a, or(b,c), and(b,c)): symmetric in
                 // (b,c) only, and operand polarities are material.
                 if (ref_less(c, b)) std::swap(b, c);
@@ -246,24 +207,14 @@ ConeKey ConeKeyBuilder::build(const net::Network& network, const Supernode& sn,
                 append_ref(a);
                 append_ref(b);
                 append_ref(c);
-                for (int r = 0; r < kConeSimRounds; ++r) {
-                    const std::uint64_t x = word(pa, r), y = word(pb, r), z = word(pc, r);
-                    w[r] = (x & y) | (x & z) | (y & z);
-                }
                 break;
             }
-            case GateKind::kMux: {
-                const std::size_t ps = in(0), pt = in(1), pe = in(2);
+            case GateKind::kMux:
                 emit_op(kOpMux);
-                append_ref(ref_of_[ps]);
-                append_ref(ref_of_[pt]);
-                append_ref(ref_of_[pe]);
-                for (int r = 0; r < kConeSimRounds; ++r) {
-                    const std::uint64_t s = word(ps, r);
-                    w[r] = (s & word(pt, r)) | (~s & word(pe, r));
-                }
+                append_ref(in(0));
+                append_ref(in(1));
+                append_ref(in(2));
                 break;
-            }
             case GateKind::kSop: {
                 // sop_to_bdd's call sequence is a deterministic function of
                 // the cover and the fanin BDDs, so the cover serializes
@@ -271,9 +222,7 @@ ConeKey ConeKeyBuilder::build(const net::Network& network, const Supernode& sn,
                 emit_op(kOpSop);
                 append_raw(key.canonical, static_cast<std::uint32_t>(n.sop.arity()));
                 append_raw(key.canonical, static_cast<std::uint32_t>(n.fanins.size()));
-                for (std::size_t k = 0; k < n.fanins.size(); ++k) {
-                    append_ref(ref_of_[in(k)]);
-                }
+                for (std::size_t k = 0; k < n.fanins.size(); ++k) append_ref(in(k));
                 const auto& cubes = n.sop.cubes();
                 append_raw(key.canonical, static_cast<std::uint32_t>(cubes.size()));
                 for (const net::Cube& cube : cubes) {
@@ -281,32 +230,19 @@ ConeKey ConeKeyBuilder::build(const net::Network& network, const Supernode& sn,
                         append_raw(key.canonical, static_cast<std::uint8_t>(lit));
                     }
                 }
-                for (int r = 0; r < kConeSimRounds; ++r) {
-                    sop_fanin_words_.resize(n.fanins.size());
-                    for (std::size_t k = 0; k < n.fanins.size(); ++k) {
-                        sop_fanin_words_[k] = word(in(k), r);
-                    }
-                    w[r] = n.sop.eval_words(sop_fanin_words_);
-                }
                 break;
             }
         }
 
+        const std::size_t self = num_leaves + j;
         assert(pos_[id] == 0);
         pos_[id] = static_cast<std::uint32_t>(self + 1);
         ref_of_[self] = ref;
-        for (int r = 0; r < kConeSimRounds; ++r) sim_[self * kConeSimRounds + r] = w[r];
     }
 
-    const std::size_t root_pos = at(sn.root);
     append_raw(key.canonical, std::uint8_t{kOpRoot});
-    append_ref(ref_of_[root_pos]);
-
-    std::uint64_t h = splitmix64(0x636f6e65ULL ^ static_cast<std::uint64_t>(num_leaves));
-    for (int r = 0; r < kConeSimRounds; ++r) {
-        h = splitmix64(h ^ sim_[root_pos * kConeSimRounds + r]);
-    }
-    key.sim_hash = h;
+    append_ref(ref_of_[at(sn.root)]);
+    key.hash = std::hash<std::string_view>{}(key.canonical);
     return key;
 }
 
@@ -316,21 +252,20 @@ ConeCache& ConeCache::instance() {
 }
 
 std::shared_ptr<const ConeCacheValue> ConeCache::lookup(const ConeKey& key) {
-    Shard& shard = shard_of(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.map.find(&key);
-    if (it == shard.map.end()) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = map_.find(&key);
+    if (it == map_.end()) {
+        ++misses_;
         return nullptr;
     }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    lru_.splice(lru_.begin(), lru_, it->second);
+    ++hits_;
     return it->second->value;
 }
 
 void ConeCache::insert(const ConeKey& key, std::shared_ptr<const net::GateTape> tape,
                        const EngineStats& stats) {
-    // Chaos site: a throw here unwinds before any shard state is touched,
+    // Chaos site: a throw here unwinds before any cache state is touched,
     // so the cache is never left torn — the job fails, the cache stays
     // consistent for every other job.
     runtime::fault_point(runtime::FaultSite::kConeCacheInsert);
@@ -348,65 +283,55 @@ void ConeCache::insert(const ConeKey& key, std::shared_ptr<const net::GateTape> 
     const std::size_t bytes = key.canonical.size() + value->tape->memory_bytes() +
                               sizeof(Entry) + sizeof(ConeCacheValue) + 128;
 
-    Shard& shard = shard_of(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.map.find(&key) != shard.map.end()) return;  // first insert wins
-    shard.lru.push_front(Entry{key, std::move(value), bytes});
-    shard.map.emplace(&shard.lru.front().key, shard.lru.begin());
-    shard.bytes += bytes;
-    evict_over_budget(shard);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (map_.find(&key) != map_.end()) return;  // first insert wins
+    lru_.push_front(Entry{key, std::move(value), bytes});
+    map_.emplace(&lru_.front().key, lru_.begin());
+    bytes_ += bytes;
+    evict_over_budget();
 }
 
-void ConeCache::evict_over_budget(Shard& shard) {
-    const std::size_t slice = budget_.load(std::memory_order_relaxed) / kShards;
-    while (shard.bytes > slice && !shard.lru.empty()) {
-        Entry& victim = shard.lru.back();
-        shard.map.erase(&victim.key);
-        shard.bytes -= victim.bytes;
-        shard.lru.pop_back();
-        evictions_.fetch_add(1, std::memory_order_relaxed);
+void ConeCache::evict_over_budget() {
+    while (bytes_ > budget_ && !lru_.empty()) {
+        Entry& victim = lru_.back();
+        map_.erase(&victim.key);
+        bytes_ -= victim.bytes;
+        lru_.pop_back();
+        ++evictions_;
     }
 }
 
 void ConeCache::set_budget_bytes(std::size_t budget) {
-    budget_.store(budget, std::memory_order_relaxed);
-    for (Shard& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        evict_over_budget(shard);
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    budget_ = budget;
+    evict_over_budget();
 }
 
 std::size_t ConeCache::budget_bytes() const {
-    return budget_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return budget_;
 }
 
 void ConeCache::clear() {
-    for (Shard& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.map.clear();
-        shard.lru.clear();
-        shard.bytes = 0;
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    map_.clear();
+    lru_.clear();
+    bytes_ = 0;
 }
 
 void ConeCache::reset_stats() {
     clear();
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-    evictions_.store(0, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    hits_ = 0;
+    misses_ = 0;
+    evictions_ = 0;
 }
 
 ConeCacheStats ConeCache::stats() const {
-    ConeCacheStats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.evictions = evictions_.load(std::memory_order_relaxed);
-    for (const Shard& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        s.entries += static_cast<long long>(shard.lru.size());
-        s.bytes += static_cast<long long>(shard.bytes);
-    }
-    return s;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return ConeCacheStats{hits_, misses_, evictions_,
+                          static_cast<long long>(lru_.size()),
+                          static_cast<long long>(bytes_)};
 }
 
 }  // namespace bdsmaj::decomp

@@ -36,15 +36,12 @@
 // (preset and all EngineParams, ManagerParams, the reorder flag) is
 // serialized into the key as a config prefix.
 //
-// The lookup structure is mutex-sharded with a per-shard LRU over a
-// process-wide memory budget. The 64-bit simulation hash (bit-parallel
-// evaluation of the cone over fixed pseudo-random leaf stimulus) is the
-// fast pre-filter — shard selection and hash-bucket placement; equality
-// always compares the full canonical byte string, so a simulation-hash
-// collision between two different cones can never alias their tapes.
+// The store is one mutex, one LRU list and one hash map under a
+// process-wide memory budget. The key's hash (of the canonical bytes)
+// only places the entry in a bucket; equality always compares the full
+// canonical byte string, so a hash collision between two different cones
+// can never alias their tapes.
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -63,11 +60,11 @@
 
 namespace bdsmaj::decomp {
 
-/// Cache key of one supernode: the simulation hash (fast pre-filter) and
-/// the full canonical serialization (config prefix + folded cone
-/// structure), which is what equality compares.
+/// Cache key of one supernode: the full canonical serialization (config
+/// prefix + folded cone structure), which is what equality compares, and
+/// its hash, computed once by the builder.
 struct ConeKey {
-    std::uint64_t sim_hash = 0;
+    std::size_t hash = 0;
     std::string canonical;
 };
 
@@ -87,12 +84,6 @@ struct ConeCacheStats {
     long long bytes = 0;
 };
 
-/// Deterministic 64-bit stimulus word of `leaf` in simulation round
-/// `round` (kConeSimRounds rounds of 64 patterns each). Public so tests
-/// can enumerate the exact pattern set and engineer hash collisions.
-[[nodiscard]] std::uint64_t cone_sim_word(int round, std::size_t leaf);
-inline constexpr int kConeSimRounds = 2;
-
 /// Serialize every decomposition-relevant knob into the canonical-key
 /// prefix: all EngineParams (preset included), all ManagerParams, and the
 /// flow's reorder flag. Anything here differing forces a distinct entry.
@@ -101,8 +92,8 @@ inline constexpr int kConeSimRounds = 2;
                                                  bool reorder);
 
 /// Canonical-key builder. Owns the dense node->reference scratch
-/// (O(network) allocated once per flow, reset per supernode) and the
-/// simulation buffers; not thread-safe, use one per flow.
+/// (O(network) allocated once per flow, reset per supernode); not
+/// thread-safe, use one per flow.
 class ConeKeyBuilder {
 public:
     /// Canonical key of `sn` under `config` (a cone_cache_config_blob).
@@ -121,11 +112,9 @@ private:
 
     std::vector<std::uint32_t> pos_;  // node id -> dense position + 1
     std::vector<Ref> ref_of_;         // dense position -> resolved ref
-    std::vector<std::uint64_t> sim_;  // dense position -> current round word
-    std::vector<std::uint64_t> sop_fanin_words_;
 };
 
-/// Process-wide, mutex-sharded, memory-budgeted LRU tape cache.
+/// Process-wide, mutex-guarded, memory-budgeted LRU tape cache.
 class ConeCache {
 public:
     /// The singleton shared by all flows/jobs/threads.
@@ -165,41 +154,29 @@ private:
     using LruList = std::list<Entry>;
 
     // The map refers to the keys stored inside the (address-stable) list
-    // nodes. Hashing is the sim-hash pre-filter; equality is the full
+    // nodes. Hashing places the bucket; equality is the full
     // canonical-form comparison — the no-aliasing guarantee.
     struct KeyPtrHash {
-        std::size_t operator()(const ConeKey* k) const noexcept {
-            return static_cast<std::size_t>(k->sim_hash *
-                                            0x9e3779b97f4a7c15ULL);
-        }
+        std::size_t operator()(const ConeKey* k) const noexcept { return k->hash; }
     };
     struct KeyPtrEq {
         bool operator()(const ConeKey* a, const ConeKey* b) const noexcept {
-            return a->sim_hash == b->sim_hash && a->canonical == b->canonical;
+            return a->hash == b->hash && a->canonical == b->canonical;
         }
     };
 
-    struct Shard {
-        mutable std::mutex mutex;
-        LruList lru;  // front = most recently used
-        std::unordered_map<const ConeKey*, LruList::iterator, KeyPtrHash, KeyPtrEq> map;
-        std::size_t bytes = 0;
-    };
+    /// Evict from the tail while the cache exceeds its budget. Caller
+    /// holds mutex_.
+    void evict_over_budget();
 
-    static constexpr std::size_t kShards = 16;
-
-    [[nodiscard]] Shard& shard_of(const ConeKey& key) {
-        return shards_[key.sim_hash & (kShards - 1)];
-    }
-    /// Evict from the tail while the shard exceeds its budget slice.
-    /// Caller holds the shard mutex.
-    void evict_over_budget(Shard& shard);
-
-    std::array<Shard, kShards> shards_;
-    std::atomic<std::size_t> budget_{std::size_t{64} << 20};
-    std::atomic<long long> hits_{0};
-    std::atomic<long long> misses_{0};
-    std::atomic<long long> evictions_{0};
+    mutable std::mutex mutex_;  // guards every member below
+    LruList lru_;               // front = most recently used
+    std::unordered_map<const ConeKey*, LruList::iterator, KeyPtrHash, KeyPtrEq> map_;
+    std::size_t bytes_ = 0;
+    std::size_t budget_ = std::size_t{64} << 20;
+    long long hits_ = 0;
+    long long misses_ = 0;
+    long long evictions_ = 0;
 };
 
 }  // namespace bdsmaj::decomp

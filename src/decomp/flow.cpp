@@ -11,12 +11,11 @@
 #include <utility>
 #include <vector>
 
-#include "bdd/manager_pool.hpp"
 #include "decomp/cone_cache.hpp"
 #include "network/builder.hpp"
-#include "network/cec.hpp"
 #include "network/cleanup.hpp"
 #include "network/gate_tape.hpp"
+#include "network/simulate.hpp"
 
 namespace bdsmaj::decomp {
 
@@ -27,12 +26,18 @@ using net::Network;
 using net::NodeId;
 using net::Signal;
 
-/// Scratch for dense cone evaluation: node id -> (dense position + 1)
-/// within the current supernode, 0 = not in this supernode. Entries are
-/// reset after each supernode, so the O(network) allocation happens once
-/// per flow, not once per supernode.
+/// Per-flow scratch reused by every supernode, so its allocations happen
+/// once per flow, not once per supernode.
 struct ConeScratch {
+    /// Dense cone evaluation: node id -> (dense position + 1) within the
+    /// current supernode, 0 = not in this supernode. Entries are reset
+    /// after each supernode.
     std::vector<std::uint32_t> pos;
+    /// The local BDD manager, reset() for each supernode (the BDS
+    /// one-manager-per-supernode policy; a reset manager is observably a
+    /// fresh one). Null until the first supernode; replaced when a guard
+    /// trip or injected fault has poisoned it.
+    std::unique_ptr<bdd::Manager> mgr;
 };
 
 /// Build the local BDD of a supernode: leaves become manager variables in
@@ -108,17 +113,19 @@ Bdd build_supernode_bdd(bdd::Manager& mgr, const Network& network,
     return at(sn.root);
 }
 
-/// One supernode: pooled local manager (the BDS local-BDD policy;
-/// Manager::reset makes the lease equivalent to a fresh construction while
-/// reusing the previous cone's heap blocks), sift, decompose into the
-/// supernode's private tape.
+/// One supernode: local manager (the flow's, reset), sift, decompose into
+/// the supernode's private tape.
 void decompose_supernode_to_tape(const Network& input, const Supernode& sn,
                                  const DecompFlowParams& params,
                                  ConeScratch& scratch, net::GateTape& tape,
                                  EngineStats& stats) {
-    bdd::ManagerPool::Lease lease = bdd::ManagerPool::instance().acquire(
-        static_cast<int>(sn.leaves.size()), params.manager);
-    bdd::Manager& mgr = *lease;
+    const int num_vars = static_cast<int>(sn.leaves.size());
+    if (scratch.mgr == nullptr || scratch.mgr->poisoned()) {
+        scratch.mgr = std::make_unique<bdd::Manager>(num_vars, params.manager);
+    } else {
+        scratch.mgr->reset(num_vars, params.manager);
+    }
+    bdd::Manager& mgr = *scratch.mgr;
     {
         const Bdd f = build_supernode_bdd(mgr, input, sn, scratch);
         if (params.reorder) mgr.sift();
@@ -139,7 +146,7 @@ void decompose_supernode_to_tape(const Network& input, const Supernode& sn,
         stats.peak_bdd_nodes = static_cast<long long>(mgr.peak_node_count());
         stats.sift_sym_groups = static_cast<long long>(rs.sym_groups);
         stats.sift_block_swaps = static_cast<long long>(rs.sym_block_swaps);
-    }  // every Bdd handle dies here, before the lease returns to the pool
+    }  // every Bdd handle dies here, before the next supernode's reset
 }
 
 /// One rung of the degrade ladder: a full parameter set plus its own
@@ -337,17 +344,6 @@ DecompFlowResult decompose_network(const Network& input, const DecompFlowParams&
 
     result.supernode_count = static_cast<int>(supernodes.size());
     result.network = params.final_cleanup ? net::cleanup(out) : std::move(out);
-    if (params.self_check) {
-        net::CecParams cec;
-        cec.engine = params.oracle;
-        net::EquivalenceResult eq = net::check_equivalent(input, result.network, cec);
-        if (!eq.equivalent) {
-            throw std::runtime_error("decompose_network: self-check failed (engine " +
-                                     std::string(net::equiv_engine_name(eq.engine)) +
-                                     "): " + eq.reason);
-        }
-        result.equivalence = std::move(eq);
-    }
     result.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     return result;

@@ -6,11 +6,11 @@
 //
 // `use_majority = false` gives the BDS-PGA baseline of Table I.
 //
-// One circuit runs on one thread: every supernode gets a fresh local
-// manager and writes its factoring tree to a private GateTape, and tapes
-// replay in supernode order into the flow's hash-consing builder, which
-// does the on-line sharing (see docs/performance.md, "Deterministic
-// replay"). Parallelism lives above this layer — across circuits in
+// One circuit runs on one thread: every supernode gets the flow's local
+// manager, reset to a fresh state, and writes its factoring tree to a
+// private GateTape; tapes replay in supernode order into the flow's
+// hash-consing builder, which does the on-line sharing (see
+// docs/performance.md, "Deterministic replay"). Parallelism lives above this layer — across circuits in
 // flows::run_suite and across jobs in flows::SynthesisService.
 
 #include <atomic>
@@ -22,7 +22,6 @@
 
 #include "decomp/engine.hpp"
 #include "decomp/partition.hpp"
-#include "network/cec.hpp"
 #include "network/network.hpp"
 
 namespace bdsmaj::decomp {
@@ -104,15 +103,6 @@ struct DecompFlowParams {
     /// Only consulted when a soft budget or a resource guard
     /// (manager.max_live_nodes / manager.sift_max_swaps) is configured.
     std::vector<std::string> degrade_ladder;
-    /// Equivalence engine for the optional sign-off below (and for callers
-    /// that verify externally and want one knob to thread through).
-    net::EquivEngine oracle = net::EquivEngine::kAuto;
-    /// Verify the decomposed network against the input before returning.
-    /// The verdict lands in DecompFlowResult::equivalence; an inequivalent
-    /// result (an engine bug) throws std::runtime_error carrying the
-    /// counterexample description. With any engine but kSim the sign-off
-    /// is exact at every input width.
-    bool self_check = false;
 };
 
 /// The parameters decompose_network actually runs with: the sift_symmetry
@@ -127,9 +117,6 @@ struct DecompFlowResult {
     EngineStats engine_stats;
     int supernode_count = 0;
     double seconds = 0.0;
-    /// Oracle verdict when DecompFlowParams::self_check was set (always
-    /// `equivalent`, or decompose_network would have thrown).
-    std::optional<net::EquivalenceResult> equivalence;
 };
 
 /// Decompose `input` with the BDS-MAJ engine. The result is functionally

@@ -157,8 +157,8 @@ TEST(ChaosService, DeepFaultSeedSweepFulfillsEveryFuture) {
     }
     // Faults planted deep inside the engine — BDD allocation, SAT solves,
     // cone-cache inserts — plus delay jitter, across
-    // several seeds. The unwinding path crosses pooled managers (which
-    // must be discarded, not reused) and shared caches (which must never
+    // several seeds. The unwinding path crosses poisoned managers (which
+    // must be discarded, not reset) and shared caches (which must never
     // tear); ASan in the chaos CI stage watches the cleanup.
     const std::vector<Network> inputs = small_inputs(3);
     ASSERT_FALSE(inputs.empty());

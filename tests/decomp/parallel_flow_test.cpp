@@ -4,7 +4,7 @@
 // thread and replays its tapes in supernode order, so every output
 // network — node ids, gate counts, everything down to the BLIF text —
 // cannot depend on scheduling. Running several circuits at once also puts
-// concurrent traffic on the shared ConeCache and ManagerPool.
+// concurrent traffic on the shared ConeCache's one lock.
 
 #include <gtest/gtest.h>
 

@@ -243,16 +243,5 @@ TEST(CheckEquivalent, BddRefutationCarriesCounterexampleToo) {
     EXPECT_NE(simulate(a, r.counterexample)[0], simulate(b, r.counterexample)[0]);
 }
 
-TEST(CheckEquivalent, FlowSelfCheckRecordsVerdict) {
-    decomp::DecompFlowParams params;
-    params.engine.use_majority = true;
-    params.self_check = true;
-    const decomp::DecompFlowResult r =
-        decomp::decompose_network(benchgen::make_f51m(), params);
-    ASSERT_TRUE(r.equivalence.has_value());
-    EXPECT_TRUE(r.equivalence->equivalent);
-    EXPECT_TRUE(r.equivalence->exact);
-}
-
 }  // namespace
 }  // namespace bdsmaj::net
