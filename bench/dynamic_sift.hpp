@@ -6,11 +6,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <vector>
 
 #include "bdd/bdd.hpp"
 #include "network/network.hpp"
+#include "network/simulate.hpp"
 
 namespace bdsmaj::bench {
 
@@ -32,22 +32,7 @@ inline double build_with_dynamic_sifting(bdd::Manager& mgr, const net::Network& 
         const auto in = [&](std::size_t k) -> const bdd::Bdd& {
             return value[n.fanins[k]];
         };
-        switch (n.kind) {
-            case net::GateKind::kInput: break;
-            case net::GateKind::kConst0: value[id] = mgr.zero(); break;
-            case net::GateKind::kConst1: value[id] = mgr.one(); break;
-            case net::GateKind::kBuf: value[id] = in(0); break;
-            case net::GateKind::kNot: value[id] = !in(0); break;
-            case net::GateKind::kAnd: value[id] = mgr.apply_and(in(0), in(1)); break;
-            case net::GateKind::kOr: value[id] = mgr.apply_or(in(0), in(1)); break;
-            case net::GateKind::kNand: value[id] = !mgr.apply_and(in(0), in(1)); break;
-            case net::GateKind::kNor: value[id] = !mgr.apply_or(in(0), in(1)); break;
-            case net::GateKind::kXor: value[id] = mgr.apply_xor(in(0), in(1)); break;
-            case net::GateKind::kXnor: value[id] = mgr.apply_xnor(in(0), in(1)); break;
-            case net::GateKind::kMaj: value[id] = mgr.maj(in(0), in(1), in(2)); break;
-            case net::GateKind::kMux: value[id] = mgr.ite(in(0), in(1), in(2)); break;
-            case net::GateKind::kSop: std::abort();  // none in the bench circuits
-        }
+        if (n.kind != net::GateKind::kInput) value[id] = net::node_bdd(mgr, n, in);
         if (mgr.live_node_count() > threshold) {
             const auto start = Clock::now();
             mgr.sift();

@@ -176,9 +176,12 @@ public:
     /// Return the manager to the state a freshly constructed
     /// Manager(num_vars, params) would have — empty unique tables with
     /// their initial bucket counts, identity variable order, cleared
-    /// computed table at its initial size, zeroed telemetry — while keeping
-    /// the node-store / table-vector capacities, so decompose_network can
-    /// reuse one manager for every supernode without re-allocating. The
+    /// computed table at its initial size, zeroed telemetry. Only the node
+    /// store's capacity carries over to the next use, so decompose_network
+    /// can reuse one manager for every supernode without re-growing it.
+    /// The unique-table buckets and the computed table restart at their
+    /// initial sizes, and their first growth after the reset allocates a
+    /// new vector and frees the old one. The
     /// constructor runs this same path, so a reset manager behaves
     /// observably identically to a fresh one and reuse cannot change any
     /// decomposition result. All outstanding Bdd handles must have been

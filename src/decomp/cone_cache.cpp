@@ -6,6 +6,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "network/simulate.hpp"
 #include "network/sop.hpp"
 #include "runtime/fault_inject.hpp"
 
@@ -83,10 +84,13 @@ ConeKey ConeKeyBuilder::build(const net::Network& network, const Supernode& sn,
     const std::size_t num_leaves = sn.leaves.size();
     const std::size_t total = num_leaves + sn.cone.size();
     ref_of_.assign(total, Ref{});
+    ops_.clear();
+    operands_.clear();
+    num_leaves_ = num_leaves;
 
-    // Mirror build_supernode_bdd's ScratchReset: the dense stamps must be
-    // cleared on every exit (including the malformed-cone throw) or they
-    // would alias unrelated nodes into later supernodes on this worker.
+    // The dense stamps must be cleared on every exit (including the
+    // malformed-cone throw) or they would alias unrelated nodes into
+    // later supernodes of this flow.
     struct ScratchReset {
         std::vector<std::uint32_t>& pos;
         const Supernode& sn;
@@ -124,6 +128,11 @@ ConeKey ConeKeyBuilder::build(const net::Network& network, const Supernode& sn,
         append_raw(key.canonical, r.index);
         append_raw(key.canonical, static_cast<std::uint8_t>(r.complemented));
     };
+    // An operand of the op just emitted: into the key and the call list.
+    const auto add_operand = [&](const Ref& r) {
+        append_ref(r);
+        operands_.push_back(r);
+    };
 
     for (std::size_t i = 0; i < num_leaves; ++i) {
         assert(pos_[sn.leaves[i]] == 0);
@@ -131,7 +140,6 @@ ConeKey ConeKeyBuilder::build(const net::Network& network, const Supernode& sn,
         ref_of_[i] = Ref{1, static_cast<std::uint32_t>(i), false};
     }
 
-    std::uint32_t num_ops = 0;
     for (std::size_t j = 0; j < sn.cone.size(); ++j) {
         const NodeId id = sn.cone[j];
         const net::Node& n = network.node(id);
@@ -140,7 +148,8 @@ ConeKey ConeKeyBuilder::build(const net::Network& network, const Supernode& sn,
         Ref ref{};
         const auto emit_op = [&](std::uint8_t opcode) {
             append_raw(key.canonical, opcode);
-            ref = Ref{2, num_ops++, false};
+            ref = Ref{2, static_cast<std::uint32_t>(ops_.size()), false};
+            ops_.push_back(Op{opcode, static_cast<std::uint32_t>(operands_.size()), nullptr});
         };
 
         switch (n.kind) {
@@ -176,8 +185,8 @@ ConeKey ConeKeyBuilder::build(const net::Network& network, const Supernode& sn,
                 }
                 if (ref_less(b, a)) std::swap(a, b);
                 emit_op(kOpAnd);
-                append_ref(a);
-                append_ref(b);
+                add_operand(a);
+                add_operand(b);
                 ref.complemented = out_compl;
                 break;
             }
@@ -192,8 +201,8 @@ ConeKey ConeKeyBuilder::build(const net::Network& network, const Supernode& sn,
                 b.complemented = false;
                 if (ref_less(b, a)) std::swap(a, b);
                 emit_op(kOpXor);
-                append_ref(a);
-                append_ref(b);
+                add_operand(a);
+                add_operand(b);
                 ref.complemented = out_compl;
                 break;
             }
@@ -204,25 +213,26 @@ ConeKey ConeKeyBuilder::build(const net::Network& network, const Supernode& sn,
                 // (b,c) only, and operand polarities are material.
                 if (ref_less(c, b)) std::swap(b, c);
                 emit_op(kOpMaj);
-                append_ref(a);
-                append_ref(b);
-                append_ref(c);
+                add_operand(a);
+                add_operand(b);
+                add_operand(c);
                 break;
             }
             case GateKind::kMux:
                 emit_op(kOpMux);
-                append_ref(in(0));
-                append_ref(in(1));
-                append_ref(in(2));
+                add_operand(in(0));
+                add_operand(in(1));
+                add_operand(in(2));
                 break;
             case GateKind::kSop: {
                 // sop_to_bdd's call sequence is a deterministic function of
                 // the cover and the fanin BDDs, so the cover serializes
                 // verbatim (no folding) with the fanin refs in order.
                 emit_op(kOpSop);
+                ops_.back().sop = &n.sop;
                 append_raw(key.canonical, static_cast<std::uint32_t>(n.sop.arity()));
                 append_raw(key.canonical, static_cast<std::uint32_t>(n.fanins.size()));
-                for (std::size_t k = 0; k < n.fanins.size(); ++k) append_ref(in(k));
+                for (std::size_t k = 0; k < n.fanins.size(); ++k) add_operand(in(k));
                 const auto& cubes = n.sop.cubes();
                 append_raw(key.canonical, static_cast<std::uint32_t>(cubes.size()));
                 for (const net::Cube& cube : cubes) {
@@ -240,10 +250,38 @@ ConeKey ConeKeyBuilder::build(const net::Network& network, const Supernode& sn,
         ref_of_[self] = ref;
     }
 
+    root_ = ref_of_[at(sn.root)];
     append_raw(key.canonical, std::uint8_t{kOpRoot});
-    append_ref(ref_of_[at(sn.root)]);
+    append_ref(root_);
     key.hash = std::hash<std::string_view>{}(key.canonical);
     return key;
+}
+
+bdd::Bdd ConeKeyBuilder::build_bdd(bdd::Manager& mgr) const {
+    std::vector<bdd::Bdd> leaves;
+    leaves.reserve(num_leaves_);
+    for (std::size_t i = 0; i < num_leaves_; ++i) {
+        leaves.push_back(mgr.var_bdd(static_cast<int>(i)));
+    }
+    std::vector<bdd::Bdd> results;
+    results.reserve(ops_.size());
+    const auto value = [&](const Ref& r) -> bdd::Bdd {
+        const bdd::Bdd v = r.kind == 0   ? mgr.zero()
+                           : r.kind == 1 ? leaves[r.index]
+                                         : results[r.index];
+        return r.complemented ? !v : v;
+    };
+    for (const Op& op : ops_) {
+        const auto in = [&](std::size_t k) { return value(operands_[op.first + k]); };
+        switch (op.opcode) {
+            case kOpAnd: results.push_back(mgr.apply_and(in(0), in(1))); break;
+            case kOpXor: results.push_back(mgr.apply_xor(in(0), in(1))); break;
+            case kOpMaj: results.push_back(mgr.maj(in(0), in(1), in(2))); break;
+            case kOpMux: results.push_back(mgr.ite(in(0), in(1), in(2))); break;
+            case kOpSop: results.push_back(net::sop_to_bdd(mgr, *op.sop, in)); break;
+        }
+    }
+    return value(root_);
 }
 
 ConeCache& ConeCache::instance() {

@@ -12,29 +12,28 @@
 // tape through the leaf mapping.
 //
 // Determinism argument (the reason a hit is BYTE-identical to a cold run):
-// the canonical form serializes exactly the sequence of BDD-manager calls
-// build_supernode_bdd would issue — material ops (AND/XOR/MAJ/MUX/SOP) in
-// cone topological order with operand references and polarities. The
-// folds it performs are precisely the cone rewrites that provably leave
-// that call sequence unchanged:
-//   * NOT/BUF nodes create no BDD nodes (complement edges), so they fold
-//     into reference polarity;
+// ConeKeyBuilder::build, the only walk of a supernode's cone, folds the
+// cone into the material manager calls (AND/XOR/MAJ/MUX/SOP in cone
+// topological order, with operand references and polarities) that
+// build_bdd later issues, and serializes those calls as the key. The BDD
+// is built from the key, so equal keys drive a (fresh or reset) manager
+// through identical calls by construction. Each fold keeps the cone's
+// function and rests on the manager's own operand canonicalization:
+//   * NOT/BUF fold into reference polarity (complement edges, no node);
 //   * NAND/NOR/XNOR complement the result of the same AND/OR/XOR core
 //     call, so they fold into an output-polarity bit;
-//   * OR(a,b) is implemented as NOT(AND(NOT a, NOT b)) on the shared
-//     and_rec core, so OR folds into AND with complemented operands and a
-//     complemented output;
-//   * XOR's core strips operand complements internally, so operand
-//     polarities fold into the output bit;
-//   * AND's core (and the OR/AND pair inside MAJ) canonicalizes operand
-//     order, so commutative operands are sorted.
-// Equal canonical forms therefore drive a (fresh or reset) manager through
-// the identical node-construction sequence, leaving the identical manager
-// state for sifting — and the decomposer is a deterministic function of
-// that state plus EngineParams, so the recorded tape and per-cone stats
-// are identical too. Everything else that could change the emitted tape
-// (preset and all EngineParams, ManagerParams, the reorder flag) is
-// serialized into the key as a config prefix.
+//   * OR(a,b) is NOT(AND(NOT a, NOT b)) on the shared and_rec core, so OR
+//     folds into AND with complemented operands and output;
+//   * xor_rec strips operand complements first, so operand polarities
+//     fold into the output bit;
+//   * and_rec (and the OR/AND pair inside MAJ) orders its operands
+//     itself, so commutative operands are sorted.
+// Equal keys therefore leave identical manager state for sifting, and the
+// decomposer is a deterministic function of that state plus EngineParams,
+// so the recorded tape and per-cone stats are identical too. Everything
+// else that could change the emitted tape (preset and all EngineParams,
+// ManagerParams, the reorder flag) is serialized into the key as a config
+// prefix.
 //
 // The store is one mutex, one LRU list and one hash map under a
 // process-wide memory budget. The key's hash (of the canonical bytes)
@@ -91,27 +90,49 @@ struct ConeCacheStats {
                                                  const bdd::ManagerParams& manager,
                                                  bool reorder);
 
-/// Canonical-key builder. Owns the dense node->reference scratch
-/// (O(network) allocated once per flow, reset per supernode); not
+/// Cone compiler: walks a supernode's cone once, into its canonical key
+/// and the call list build_bdd issues. Owns the dense node->reference
+/// scratch (O(network) allocated once per flow, reset per supernode); not
 /// thread-safe, use one per flow.
 class ConeKeyBuilder {
 public:
-    /// Canonical key of `sn` under `config` (a cone_cache_config_blob).
-    /// Throws std::logic_error on a malformed supernode (cone fanin
-    /// outside leaves + earlier cone), like build_supernode_bdd does.
+    /// Canonical key of `sn` under `config` (a cone_cache_config_blob;
+    /// empty when the key is not looked up), recording `sn`'s call list
+    /// for build_bdd (it points into `network`'s SOP covers). Throws
+    /// std::logic_error on a malformed supernode (cone fanin outside
+    /// leaves + earlier cone); the builder stays usable.
     [[nodiscard]] ConeKey build(const net::Network& network, const Supernode& sn,
                                 std::string_view config);
 
+    /// Local BDD of the supernode last compiled, in `mgr` (fresh or reset,
+    /// one variable per leaf, leaf i = variable i). Leaf handles are taken
+    /// first and every result is held to the end, as node indices require.
+    [[nodiscard]] bdd::Bdd build_bdd(bdd::Manager& mgr) const;
+
+    [[nodiscard]] std::size_t num_leaves() const noexcept { return num_leaves_; }
+
 private:
-    // Resolved reference of a cone value after polarity folding.
+    // Resolved reference of a cone value after polarity folding. A
+    // constant is the zero function, complemented for one.
     struct Ref {
         std::uint8_t kind = 0;  // 0 const, 1 leaf, 2 material op
         std::uint32_t index = 0;
         bool complemented = false;
     };
+    // One material manager call: its opcode, its operands from
+    // operands_[first] on, and for SOP the cover.
+    struct Op {
+        std::uint8_t opcode = 0;
+        std::uint32_t first = 0;
+        const net::Sop* sop = nullptr;
+    };
 
     std::vector<std::uint32_t> pos_;  // node id -> dense position + 1
     std::vector<Ref> ref_of_;         // dense position -> resolved ref
+    std::vector<Op> ops_;             // folded calls, in cone order
+    std::vector<Ref> operands_;
+    Ref root_;
+    std::size_t num_leaves_ = 0;
 };
 
 /// Process-wide, mutex-guarded, memory-budgeted LRU tape cache.

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <chrono>
-#include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,7 +12,6 @@
 #include "network/builder.hpp"
 #include "network/cleanup.hpp"
 #include "network/gate_tape.hpp"
-#include "network/simulate.hpp"
 
 namespace bdsmaj::decomp {
 
@@ -26,13 +22,8 @@ using net::Network;
 using net::NodeId;
 using net::Signal;
 
-/// Per-flow scratch reused by every supernode, so its allocations happen
-/// once per flow, not once per supernode.
+/// Per-flow scratch reused by every supernode.
 struct ConeScratch {
-    /// Dense cone evaluation: node id -> (dense position + 1) within the
-    /// current supernode, 0 = not in this supernode. Entries are reset
-    /// after each supernode.
-    std::vector<std::uint32_t> pos;
     /// The local BDD manager, reset() for each supernode (the BDS
     /// one-manager-per-supernode policy; a reset manager is observably a
     /// fresh one). Null until the first supernode; replaced when a guard
@@ -40,86 +31,15 @@ struct ConeScratch {
     std::unique_ptr<bdd::Manager> mgr;
 };
 
-/// Build the local BDD of a supernode: leaves become manager variables in
-/// order, cone nodes evaluate bottom-up into a dense vector indexed by
-/// cone position (this is a per-supernode hot loop; a hash map here cost
-/// a lookup per gate input).
-Bdd build_supernode_bdd(bdd::Manager& mgr, const Network& network,
-                        const Supernode& sn, ConeScratch& scratch) {
-    if (scratch.pos.size() < network.node_count()) {
-        scratch.pos.resize(network.node_count(), 0);
-    }
-    const std::size_t num_leaves = sn.leaves.size();
-    std::vector<Bdd> value(num_leaves + sn.cone.size());
-    // Reset on every exit, including the malformed-supernode throw below:
-    // the scratch is reused for later supernodes of this flow, and a
-    // stale nonzero entry would alias an unrelated node into their cones.
-    // Entries not yet stamped are 0, so the unconditional sweep is safe.
-    struct ScratchReset {
-        ConeScratch& scratch;
-        const Supernode& sn;
-        ~ScratchReset() {
-            for (const NodeId leaf : sn.leaves) scratch.pos[leaf] = 0;
-            for (const NodeId id : sn.cone) scratch.pos[id] = 0;
-        }
-    } reset_guard{scratch, sn};
-    // Position 0 is the "not in this supernode" sentinel; a malformed
-    // supernode (cone fanin outside leaves + earlier cone) must stay a
-    // clean error in Release builds too, not an out-of-bounds read.
-    const auto at = [&](NodeId fanin) -> const Bdd& {
-        const std::uint32_t p = scratch.pos[fanin];
-        if (p == 0) {
-            throw std::logic_error("supernode cone references node " +
-                                   std::to_string(fanin) +
-                                   " outside its leaves/cone");
-        }
-        return value[p - 1];
-    };
-    for (std::size_t i = 0; i < num_leaves; ++i) {
-        assert(scratch.pos[sn.leaves[i]] == 0);
-        scratch.pos[sn.leaves[i]] = static_cast<std::uint32_t>(i + 1);
-        value[i] = mgr.var_bdd(static_cast<int>(i));
-    }
-    for (std::size_t j = 0; j < sn.cone.size(); ++j) {
-        const NodeId id = sn.cone[j];
-        const net::Node& n = network.node(id);
-        const auto in = [&](std::size_t k) -> const Bdd& { return at(n.fanins[k]); };
-        Bdd result;
-        switch (n.kind) {
-            case net::GateKind::kInput:
-                assert(false && "inputs cannot be cone-internal");
-                result = mgr.zero();
-                break;
-            case net::GateKind::kConst0: result = mgr.zero(); break;
-            case net::GateKind::kConst1: result = mgr.one(); break;
-            case net::GateKind::kBuf: result = in(0); break;
-            case net::GateKind::kNot: result = !in(0); break;
-            case net::GateKind::kAnd: result = mgr.apply_and(in(0), in(1)); break;
-            case net::GateKind::kOr: result = mgr.apply_or(in(0), in(1)); break;
-            case net::GateKind::kNand: result = !mgr.apply_and(in(0), in(1)); break;
-            case net::GateKind::kNor: result = !mgr.apply_or(in(0), in(1)); break;
-            case net::GateKind::kXor: result = mgr.apply_xor(in(0), in(1)); break;
-            case net::GateKind::kXnor: result = mgr.apply_xnor(in(0), in(1)); break;
-            case net::GateKind::kMaj: result = mgr.maj(in(0), in(1), in(2)); break;
-            case net::GateKind::kMux: result = mgr.ite(in(0), in(1), in(2)); break;
-            case net::GateKind::kSop:
-                result = net::sop_to_bdd(mgr, n.sop, in);
-                break;
-        }
-        assert(scratch.pos[id] == 0);
-        scratch.pos[id] = static_cast<std::uint32_t>(num_leaves + j + 1);
-        value[num_leaves + j] = std::move(result);
-    }
-    return at(sn.root);
-}
-
-/// One supernode: local manager (the flow's, reset), sift, decompose into
-/// the supernode's private tape.
-void decompose_supernode_to_tape(const Network& input, const Supernode& sn,
+/// One supernode, compiled by `cone`: local manager (the flow's, reset),
+/// the local BDD built from the compiled cone, sift, decompose into the
+/// supernode's private tape.
+void decompose_supernode_to_tape(const ConeKeyBuilder& cone,
                                  const DecompFlowParams& params,
                                  ConeScratch& scratch, net::GateTape& tape,
                                  EngineStats& stats) {
-    const int num_vars = static_cast<int>(sn.leaves.size());
+    const std::size_t num_leaves = cone.num_leaves();
+    const int num_vars = static_cast<int>(num_leaves);
     if (scratch.mgr == nullptr || scratch.mgr->poisoned()) {
         scratch.mgr = std::make_unique<bdd::Manager>(num_vars, params.manager);
     } else {
@@ -127,14 +47,14 @@ void decompose_supernode_to_tape(const Network& input, const Supernode& sn,
     }
     bdd::Manager& mgr = *scratch.mgr;
     {
-        const Bdd f = build_supernode_bdd(mgr, input, sn, scratch);
+        const Bdd f = cone.build_bdd(mgr);
         if (params.reorder) mgr.sift();
 
         std::vector<Signal> leaves;
-        leaves.reserve(sn.leaves.size());
+        leaves.reserve(num_leaves);
         // Variable i of the local manager is leaf i; sifting changes levels
         // but never variable identities, so this binding survives reorder.
-        for (std::size_t i = 0; i < sn.leaves.size(); ++i) leaves.push_back(tape.leaf(i));
+        for (std::size_t i = 0; i < num_leaves; ++i) leaves.push_back(tape.leaf(i));
 
         BddDecomposer decomposer(mgr, tape, std::move(leaves), params.engine);
         tape.set_root(decomposer.decompose(f));
@@ -177,27 +97,28 @@ DecompFlowParams degraded_stage_params(const DecompFlowParams& base,
 }
 
 /// Decompose one supernode into a finished (shared, immutable) tape —
-/// through the cone cache when enabled. On a hit the cached tape and the
-/// cached cold-run stats are returned (with cone_cache_hits = 1); on a
+/// through the cone cache when enabled. The cone is compiled either way;
+/// its BDD is built from the compiled cone. On a hit the cached tape and
+/// the cached cold-run stats are returned (with cone_cache_hits = 1); on a
 /// miss the freshly recorded tape is published for future lookups. Either
 /// way the tape bytes are those a cache-off run would have produced.
 [[nodiscard]] std::shared_ptr<const net::GateTape> produce_tape(
         const Network& input, const Supernode& sn, const DecompFlowParams& params,
-        const std::string& config, ConeScratch& scratch, ConeKeyBuilder& keys,
+        const std::string& config, ConeScratch& scratch, ConeKeyBuilder& cone,
         EngineStats& stats) {
+    const ConeKey key = cone.build(input, sn, config);
     if (!params.cone_cache) {
         auto tape = std::make_shared<net::GateTape>(sn.leaves.size());
-        decompose_supernode_to_tape(input, sn, params, scratch, *tape, stats);
+        decompose_supernode_to_tape(cone, params, scratch, *tape, stats);
         return tape;
     }
-    const ConeKey key = keys.build(input, sn, config);
     if (std::shared_ptr<const ConeCacheValue> hit = ConeCache::instance().lookup(key)) {
         stats = hit->stats;
         stats.cone_cache_hits = 1;
         return hit->tape;
     }
     auto tape = std::make_shared<net::GateTape>(sn.leaves.size());
-    decompose_supernode_to_tape(input, sn, params, scratch, *tape, stats);
+    decompose_supernode_to_tape(cone, params, scratch, *tape, stats);
     tape->shrink_to_fit();
     ConeCache::instance().insert(key, tape, stats);
     stats.cone_cache_misses = 1;
@@ -275,7 +196,7 @@ DecompFlowResult decompose_network(const Network& input, const DecompFlowParams&
     // on ResourceExhausted. InjectedFault and everything else propagate —
     // the ladder absorbs resource-guard trips only.
     ConeScratch scratch;
-    ConeKeyBuilder keys;
+    ConeKeyBuilder cone;
     const auto produce_staged = [&](const Supernode& sn, EngineStats& stats)
             -> std::shared_ptr<const net::GateTape> {
         if (degrade_floor == 0 && params.soft_budget &&
@@ -292,7 +213,7 @@ DecompFlowResult decompose_network(const Network& input, const DecompFlowParams&
                            : stages[static_cast<std::size_t>(level - 1)].config;
             try {
                 std::shared_ptr<const net::GateTape> tape =
-                    produce_tape(input, sn, sp, cfg, scratch, keys, stats);
+                    produce_tape(input, sn, sp, cfg, scratch, cone, stats);
                 // After produce_tape: it overwrites `stats` wholesale (and
                 // cached entries must stay degrade-agnostic).
                 if (level > 0) ++stats.degraded_supernodes;
@@ -343,7 +264,7 @@ DecompFlowResult decompose_network(const Network& input, const DecompFlowParams&
     }
 
     result.supernode_count = static_cast<int>(supernodes.size());
-    result.network = params.final_cleanup ? net::cleanup(out) : std::move(out);
+    result.network = net::cleanup(out);
     result.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     return result;

@@ -75,8 +75,6 @@ struct DecompFlowParams {
     /// byte-identical either way (the cache key captures everything the
     /// emitted tape depends on); only the cone_cache_* telemetry differs.
     bool cone_cache = true;
-    /// Run structural cleanup on the result.
-    bool final_cleanup = true;
     /// Ignored: decompose_network always runs on the calling thread. Kept
     /// only so existing callers that still assign it keep compiling.
     int jobs = 1;

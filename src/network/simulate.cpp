@@ -175,24 +175,7 @@ std::vector<bdd::Bdd> network_to_bdds(const Network& network, bdd::Manager& mgr)
         const auto in = [&](std::size_t k) -> const bdd::Bdd& {
             return value[n.fanins[k]];
         };
-        switch (n.kind) {
-            case GateKind::kInput: break;
-            case GateKind::kConst0: value[id] = mgr.zero(); break;
-            case GateKind::kConst1: value[id] = mgr.one(); break;
-            case GateKind::kBuf: value[id] = in(0); break;
-            case GateKind::kNot: value[id] = !in(0); break;
-            case GateKind::kAnd: value[id] = mgr.apply_and(in(0), in(1)); break;
-            case GateKind::kOr: value[id] = mgr.apply_or(in(0), in(1)); break;
-            case GateKind::kNand: value[id] = !mgr.apply_and(in(0), in(1)); break;
-            case GateKind::kNor: value[id] = !mgr.apply_or(in(0), in(1)); break;
-            case GateKind::kXor: value[id] = mgr.apply_xor(in(0), in(1)); break;
-            case GateKind::kXnor: value[id] = mgr.apply_xnor(in(0), in(1)); break;
-            case GateKind::kMaj: value[id] = mgr.maj(in(0), in(1), in(2)); break;
-            case GateKind::kMux: value[id] = mgr.ite(in(0), in(1), in(2)); break;
-            case GateKind::kSop:
-                value[id] = sop_to_bdd(mgr, n.sop, in);
-                break;
-        }
+        if (n.kind != GateKind::kInput) value[id] = node_bdd(mgr, n, in);
     }
     std::vector<bdd::Bdd> outs;
     outs.reserve(network.outputs().size());

@@ -25,8 +25,7 @@ namespace bdsmaj::net {
 /// `fanin(i)`. The cube terms are combined by balanced pairwise OR
 /// reduction: a sequential accumulator repeats work proportional to the
 /// growing intermediate BDD once per cube, pairwise reduction keeps the
-/// operands small. Shared by the equivalence checker and the supernode
-/// BDD builder.
+/// operands small. Shared by node_bdd and the supernode BDD builder.
 template <typename FaninFn>
 [[nodiscard]] bdd::Bdd sop_to_bdd(bdd::Manager& mgr, const Sop& sop,
                                   FaninFn&& fanin) {
@@ -51,6 +50,31 @@ template <typename FaninFn>
         terms = std::move(next);
     }
     return terms.empty() ? mgr.zero() : std::move(terms[0]);
+}
+
+/// One node's BDD from its fanins' BDDs (`in(k)` is fanin k's BDD): the
+/// one GateKind -> manager-call mapping for whole networks. A primary
+/// input has no gate function: callers supply its BDD, and this returns
+/// an invalid handle for it.
+template <typename FaninFn>
+[[nodiscard]] bdd::Bdd node_bdd(bdd::Manager& mgr, const Node& n, FaninFn&& in) {
+    switch (n.kind) {
+        case GateKind::kInput: return {};
+        case GateKind::kConst0: return mgr.zero();
+        case GateKind::kConst1: return mgr.one();
+        case GateKind::kBuf: return in(0);
+        case GateKind::kNot: return !in(0);
+        case GateKind::kAnd: return mgr.apply_and(in(0), in(1));
+        case GateKind::kOr: return mgr.apply_or(in(0), in(1));
+        case GateKind::kNand: return !mgr.apply_and(in(0), in(1));
+        case GateKind::kNor: return !mgr.apply_or(in(0), in(1));
+        case GateKind::kXor: return mgr.apply_xor(in(0), in(1));
+        case GateKind::kXnor: return mgr.apply_xnor(in(0), in(1));
+        case GateKind::kMaj: return mgr.maj(in(0), in(1), in(2));
+        case GateKind::kMux: return mgr.ite(in(0), in(1), in(2));
+        case GateKind::kSop: return sop_to_bdd(mgr, n.sop, in);
+    }
+    return {};
 }
 
 /// One node's 64-pattern word from its fanins' words (`in(k)` is fanin k's

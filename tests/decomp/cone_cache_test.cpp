@@ -13,9 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "benchgen/arith.hpp"
 #include "benchgen/suite.hpp"
 #include "decomp/flow.hpp"
 #include "flows/flows.hpp"
@@ -337,6 +340,102 @@ TEST(ConeCache, SimHashCollisionCannotAliasEntries) {
     EXPECT_EQ(cache.stats().entries, 2);
     EXPECT_NE(cache.lookup(k1), cache.lookup(k2));
     cache.clear();
+}
+
+TEST(ConeCache, BuildBddMatchesDirectConeEvaluation) {
+    // build_bdd is the only builder of a supernode's local BDD, so it is
+    // checked against a direct evaluation of the cone with net::node_bdd
+    // in the same manager: canonicity makes equal functions equal edges.
+    std::vector<Network> inputs;
+    for (const std::string& name : benchgen::benchmark_names()) {
+        inputs.push_back(benchgen::benchmark_by_name(name, /*quick=*/true));
+    }
+    inputs.push_back(benchgen::make_ripple_adder(8));
+    inputs.push_back(benchgen::make_cla_adder(8));
+    inputs.push_back(benchgen::make_four_operand_adder(8));
+    inputs.push_back(benchgen::make_array_multiplier(8));
+    inputs.push_back(benchgen::make_wallace_multiplier(8));
+    inputs.push_back(benchgen::make_mac(8));
+    inputs.push_back(benchgen::make_restoring_divider(8));
+    inputs.push_back(benchgen::make_reciprocal(8));
+    inputs.push_back(benchgen::make_sqrt(8));
+    // The generators emit no BUF, NAND, NOR, XNOR or SOP gates; this
+    // network adds them, and constants under XOR and OR.
+    {
+        Network net("every_kind");
+        const auto a = net.add_input("a"), b = net.add_input("b");
+        const auto c = net.add_input("c"), d = net.add_input("d");
+        const auto nand = net.add_gate(net::GateKind::kNand, {a, b});
+        const auto nor = net.add_gate(net::GateKind::kNor, {c, nand});
+        const auto buf = net.add_gate(net::GateKind::kBuf, {net.add_xnor(nor, d)});
+        net::Sop cover = net::Sop::from_pattern("1-0");
+        cover.add_cube(net::Sop::from_pattern("01-").cubes().front());
+        const auto sop = net.add_sop({a, buf, c}, cover);
+        const auto x = net.add_xor(sop, net.add_constant(true));
+        const auto o = net.add_or(x, net.add_constant(false));
+        const auto mux = net.add_mux(b, o, net.add_not(a));
+        net.add_output("o", net.add_maj(mux, c, d));
+        inputs.push_back(std::move(net));
+    }
+
+    ConeKeyBuilder cone;
+    std::set<net::GateKind> kinds;
+    long long supernodes = 0;
+    for (const Network& input : inputs) {
+        for (const Supernode& sn : partition_network(input)) {
+            bdd::Manager mgr(static_cast<int>(sn.leaves.size()));
+            (void)cone.build(input, sn, "");
+            const bdd::Bdd built = cone.build_bdd(mgr);
+            std::unordered_map<net::NodeId, bdd::Bdd> value;
+            for (std::size_t i = 0; i < sn.leaves.size(); ++i) {
+                value[sn.leaves[i]] = mgr.var_bdd(static_cast<int>(i));
+            }
+            for (const net::NodeId id : sn.cone) {
+                const net::Node& n = input.node(id);
+                kinds.insert(n.kind);
+                value[id] = net::node_bdd(mgr, n, [&](std::size_t k) -> const bdd::Bdd& {
+                    return value.at(n.fanins[k]);
+                });
+            }
+            ASSERT_EQ(built.edge(), value.at(sn.root).edge())
+                << input.model_name() << ": supernode rooted at node " << sn.root;
+            ++supernodes;
+        }
+    }
+    EXPECT_GT(supernodes, 1000);
+    EXPECT_EQ(kinds.size(), 13u) << "every gate kind but kInput is covered";
+}
+
+TEST(ConeCache, MalformedConeThrowsAndLeavesTheBuilderClean) {
+    // Inputs a..d; g1 = AND(a, b), g2 = AND(g1, c), g3 = OR(c, d),
+    // g4 = AND(g3, g1).
+    Network net("malformed");
+    const auto a = net.add_input("a"), b = net.add_input("b");
+    const auto c = net.add_input("c"), d = net.add_input("d");
+    const auto g1 = net.add_and(a, b);
+    const auto g2 = net.add_and(g1, c);
+    const auto g3 = net.add_or(c, d);
+    const auto g4 = net.add_and(g3, g1);
+    net.add_output("o2", g2);
+    net.add_output("o4", g4);
+
+    // g2 reads c, which is neither a leaf nor earlier in the cone; the
+    // walk has stamped a, b and g1 by then.
+    Supernode reads_outside{g2, {a, b}, {g1, g2}};
+    // g4 reads g1, which only the failed walk above stamped: a stale
+    // stamp would alias it to g3 instead of throwing.
+    Supernode reads_stale{g4, {c, d}, {g3, g4}};
+    Supernode valid{g4, {a, b, c, d}, {g1, g3, g4}};
+
+    const std::string config = test_config();
+    ConeKeyBuilder used;
+    EXPECT_THROW((void)used.build(net, reads_outside, config), std::logic_error);
+    EXPECT_THROW((void)used.build(net, reads_stale, config), std::logic_error);
+    const ConeKey after = used.build(net, valid, config);
+    ConeKeyBuilder fresh;
+    const ConeKey expected = fresh.build(net, valid, config);
+    EXPECT_EQ(after.canonical, expected.canonical);
+    EXPECT_EQ(after.hash, expected.hash);
 }
 
 TEST(ConeCache, StructurallyDistinctCanonicalEqualConesShareOneEntry) {

@@ -140,14 +140,6 @@ TEST(Flow, ReorderingOffStillCorrect) {
     EXPECT_TRUE(net::check_equivalent(input, r.network).equivalent);
 }
 
-TEST(Flow, CleanupOffStillCorrect) {
-    DecompFlowParams params;
-    params.final_cleanup = false;
-    const Network input = ripple_adder(3);
-    const DecompFlowResult r = decompose_network(input, params);
-    EXPECT_TRUE(net::check_equivalent(input, r.network).equivalent);
-}
-
 TEST(Flow, ConstantsAndWiresSurvive) {
     Network net("edge");
     const NodeId a = net.add_input("a");
