@@ -113,7 +113,6 @@ struct ManagerParams {
     std::size_t cache_max_size_log2 = 23;  ///< growth ceiling (2^k entries)
     std::size_t gc_dead_threshold = 1u << 14;  ///< auto-GC when this many dead
     double sift_max_growth = 1.25;      ///< abort a sift direction beyond this
-    int sift_max_vars = 1000;           ///< max variables sifted per pass
     /// Abort a sift direction as soon as the frozen-part lower bound proves
     /// no strictly better position can exist in it. Produces the same final
     /// order as exhaustive exploration (tests enforce it); off only for A/B.

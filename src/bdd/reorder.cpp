@@ -510,12 +510,6 @@ void Manager::sift_pass() {
         return unit_live(units[static_cast<std::size_t>(a)]) >
                unit_live(units[static_cast<std::size_t>(b)]);
     });
-    // Negative caps (possible via CLI/service plumbing) mean "sift nothing",
-    // not a SIZE_MAX resize.
-    const int max_units = std::max(params_.sift_max_vars, 0);
-    if (static_cast<int>(order.size()) > max_units) {
-        order.resize(static_cast<std::size_t>(max_units));
-    }
 
     std::vector<int> interacting;  // vars whose levels can change under the unit
     std::vector<std::uint8_t> in_unit(var_to_level_.size(), 0);

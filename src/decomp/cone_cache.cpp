@@ -50,7 +50,7 @@ std::string cone_cache_config_blob(const EngineParams& engine,
                                    const bdd::ManagerParams& manager, bool reorder) {
     std::string out;
     out.reserve(128 + engine.preset.size());
-    append_raw(out, std::uint8_t{6});  // blob layout version
+    append_raw(out, std::uint8_t{7});  // blob layout version
     append_str(out, engine.preset);
     append_raw(out, static_cast<std::uint8_t>(engine.use_majority));
     append_raw(out, engine.exact_max_support);
@@ -65,7 +65,6 @@ std::string cone_cache_config_blob(const EngineParams& engine,
     append_raw(out, manager.cache_max_size_log2);
     append_raw(out, manager.gc_dead_threshold);
     append_raw(out, manager.sift_max_growth);
-    append_raw(out, manager.sift_max_vars);
     append_raw(out, static_cast<std::uint8_t>(manager.sift_lower_bound));
     append_raw(out, static_cast<std::uint8_t>(manager.sift_converge));
     append_raw(out, static_cast<std::uint8_t>(manager.sift_symmetry));

@@ -77,14 +77,13 @@ struct DegradeStage {
     std::string config;
 };
 
-/// Derive a cheaper stage from the requested parameters: the stage's
-/// preset, sift effort clamped. The terminal stage additionally turns
-/// reordering and the resource guards off, so plain Shannon expansion —
-/// linear in the cone's BDD — always terminates.
-DecompFlowParams degraded_stage_params(const DecompFlowParams& base,
-                                       const std::string& preset, bool terminal) {
+/// Derive a cheaper stage from the requested parameters: the `paper`
+/// preset, sift effort clamped. The terminal stage runs `shannon` instead
+/// and additionally turns reordering and the resource guards off, so plain
+/// Shannon expansion — linear in the cone's BDD — always terminates.
+DecompFlowParams degraded_stage_params(const DecompFlowParams& base, bool terminal) {
     DecompFlowParams p = base;
-    p.engine.preset = preset;
+    p.engine.preset = terminal ? "shannon" : "paper";
     p.manager.sift_converge = false;
     p.manager.sift_max_growth = std::min(p.manager.sift_max_growth, 1.1);
     p.manager.sift_symmetry = false;
@@ -128,10 +127,7 @@ DecompFlowParams degraded_stage_params(const DecompFlowParams& base,
 }  // namespace
 
 DecompFlowParams resolve_flow_params(DecompFlowParams params) {
-    params.manager.sift_symmetry =
-        params.sift_symmetry < 0
-            ? preset_sift_symmetry_default(params.engine.preset)
-            : params.sift_symmetry != 0;
+    params.manager.sift_symmetry = preset_sift_symmetry_default(params.engine.preset);
     params.engine.exact_max_support =
         std::min(params.engine.exact_max_support, kMaxExactSupport);
     return params;
@@ -172,17 +168,11 @@ DecompFlowResult decompose_network(const Network& input, const DecompFlowParams&
                             params.manager.sift_max_swaps != 0;
     std::vector<DegradeStage> stages;
     if (degradable) {
-        std::vector<std::string> ladder = params.degrade_ladder;
-        if (ladder.empty()) ladder.push_back("paper");
-        if (ladder.back() != "shannon") ladder.push_back("shannon");
-        stages.reserve(ladder.size());
-        for (std::size_t s = 0; s < ladder.size(); ++s) {
+        // The fixed ladder: `paper` with clamped sifting, then terminal
+        // `shannon`.
+        for (const bool terminal : {false, true}) {
             DegradeStage stage;
-            stage.params = degraded_stage_params(params, ladder[s],
-                                                 /*terminal=*/s + 1 == ladder.size());
-            // Validates the preset name too (throws on an unknown one
-            // before any supernode runs).
-            preset_pipeline(ladder[s]);
+            stage.params = degraded_stage_params(params, terminal);
             stage.config = stage.params.cone_cache
                                ? cone_cache_config_blob(stage.params.engine,
                                                         stage.params.manager,

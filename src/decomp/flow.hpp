@@ -17,8 +17,6 @@
 #include <chrono>
 #include <optional>
 #include <stdexcept>
-#include <string>
-#include <vector>
 
 #include "decomp/engine.hpp"
 #include "decomp/partition.hpp"
@@ -52,21 +50,17 @@ struct DecompFlowParams {
     EngineParams engine;
     PartitionParams partition;
     /// Tuning for the per-supernode BDD managers — in particular the
-    /// reordering budget (sift_max_growth / sift_max_vars / sift_converge;
-    /// see bdd::ManagerParams). Defaults reproduce the paper presets
+    /// reordering budget (sift_max_growth / sift_converge; see
+    /// bdd::ManagerParams). Defaults reproduce the paper presets
     /// byte-for-byte; sift_converge trades decomposition time for smaller
     /// local BDDs and may change (equivalent) output structure.
+    /// manager.sift_symmetry is not read from here: decompose_network sets
+    /// it from the preset (preset_sift_symmetry_default; off for `paper`
+    /// and the pinned baselines, on for `symmetry`/`exact-aggressive`/
+    /// `best-cost`), before the cone-cache config blob is computed.
     bdd::ManagerParams manager;
     /// Sift each supernode's local BDD before decomposing (paper SIV-B).
     bool reorder = true;
-    /// Symmetry-aware sifting (detect symmetric variable groups, move them
-    /// as blocks): -1 = let the preset decide
-    /// (preset_sift_symmetry_default; off for `paper` and the pinned
-    /// baselines, on for `symmetry`/`exact-aggressive`/`best-cost`),
-    /// 0 = force off, 1 = force on. Resolved once at decompose_network
-    /// entry into manager.sift_symmetry, before the cone-cache config blob
-    /// is computed.
-    int sift_symmetry = -1;
     /// Consult the process-wide canonical cone cache
     /// (decomp/cone_cache.hpp): a supernode whose canonical cone signature
     /// was decomposed before — by this run, an earlier run, or a
@@ -88,26 +82,24 @@ struct DecompFlowParams {
     /// DeadlineExceeded. Unset = no deadline (and no clock reads).
     std::optional<std::chrono::steady_clock::time_point> deadline;
     /// Absolute soft budget. Once passed, remaining supernodes are
-    /// decomposed on the degrade ladder below instead of the requested
+    /// decomposed on the degrade ladder instead of the requested
     /// parameters — the flow finishes with a valid (equivalent, but
-    /// cheaper-effort) network rather than dying. Which supernodes land on
-    /// the ladder is timing-dependent; EngineStats::degraded_supernodes
-    /// counts them. Unset = no budget (and no clock reads).
+    /// cheaper-effort) network rather than dying. The ladder is fixed:
+    /// the `paper` preset with clamped sift effort, then terminal
+    /// `shannon` — plain cofactor expansion with reordering and resource
+    /// guards off, which always terminates. A resource-guard trip
+    /// (manager.max_live_nodes / manager.sift_max_swaps) sends its cone
+    /// down the same ladder. Which supernodes land on the ladder is
+    /// timing-dependent; EngineStats::degraded_supernodes counts them.
+    /// Unset = no budget (and no clock reads).
     std::optional<std::chrono::steady_clock::time_point> soft_budget;
-    /// Preset names tried in order for a degraded or guard-tripped
-    /// supernode (each stage also clamps sift effort). "shannon" — plain cofactor expansion with reordering
-    /// and resource guards off, which always terminates — is appended as
-    /// the terminal stage when missing. Empty = {"paper", "shannon"}.
-    /// Only consulted when a soft budget or a resource guard
-    /// (manager.max_live_nodes / manager.sift_max_swaps) is configured.
-    std::vector<std::string> degrade_ladder;
 };
 
-/// The parameters decompose_network actually runs with: the sift_symmetry
-/// tri-state resolved into manager.sift_symmetry, and
-/// engine.exact_max_support clamped to kMaxExactSupport. Resolution comes
-/// before the cone-cache config blob is built, so requests that resolve
-/// alike share cache entries.
+/// The parameters decompose_network actually runs with:
+/// manager.sift_symmetry set from the preset, and engine.exact_max_support
+/// clamped to kMaxExactSupport. Resolution comes before the cone-cache
+/// config blob is built, so requests that resolve alike share cache
+/// entries.
 [[nodiscard]] DecompFlowParams resolve_flow_params(DecompFlowParams params);
 
 struct DecompFlowResult {

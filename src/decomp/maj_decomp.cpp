@@ -57,8 +57,8 @@ MajDecomposition construct_majority(Manager& mgr, const Bdd& f, const Bdd& fa,
     return d;
 }
 
-bool balance_majority_once(Manager& mgr, const Bdd& f, MajDecomposition& decomp,
-                           const XorDecompParams& xor_params) {
+bool balance_majority_once(Manager& mgr, [[maybe_unused]] const Bdd& f,
+                           MajDecomposition& decomp, const XorDecompParams& xor_params) {
     bool improved = false;
     // All couples (X, Y) among Fa, Fb, Fc, as in Algorithm 1.
     const std::array<std::pair<Bdd*, Bdd*>, 3> pairs = {

@@ -88,12 +88,10 @@ SynthesisResult from_decomposition(std::string name, const net::Network& input,
     }
     params.manager = options.manager;
     params.reorder = options.reorder;
-    params.sift_symmetry = options.sift_symmetry;
     params.cone_cache = options.cone_cache;
     params.cancel = options.cancel;
     params.deadline = options.deadline;
     params.soft_budget = options.soft_budget;
-    params.degrade_ladder = options.degrade_ladder;
     decomp::DecompFlowResult d = decomp::decompose_network(input, params);
     SynthesisResult result;
     // Non-default presets surface in the flow name so multi-preset sweeps

@@ -36,7 +36,8 @@ struct FlowOptions {
     /// byte-for-byte. ABC/DC ignore it.
     std::string preset = "paper";
     /// Per-supernode BDD manager tuning (reordering budget: sift growth
-    /// bound, converging sift, variable cap). Defaults keep the preset
+    /// bound, converging sift). Its sift_symmetry is ignored: the preset
+    /// decides (DecompFlowParams::manager). Defaults keep the preset
     /// fingerprints; ABC/DC ignore it.
     bdd::ManagerParams manager{};
     /// Majority decomposition tuning (EngineParams::maj: balancing
@@ -50,10 +51,6 @@ struct FlowOptions {
     /// (EngineParams::exact_max_support); values above 4 act as 4, and a
     /// negative value keeps the engine default (also 4). ABC/DC ignore it.
     int exact_max_support = decomp::kMaxExactSupport;
-    /// Symmetry-aware sifting for the BDS flows
-    /// (DecompFlowParams::sift_symmetry tri-state): -1 = preset decides,
-    /// 0 = force off, 1 = force on. ABC/DC ignore it.
-    int sift_symmetry = -1;
     /// Consult the process-wide canonical cone cache in the BDS flows
     /// (DecompFlowParams::cone_cache): repeated cones — within a circuit,
     /// across circuits, across jobs — replay cached GateTapes instead of
@@ -73,12 +70,10 @@ struct FlowOptions {
     /// passes themselves are not interruptible. Unset = no deadline.
     std::optional<std::chrono::steady_clock::time_point> deadline;
     /// Absolute soft budget (DecompFlowParams::soft_budget): once passed,
-    /// the BDS flows degrade remaining supernodes down `degrade_ladder`
-    /// instead of failing; EngineStats::degraded_supernodes counts them.
+    /// the BDS flows degrade remaining supernodes down the fixed
+    /// paper -> shannon ladder instead of failing;
+    /// EngineStats::degraded_supernodes counts them.
     std::optional<std::chrono::steady_clock::time_point> soft_budget;
-    /// Degrade-ladder preset names (DecompFlowParams::degrade_ladder);
-    /// empty = {"paper", "shannon"}.
-    std::vector<std::string> degrade_ladder;
     /// Equivalence engine for the sign-off below. kAuto proves the mapped
     /// netlist with the local mapping certificate (mapping/certify.hpp)
     /// and runs a second global check only if that is inconclusive;
@@ -152,7 +147,7 @@ void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
                                               const std::string& preset);
 
 /// The BDS flows honor every FlowOptions knob; the result depends only on
-/// the preset and the engine tuning (manager, maj, reorder, sift_symmetry,
+/// the preset and the engine tuning (manager, maj, reorder,
 /// exact_max_support). ABC and DC are serial and take no options.
 [[nodiscard]] SynthesisResult flow_bdsmaj(const net::Network& input,
                                           const FlowOptions& options = {});

@@ -42,21 +42,18 @@ static FlowResult unstarted_result(std::uint64_t id, JobStatus status) {
 SynthesisService::SynthesisService(const ServiceParams& params)
     : pool_(params.pool != nullptr ? *params.pool : runtime::global_pool()),
       max_concurrent_(params.max_concurrent_jobs > 0 ? params.max_concurrent_jobs
-                                                     : pool_.size()),
-      paused_(params.start_paused) {}
+                                                     : pool_.size()) {}
 
 SynthesisService::~SynthesisService() {
     std::unique_lock<std::mutex> lock(mutex_);
     // Cancel everything still queued and request cooperative stops of the
     // running jobs, then wait for them — their pool tasks capture `this`
     // and must not outlive it. The pool itself is untouched.
-    for (std::deque<std::shared_ptr<Job>>* lane : {&queue_high_, &queue_}) {
-        for (const std::shared_ptr<Job>& job : *lane) {
-            ++cancelled_;
-            job->promise.set_value(unstarted_result(job->id, JobStatus::kCancelled));
-        }
-        lane->clear();
+    for (const std::shared_ptr<Job>& job : queue_) {
+        ++cancelled_;
+        job->promise.set_value(unstarted_result(job->id, JobStatus::kCancelled));
     }
+    queue_.clear();
     for (auto& [id, job] : running_jobs_) {
         job->cancel_requested.store(true, std::memory_order_relaxed);
     }
@@ -73,8 +70,7 @@ SynthesisService::Submission SynthesisService::enqueue(
     std::lock_guard<std::mutex> lock(mutex_);
     job->id = ++next_id_;
     submission.id = job->id;
-    (params.priority == JobPriority::kHigh ? queue_high_ : queue_)
-        .push_back(std::move(job));
+    queue_.push_back(std::move(job));
     pump_locked();
     return submission;
 }
@@ -92,23 +88,19 @@ SynthesisService::Submission SynthesisService::submit_suite(
 }
 
 void SynthesisService::pump_locked() {
-    while (!paused_ && running_ < max_concurrent_ &&
-           (!queue_high_.empty() || !queue_.empty())) {
-        // The high lane drains completely before the normal lane is
-        // considered. Within a lane: earliest-deadline-first over the jobs
-        // that have deadlines, then FIFO over the deadline-less ones —
-        // plain FIFO (and zero clock reads) when no queued job carries a
-        // deadline, which keeps the default path byte-identical.
-        std::deque<std::shared_ptr<Job>>& lane =
-            queue_high_.empty() ? queue_ : queue_high_;
+    while (!paused_ && running_ < max_concurrent_ && !queue_.empty()) {
+        // Earliest-deadline-first over the jobs that have deadlines, then
+        // FIFO over the deadline-less ones — plain FIFO (and zero clock
+        // reads) when no queued job carries a deadline, which keeps the
+        // default path byte-identical.
         std::size_t pick = 0;
-        for (std::size_t i = 1; i < lane.size(); ++i) {
-            const auto& deadline = lane[i]->params.deadline;
-            const auto& best = lane[pick]->params.deadline;
+        for (std::size_t i = 1; i < queue_.size(); ++i) {
+            const auto& deadline = queue_[i]->params.deadline;
+            const auto& best = queue_[pick]->params.deadline;
             if (deadline && (!best || *deadline < *best)) pick = i;
         }
-        std::shared_ptr<Job> job = lane[pick];
-        lane.erase(lane.begin() + static_cast<std::ptrdiff_t>(pick));
+        std::shared_ptr<Job> job = queue_[pick];
+        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
         if (job->params.deadline && Clock::now() >= *job->params.deadline) {
             // Admission-time shedding: the job cannot start before its
             // deadline, so it never runs — terminal status, no start
@@ -207,16 +199,14 @@ void SynthesisService::execute(const std::shared_ptr<Job>& job) {
 
 bool SynthesisService::cancel(JobId id) {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (std::deque<std::shared_ptr<Job>>* lane : {&queue_high_, &queue_}) {
-        for (auto it = lane->begin(); it != lane->end(); ++it) {
-            if ((*it)->id != id) continue;
-            const std::shared_ptr<Job> job = *it;
-            lane->erase(it);
-            ++cancelled_;
-            idle_cv_.notify_all();  // the queue may just have drained
-            job->promise.set_value(unstarted_result(job->id, JobStatus::kCancelled));
-            return true;
-        }
+    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+        if ((*it)->id != id) continue;
+        const std::shared_ptr<Job> job = *it;
+        queue_.erase(it);
+        ++cancelled_;
+        idle_cv_.notify_all();  // the queue may just have drained
+        job->promise.set_value(unstarted_result(job->id, JobStatus::kCancelled));
+        return true;
     }
     // Running: request a cooperative stop; the flow observes the token at
     // its next checkpoint and the job resolves as kCancelled then.
@@ -242,22 +232,21 @@ void SynthesisService::resume() {
 void SynthesisService::wait_idle() {
     std::unique_lock<std::mutex> lock(mutex_);
     idle_cv_.wait(lock, [this] {
-        return queue_.empty() && queue_high_.empty() && inflight_ == 0;
+        return queue_.empty() && inflight_ == 0;
     });
 }
 
 bool SynthesisService::wait_idle_for(std::chrono::milliseconds timeout) {
     std::unique_lock<std::mutex> lock(mutex_);
     return idle_cv_.wait_for(lock, timeout, [this] {
-        return queue_.empty() && queue_high_.empty() && inflight_ == 0;
+        return queue_.empty() && inflight_ == 0;
     });
 }
 
 ServiceStats SynthesisService::stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
     ServiceStats s;
-    s.queued = static_cast<int>(queue_.size() + queue_high_.size());
-    s.queued_high = static_cast<int>(queue_high_.size());
+    s.queued = static_cast<int>(queue_.size());
     s.running = running_;
     s.completed = completed_;
     s.cancelled = cancelled_;

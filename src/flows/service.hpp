@@ -3,8 +3,8 @@
 // the synthesis flows — the serving shape of the BDS-MAJ pipeline.
 //
 // Callers submit jobs (one network, or a whole benchmark suite) and get a
-// std::future<FlowResult> back immediately. Jobs wait in two priority
-// lanes (kHigh drains before kNormal; FIFO within a lane); at most
+// std::future<FlowResult> back immediately. Jobs wait in one queue
+// (earliest deadline first, FIFO among deadline-less jobs); at most
 // `max_concurrent_jobs` run at once, each as one task on the shared
 // process pool (runtime::global_pool() unless a pool is injected). Inside
 // a suite job, the per-job `jobs` budget bounds how many circuits run at
@@ -62,24 +62,19 @@ enum class JobStatus {
     kDeadlineExceeded,
 };
 
-/// Admission lane: kHigh jobs always dispatch before kNormal ones;
-/// within a lane admission stays FIFO.
-enum class JobPriority { kNormal, kHigh };
-
 /// A job's configuration: the FlowOptions every flow entry point takes,
-/// plus which flows to run and the admission lane. For a job, the
-/// inherited knobs mean:
+/// plus which flows to run. For a job, the inherited knobs mean:
 ///   * `jobs` — how many circuits of a suite job run at once (a
 ///     single-network job runs on one thread). Never changes the result.
 ///   * `deadline` / `soft_budget` — absolute instants the caller fixes
 ///     before submit(), so queue wait counts against both. A job whose
 ///     deadline passes before it dispatches is shed without running; a
 ///     running one stops at its next flow checkpoint; either way the
-///     future yields kDeadlineExceeded. Within a priority lane, jobs with
-///     deadlines dispatch earliest-deadline-first ahead of deadline-less
-///     jobs (which stay FIFO among themselves). An expired soft budget
-///     degrades the remaining supernodes instead, and
-///     FlowResult::degraded_supernodes counts them.
+///     future yields kDeadlineExceeded. Jobs with deadlines dispatch
+///     earliest-deadline-first ahead of deadline-less jobs (which stay
+///     FIFO among themselves). An expired soft budget degrades the
+///     remaining supernodes instead, and FlowResult::degraded_supernodes
+///     counts them.
 ///   * `verify` — a failed sign-off fails the job (status kFailed, the
 ///     error on the future): the service never hands out an unverified
 ///     wrong network.
@@ -90,7 +85,6 @@ struct SynthesisJobParams : FlowOptions {
     /// "all" (the four Table II flows), or one of "bdsmaj", "bdspga",
     /// "abc", "dc" (see run_flow).
     std::string flow = "all";
-    JobPriority priority = JobPriority::kNormal;
 };
 
 struct FlowResult {
@@ -107,7 +101,7 @@ struct FlowResult {
     long long degraded_supernodes = 0;
     double seconds = 0.0;  ///< wall time of the job body (not queue wait)
     /// 0-based dispatch sequence across the service lifetime: the order
-    /// jobs actually started running (what the priority lanes decide).
+    /// jobs actually started running (what the EDF queue decides).
     /// Meaningless (kNoStartOrder) for jobs cancelled while queued.
     std::uint64_t start_order = kNoStartOrder;
 
@@ -115,8 +109,7 @@ struct FlowResult {
 };
 
 struct ServiceStats {
-    int queued = 0;      ///< both lanes, not yet running
-    int queued_high = 0; ///< the kHigh-lane subset of `queued`
+    int queued = 0;      ///< not yet running
     int running = 0;
     int completed = 0;
     int cancelled = 0;   ///< queued removals + cooperatively stopped runs
@@ -151,8 +144,6 @@ struct ServiceParams {
     /// Pool to run on; nullptr = runtime::global_pool(). An injected pool
     /// must outlive the service.
     runtime::ThreadPool* pool = nullptr;
-    /// Start with admission held (see pause()).
-    bool start_paused = false;
 };
 
 class SynthesisService {
@@ -224,8 +215,7 @@ private:
 
     mutable std::mutex mutex_;
     std::condition_variable idle_cv_;
-    std::deque<std::shared_ptr<Job>> queue_;       ///< kNormal lane
-    std::deque<std::shared_ptr<Job>> queue_high_;  ///< kHigh lane
+    std::deque<std::shared_ptr<Job>> queue_;
     /// Running jobs by id, for cooperative cancellation of in-flight work.
     std::unordered_map<JobId, std::shared_ptr<Job>> running_jobs_;
     JobId next_id_ = 0;

@@ -145,7 +145,7 @@ TEST_P(MultiplierTest, MatchesIntegerMultiply) {
         EXPECT_EQ(io.get_bus("p", 2 * bits), a * b) << a << "*" << b;
     }
     // Corners.
-    for (const auto [a, b] : {std::pair<std::uint64_t, std::uint64_t>{0, mask},
+    for (const auto& [a, b] : {std::pair<std::uint64_t, std::uint64_t>{0, mask},
                               {mask, mask},
                               {1, mask}}) {
         io.set_bus("a", bits, a);

@@ -189,15 +189,18 @@ TEST(Flow, ManagerParamsReachTheSupernodeManagers) {
         << "default flow should report reordering effort";
     EXPECT_GT(with_sift.engine_stats.peak_bdd_nodes, 0ll);
 
-    // sift_max_vars = 0 empties every pass's schedule: the managers still
-    // sift() but perform no swaps — observable only if the params actually
-    // arrived.
-    DecompFlowParams capped;
-    capped.manager.sift_max_vars = 0;
-    const DecompFlowResult no_swaps = decompose_network(input, capped);
-    EXPECT_EQ(no_swaps.engine_stats.sift_swaps, 0ll);
-    EXPECT_EQ(no_swaps.engine_stats.sift_fast_swaps, 0ll);
-    EXPECT_TRUE(net::check_equivalent(input, no_swaps.network).equivalent);
+    EXPECT_GT(with_sift.engine_stats.sift_lb_aborts, 0ll);
+
+    // sift_lower_bound = false explores every sift direction to its end:
+    // no lower-bound aborts and more swaps for the same final order —
+    // observable only if the params actually arrived.
+    DecompFlowParams exhaustive;
+    exhaustive.manager.sift_lower_bound = false;
+    const DecompFlowResult no_lb = decompose_network(input, exhaustive);
+    EXPECT_EQ(no_lb.engine_stats.sift_lb_aborts, 0ll);
+    EXPECT_GT(no_lb.engine_stats.sift_swaps + no_lb.engine_stats.sift_fast_swaps,
+              with_sift.engine_stats.sift_swaps + with_sift.engine_stats.sift_fast_swaps);
+    EXPECT_TRUE(net::check_equivalent(input, no_lb.network).equivalent);
     EXPECT_TRUE(net::check_equivalent(input, with_sift.network).equivalent);
 }
 

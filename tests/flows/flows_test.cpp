@@ -7,12 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "benchgen/arith.hpp"
 #include "benchgen/mcnc.hpp"
 #include "benchgen/suite.hpp"
+#include "decomp/strategy.hpp"
+#include "mapping/certify.hpp"
 #include "network/cec.hpp"
+#include "network/simulate.hpp"
+#include "network/sop.hpp"
+#include "tt/npn.hpp"
+#include "tt/truth_table.hpp"
 
 namespace bdsmaj::flows {
 namespace {
@@ -190,6 +199,45 @@ TEST(Flows, SuiteStopsBetweenCircuitsAfterDeadline) {
     for (const char* flow : {"abc", "dc", "bdsmaj"}) {
         EXPECT_THROW((void)run_suite(inputs, options, flow), decomp::DeadlineExceeded)
             << flow;
+    }
+}
+
+TEST(Flows, EveryNpn4ClassThroughEveryConfiguration) {
+    // Exhaustive small-function sweep: one 4-input ISOP network per NPN
+    // class (constants and single literals included) through every preset
+    // of both BDS flows. The 16 input patterns are the whole truth table,
+    // so simulation is an exact check; the mapping certificate must be
+    // complete on every run.
+    std::set<std::uint16_t> classes;
+    for (std::uint32_t f = 0; f <= 0xffff; ++f) {
+        classes.insert(tt::npn_canonical(static_cast<std::uint16_t>(f)));
+    }
+    ASSERT_EQ(static_cast<int>(classes.size()), tt::npn_class_count());
+    const std::vector<std::uint64_t> patterns = {0xaaaa, 0xcccc, 0xf0f0, 0xff00};
+    for (const std::uint16_t table : classes) {
+        const tt::TruthTable f = tt::TruthTable::from_fn(
+            4, [table](std::uint64_t m) { return ((table >> m) & 1) != 0; });
+        Network input("npn");
+        std::vector<net::NodeId> ins;
+        for (int i = 0; i < 4; ++i) ins.push_back(input.add_input("x" + std::to_string(i)));
+        input.add_output("f", input.add_sop(ins, net::Sop::isop(f), "f"));
+        for (const decomp::PresetInfo& preset : decomp::preset_catalog()) {
+            FlowOptions options;
+            options.preset = preset.name;
+            for (const SynthesisResult& r :
+                 {flow_bdsmaj(input, options), flow_bdspga(input, options)}) {
+                const auto where = [&] {
+                    return r.flow_name + " on truth table " + std::to_string(table);
+                };
+                EXPECT_EQ(net::simulate_words(r.optimized, patterns).at(0) & 0xffff, table)
+                    << where() << ": optimized network";
+                EXPECT_EQ(net::simulate_words(r.mapped.netlist, patterns).at(0) & 0xffff,
+                          table)
+                    << where() << ": mapped netlist";
+                EXPECT_TRUE(mapping::certify_mapping(r.optimized, r.mapped).complete())
+                    << where() << ": incomplete mapping certificate";
+            }
+        }
     }
 }
 

@@ -193,8 +193,8 @@ TEST(SynthesisService, CancellationLeavesServiceAndPoolReusable) {
     const std::vector<Network> inputs = mcnc_inputs(3);
     ServiceParams sp;
     sp.max_concurrent_jobs = 1;
-    sp.start_paused = true;  // hold admission so cancellation is deterministic
     SynthesisService service(sp);
+    service.pause();  // hold admission so cancellation is deterministic
 
     SynthesisJobParams jp;
     std::vector<SynthesisService::Submission> subs;
@@ -234,9 +234,8 @@ TEST(SynthesisService, DestructorCancelsQueuedJobs) {
     const Network input = benchgen::benchmark_by_name("C1355", /*quick=*/true);
     std::future<FlowResult> orphan;
     {
-        ServiceParams sp;
-        sp.start_paused = true;
-        SynthesisService service(sp);
+        SynthesisService service;
+        service.pause();
         SynthesisService::Submission sub = service.submit(input, {});
         orphan = std::move(sub.result);
     }
@@ -262,60 +261,9 @@ TEST(SynthesisService, UnknownFlowFailsTheJobViaTheFuture) {
     EXPECT_EQ(st.failed, 2);
     EXPECT_EQ(st.completed, 0);
     // The failure must not poison the service.
-    SynthesisService::Submission ok = service.submit(input, {});
+    const SynthesisJobParams defaults;
+    SynthesisService::Submission ok = service.submit(input, defaults);
     EXPECT_EQ(ok.result.get().status, JobStatus::kCompleted);
-}
-
-TEST(SynthesisService, HighPriorityLaneDrainsFirst) {
-    // Paused admission makes dispatch order deterministic: with a single
-    // slot, the high-lane job must start before earlier-submitted normal
-    // ones, and FIFO order must hold within each lane. start_order records
-    // the dispatch sequence.
-    const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
-    ServiceParams sp;
-    sp.max_concurrent_jobs = 1;
-    sp.start_paused = true;
-    SynthesisService service(sp);
-
-    SynthesisJobParams normal;
-    normal.flow = "bdspga";
-    SynthesisJobParams high = normal;
-    high.priority = JobPriority::kHigh;
-
-    SynthesisService::Submission n1 = service.submit(input, normal);
-    SynthesisService::Submission n2 = service.submit(input, normal);
-    SynthesisService::Submission h1 = service.submit(input, high);
-    SynthesisService::Submission h2 = service.submit(input, high);
-    {
-        const ServiceStats st = service.stats();
-        EXPECT_EQ(st.queued, 4);
-        EXPECT_EQ(st.queued_high, 2);
-    }
-    service.resume();
-    const FlowResult rn1 = n1.result.get();
-    const FlowResult rn2 = n2.result.get();
-    const FlowResult rh1 = h1.result.get();
-    const FlowResult rh2 = h2.result.get();
-    EXPECT_EQ(rh1.start_order, 0u);
-    EXPECT_EQ(rh2.start_order, 1u);
-    EXPECT_EQ(rn1.start_order, 2u);
-    EXPECT_EQ(rn2.start_order, 3u);
-    for (const FlowResult* r : {&rn1, &rn2, &rh1, &rh2}) {
-        EXPECT_EQ(r->status, JobStatus::kCompleted);
-    }
-}
-
-TEST(SynthesisService, HighPriorityJobCancellableWhileQueued) {
-    const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
-    ServiceParams sp;
-    sp.start_paused = true;
-    SynthesisService service(sp);
-    SynthesisJobParams high;
-    high.priority = JobPriority::kHigh;
-    SynthesisService::Submission sub = service.submit(input, high);
-    EXPECT_TRUE(service.cancel(sub.id));
-    EXPECT_EQ(sub.result.get().status, JobStatus::kCancelled);
-    EXPECT_EQ(service.stats().queued_high, 0);
 }
 
 TEST(SynthesisService, RunningJobStopsAtNextCheckpoint) {
@@ -363,7 +311,7 @@ TEST(SynthesisService, CancelOfRunningJobYieldsCancelledStatus) {
         EXPECT_EQ(st.completed, 1);
     }
     // Either way the service stays usable.
-    SynthesisService::Submission again = service.submit(inputs[0], {});
+    SynthesisService::Submission again = service.submit(inputs[0], jp);
     EXPECT_EQ(again.result.get().status, JobStatus::kCompleted);
 }
 

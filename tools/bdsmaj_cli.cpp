@@ -1,68 +1,5 @@
-// bdsmaj command-line synthesis tool.
-//
-//   bdsmaj_cli [options] <input.blif | @benchmark-name>
-//
-//   --flow bdsmaj|bdspga|abc|dc   synthesis flow (default bdsmaj)
-//   --preset NAME                 decomposition strategy preset for the
-//                                 BDS flows ("paper" default; see
-//                                 --list-presets)
-//   --list-presets                print the preset catalog and exit
-//   --out FILE                    write the optimized network as BLIF
-//   --map-out FILE                write the mapped netlist as BLIF
-//   --no-maj                      shorthand for --flow bdspga
-//   --no-reorder                  skip per-supernode sifting
-//   --sift-symmetry               force symmetry-aware block sifting on
-//   --no-sift-symmetry            force it off (default: the preset decides)
-//   --sift-max-growth F           abort a sift direction past F x best size
-//   --sift-converge               repeat sift passes until <1% gain
-//   --sift-max-vars N             sift at most N variables per pass
-//   --k-local F / --k-global F    majority selection sizing factors
-//   --iterations N                balancing iteration limit
-//   --cone-cache-mb N             memory budget of the process-wide cone
-//                                 result cache (default 64); repeated cones
-//                                 replay cached tapes instead of being
-//                                 re-decomposed — results are identical
-//   --no-cone-cache               disable cone memoization entirely
-//   --help / -h                   the full option reference on stdout
-//   --quick                       reduced widths for @benchmarks
-//   --verify                      equivalence-check outputs (default on)
-//   --oracle auto|bdd|sat|sim     equivalence engine for --verify
-//                                 (default auto: simulation refutes, then
-//                                 a BDD proof on tiny input counts and the
-//                                 SAT miter sweep everywhere else for the
-//                                 optimized network, and the local mapping
-//                                 certificate for the mapped netlist; sim
-//                                 alone is not an exact sign-off)
-//   --quiet                       only print the summary line (suppresses
-//                                 the per-strategy engine step counts)
-//   --deadline-ms MS              hard deadline: a single run stops at the
-//                                 next checkpoint (exit status 4); a batch
-//                                 job is shed/stopped and reported, not
-//                                 failed
-//   --soft-budget-ms MS           soft budget: past it, remaining
-//                                 supernodes degrade down the ladder and
-//                                 the run still completes, verified
-//   --degrade-ladder A,B          comma-separated degrade preset ladder
-//                                 (default paper,shannon)
-//
-// Batch service mode (multiple inputs through flows::SynthesisService on
-// the shared process pool):
-//   --batch                       treat every positional arg as an input;
-//                                 submit each as one async service job and
-//                                 print results in submission order (also
-//                                 implied by giving more than one input).
-//                                 --flow additionally accepts "all" here
-//                                 (all four Table II flows per input); every
-//                                 flag above applies to each job as it does
-//                                 to a single run
-//   --pool N                      shared-pool thread count (otherwise the
-//                                 BDSMAJ_JOBS env var / all cores)
-//   --max-jobs N                  jobs admitted concurrently (default:
-//                                 pool size)
-//
-// `@name` uses a built-in generator from the paper's suite, e.g.
-// `bdsmaj_cli @C6288` or `bdsmaj_cli "@Div 18 bit"`, and batch mode mixes
-// them freely with BLIF files: `bdsmaj_cli --batch @C1355 @C6288 my.blif`.
+// bdsmaj command-line synthesis tool. `bdsmaj_cli --help` prints the full
+// option reference (print_help() below); docs/cli.md is generated from it.
 
 #include <charconv>
 #include <chrono>
@@ -149,7 +86,8 @@ bool parse_number(const char* text, T& out, bool non_negative) {
 
 /// The full option reference, printed by --help (stdout, exit 0). This
 /// text is the source of truth for docs/cli.md: tools/gen_cli_docs.sh
-/// regenerates the doc from it and tools/ci.sh fails on drift.
+/// regenerates the doc from it and the ctest docs.cli_md_matches_help
+/// fails on drift.
 void print_help(std::FILE* to) {
     std::fprintf(to,
         "bdsmaj_cli - BDS-MAJ command-line synthesis tool\n"
@@ -162,7 +100,6 @@ void print_help(std::FILE* to) {
         "  --preset NAME                decomposition strategy preset for the BDS\n"
         "                               flows (default paper; see --list-presets)\n"
         "  --list-presets               print the preset catalog and exit\n"
-        "  --no-maj                     shorthand for --flow bdspga\n"
         "\n"
         "output:\n"
         "  --out FILE                   write the optimized network as BLIF\n"
@@ -171,15 +108,8 @@ void print_help(std::FILE* to) {
         "\n"
         "engine tuning:\n"
         "  --no-reorder                 skip per-supernode sifting\n"
-        "  --sift-symmetry              force symmetry-aware sifting on: detect\n"
-        "                               symmetric variable groups and move them as\n"
-        "                               blocks (default: the preset decides - on\n"
-        "                               for symmetry/exact-aggressive/best-cost,\n"
-        "                               off for the pinned paper baselines)\n"
-        "  --no-sift-symmetry           force symmetry-aware sifting off\n"
         "  --sift-max-growth F          abort a sift direction past F x best size\n"
         "  --sift-converge              repeat sift passes until <1%% gain\n"
-        "  --sift-max-vars N            sift at most N variables per pass\n"
         "  --k-local F / --k-global F   majority selection sizing factors\n"
         "  --iterations N               balancing iteration limit\n"
         "\n"
@@ -209,13 +139,10 @@ void print_help(std::FILE* to) {
         "  --soft-budget-ms MS          soft budget: once it expires, remaining\n"
         "                               supernodes are decomposed with cheaper\n"
         "                               settings down the degrade ladder instead\n"
-        "                               of failing - the run completes and the\n"
-        "                               result stays equivalent (the summary\n"
-        "                               counts the degraded supernodes)\n"
-        "  --degrade-ladder A,B         comma-separated preset ladder to fall\n"
-        "                               down when degrading (default\n"
-        "                               paper,shannon; a terminal plain-shannon\n"
-        "                               stage is appended if missing)\n"
+        "                               of failing (paper with clamped sifting,\n"
+        "                               then plain shannon) - the run completes\n"
+        "                               and the result stays equivalent (the\n"
+        "                               summary counts the degraded supernodes)\n"
         "\n"
         "batch service mode (multiple inputs through the shared process pool):\n"
         "  --batch                      treat every positional arg as an input and\n"
@@ -456,20 +383,12 @@ int main(int argc, char** argv) {
             if (!value(opt.out)) return 2;
         } else if (arg == "--map-out") {
             if (!value(opt.map_out)) return 2;
-        } else if (arg == "--no-maj") {
-            job.flow = "bdspga";
         } else if (arg == "--no-reorder") {
             job.reorder = false;
-        } else if (arg == "--sift-symmetry") {
-            job.sift_symmetry = 1;
-        } else if (arg == "--no-sift-symmetry") {
-            job.sift_symmetry = 0;
         } else if (arg == "--sift-max-growth") {
             if (!value(job.manager.sift_max_growth)) return 2;
         } else if (arg == "--sift-converge") {
             job.manager.sift_converge = true;
-        } else if (arg == "--sift-max-vars") {
-            if (!value(job.manager.sift_max_vars, kNonNegative)) return 2;
         } else if (arg == "--k-local") {
             if (!value(job.maj.k_local)) return 2;
         } else if (arg == "--k-global") {
@@ -488,19 +407,6 @@ int main(int argc, char** argv) {
             if (!value(opt.deadline_after_ms)) return 2;
         } else if (arg == "--soft-budget-ms") {
             if (!value(opt.soft_budget_after_ms)) return 2;
-        } else if (arg == "--degrade-ladder") {
-            std::string ladder;
-            if (!value(ladder)) return 2;
-            job.degrade_ladder.clear();
-            std::string rung;
-            for (const char c : ladder + ',') {
-                if (c != ',') {
-                    rung.push_back(c);
-                } else if (!rung.empty()) {
-                    job.degrade_ladder.push_back(std::move(rung));
-                    rung.clear();
-                }
-            }
         } else if (arg == "--batch") {
             opt.batch = true;
         } else if (arg == "--quick") {
@@ -543,18 +449,9 @@ int main(int argc, char** argv) {
                              "(bdsmaj/bdspga/all)\n");
         return 2;
     }
-    for (const std::string& rung : job.degrade_ladder) {
-        if (!decomp::is_known_preset(rung)) {
-            std::fprintf(stderr, "unknown preset \"%s\" in --degrade-ladder; "
-                                 "--list-presets shows the catalog\n",
-                         rung.c_str());
-            return 2;
-        }
-    }
-    if ((opt.deadline_after_ms > 0 || opt.soft_budget_after_ms > 0 ||
-         !job.degrade_ladder.empty()) && !bds) {
-        std::fprintf(stderr, "--deadline-ms/--soft-budget-ms/--degrade-ladder "
-                             "only apply to the BDS flows (bdsmaj/bdspga/all)\n");
+    if ((opt.deadline_after_ms > 0 || opt.soft_budget_after_ms > 0) && !bds) {
+        std::fprintf(stderr, "--deadline-ms/--soft-budget-ms only apply to the "
+                             "BDS flows (bdsmaj/bdspga/all)\n");
         return 2;
     }
     if (opt.cone_cache_mb >= 0) {
