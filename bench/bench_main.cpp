@@ -24,11 +24,9 @@
 //                  bench/table2_synthesis.cpp does;
 //   * ablation   — the dominator-heavy m-dominator ablation sweep of
 //                  bench/ablation_mdom.cpp, cold;
-//   * scaling    — the table2 suite through flows::run_suite at jobs =
-//                  1/2/4 (circuit-level parallelism), warm;
-//   * service    — the table2 circuits as concurrent async jobs through
-//                  flows::SynthesisService on the shared process pool,
-//                  warm;
+//   * scaling    — the table2 circuits as one-circuit async jobs through
+//                  flows::SynthesisService at max_concurrent_jobs =
+//                  1/2/4 (the one layer of parallelism), warm;
 //   * presets    — every decomposition strategy preset over the MCNC
 //                  circuits, each from a cold cone cache;
 //   * cone_cache — the canonical cone memoization layer: decomposition
@@ -75,7 +73,7 @@
 #include "mdom_sweep.hpp"
 #include "network/cec.hpp"
 #include "network/simulate.hpp"
-#include "runtime/scheduler.hpp"
+#include "runtime/thread_pool.hpp"
 #include "tt/truth_table.hpp"
 
 namespace {
@@ -290,7 +288,7 @@ struct Table2Result {
 };
 
 /// The table2 circuits (quick widths); the smoke configuration keeps the
-/// first four. The scaling and service sections re-run the same set.
+/// first four. The scaling section re-runs the same set.
 std::vector<net::Network> table2_inputs(bool smoke) {
     std::vector<std::string> names = benchgen::benchmark_names();
     if (smoke) names.resize(4);
@@ -353,68 +351,50 @@ AblationResult bench_ablation_mdom(bool smoke) {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-scaling: identical work at jobs = 1/2/4. It re-runs table2's
-// circuits with table2's parameters (jobs is not part of the cone key),
-// so every level runs on a fully warm cone cache.
+// Service scaling: the table2 circuits as one-circuit service jobs at
+// max_concurrent_jobs = 1/2/4 on a private 4-thread pool. It re-runs
+// table2's circuits with table2's parameters, so every level runs on a
+// fully warm cone cache.
 // ---------------------------------------------------------------------------
 
+constexpr int kScalingPoolThreads = 4;
+
 struct ScalingLevel {
-    int jobs = 0;
-    double suite_seconds = 0;  ///< run_suite over the table2 inputs
+    int max_concurrent_jobs = 0;
+    double suite_seconds = 0;  ///< submit of the first job to the last result
+    int completed = 0;
 };
 
 struct ScalingResult {
+    int jobs = 0;  ///< one per table2 circuit, at every level
     std::vector<ScalingLevel> levels;
     double suite_speedup_4v1 = 0;
 };
 
-ScalingResult bench_thread_scaling(bool smoke) {
+ScalingResult bench_service_scaling(bool smoke) {
     const std::vector<net::Network> inputs = table2_inputs(smoke);
     ScalingResult out;
-    for (const int jobs : {1, 2, 4}) {
+    out.jobs = static_cast<int>(inputs.size());
+    runtime::ThreadPool pool(kScalingPoolThreads);
+    for (const int concurrent : {1, 2, 4}) {
         ScalingLevel level;
-        level.jobs = jobs;
-        flows::FlowOptions options;
-        options.jobs = jobs;
+        level.max_concurrent_jobs = concurrent;
+        flows::ServiceParams sp;
+        sp.max_concurrent_jobs = concurrent;
+        sp.pool = &pool;
+        flows::SynthesisService service(sp);
+        const flows::SynthesisJobParams jp;  // all four flows
+        std::vector<flows::SynthesisService::Submission> subs;
+        subs.reserve(inputs.size());
         const auto start = Clock::now();
-        const auto results = flows::run_suite(inputs, options);
+        for (const net::Network& input : inputs) subs.push_back(service.submit(input, jp));
+        for (auto& sub : subs) (void)sub.result.get();
         level.suite_seconds = seconds_since(start);
+        level.completed = service.stats().completed;
         out.levels.push_back(level);
     }
     out.suite_speedup_4v1 =
         out.levels[0].suite_seconds / out.levels.back().suite_seconds;
-    return out;
-}
-
-// ---------------------------------------------------------------------------
-// Service throughput: the table2 circuits as concurrent async jobs, on the
-// cone cache table2 left warm.
-// ---------------------------------------------------------------------------
-
-struct ServiceBenchResult {
-    double seconds = 0;
-    int jobs = 0;
-    int completed = 0;
-    int pool_threads = 0;
-};
-
-ServiceBenchResult bench_service(bool smoke) {
-    std::vector<net::Network> inputs = table2_inputs(smoke);
-    ServiceBenchResult out;
-    out.jobs = static_cast<int>(inputs.size());
-    out.pool_threads = runtime::global_pool_threads();
-    flows::SynthesisService service;
-    flows::SynthesisJobParams jp;  // all four flows, budget 1 per job —
-                                   // concurrency comes from admission
-    std::vector<flows::SynthesisService::Submission> subs;
-    subs.reserve(inputs.size());
-    const auto start = Clock::now();
-    for (net::Network& input : inputs) {
-        subs.push_back(service.submit(std::move(input), jp));
-    }
-    for (auto& sub : subs) (void)sub.result.get();
-    out.seconds = seconds_since(start);
-    out.completed = service.stats().completed;
     return out;
 }
 
@@ -651,26 +631,23 @@ int main(int argc, char** argv) {
     const bool single_threaded = hw_threads <= 1;
     if (single_threaded) {
         std::printf("WARNING: this container exposes 1 hardware thread — the "
-                    "thread_scaling and\n"
-                    "WARNING: service_throughput numbers below measure "
-                    "scheduling overhead, not\n"
-                    "WARNING: speedup. Re-measure on a multi-core machine "
-                    "before quoting scaling\n"
-                    "WARNING: results.\n");
+                    "service_scaling\n"
+                    "WARNING: numbers below measure scheduling overhead, not "
+                    "speedup. Re-measure\n"
+                    "WARNING: on a multi-core machine before quoting scaling "
+                    "results.\n");
     }
-    std::printf("bench_core: thread scaling (jobs 1/2/4, %u hw thread%s, warm cone cache)...\n",
-                hw_threads, hw_threads == 1 ? "" : "s");
-    const ScalingResult sc = bench_thread_scaling(smoke);
+    std::printf("bench_core: service scaling (%s, max_concurrent_jobs 1/2/4, %u hw "
+                "thread%s, warm cone cache)...\n",
+                smoke ? "smoke subset" : "full suite", hw_threads,
+                hw_threads == 1 ? "" : "s");
+    const ScalingResult sc = bench_service_scaling(smoke);
     for (const ScalingLevel& level : sc.levels) {
-        std::printf("  jobs=%d suite %.2f s\n", level.jobs, level.suite_seconds);
+        std::printf("  max_concurrent_jobs=%d: %d/%d jobs in %.2f s\n",
+                    level.max_concurrent_jobs, level.completed, sc.jobs,
+                    level.suite_seconds);
     }
     std::printf("  suite speedup(4v1) %.2fx\n", sc.suite_speedup_4v1);
-
-    std::printf("bench_core: service throughput (%s, warm cone cache)...\n",
-                smoke ? "smoke subset" : "full suite");
-    const ServiceBenchResult sv = bench_service(smoke);
-    std::printf("  %d/%d jobs completed in %.2f s on %d pool threads\n",
-                sv.completed, sv.jobs, sv.seconds, sv.pool_threads);
 
     std::printf("bench_core: preset sweep (MCNC suite, cold cone cache)...\n");
     const std::vector<PresetEntry> presets = bench_preset_sweep();
@@ -727,10 +704,10 @@ int main(int argc, char** argv) {
         return 1;
     }
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"bdsmaj-bench-core-v13\",\n");
+    std::fprintf(f, "  \"schema\": \"bdsmaj-bench-core-v14\",\n");
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-    // Honesty marker: on a 1-hardware-thread container the scaling and
-    // service sections can only demonstrate determinism, never speedup.
+    // Honesty marker: on a 1-hardware-thread container the scaling
+    // section can only demonstrate determinism, never speedup.
     std::fprintf(f, "  \"single_threaded_container\": %s,\n",
                  single_threaded ? "true" : "false");
     std::fprintf(f, "  \"ops_per_sec\": {\n");
@@ -771,25 +748,22 @@ int main(int argc, char** argv) {
     std::fprintf(f, "    \"seconds\": %.3f,\n", ab.seconds);
     std::fprintf(f, "    \"runs\": %d\n", ab.runs);
     std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"thread_scaling\": {\n");
+    std::fprintf(f, "  \"service_scaling\": {\n");
     std::fprintf(f, "    \"hardware_threads\": %u,\n", hw_threads);
+    std::fprintf(f, "    \"pool_threads\": %d,\n", kScalingPoolThreads);
     std::fprintf(f, "    \"cone_cache\": \"warm\",\n");
+    std::fprintf(f, "    \"jobs\": %d,\n", sc.jobs);
     std::fprintf(f, "    \"levels\": [\n");
     for (std::size_t i = 0; i < sc.levels.size(); ++i) {
         const ScalingLevel& level = sc.levels[i];
-        std::fprintf(f, "      {\"jobs\": %d, \"suite_seconds\": %.3f}%s\n",
-                     level.jobs, level.suite_seconds,
+        std::fprintf(f,
+                     "      {\"max_concurrent_jobs\": %d, \"suite_seconds\": %.3f, "
+                     "\"completed\": %d}%s\n",
+                     level.max_concurrent_jobs, level.suite_seconds, level.completed,
                      i + 1 < sc.levels.size() ? "," : "");
     }
     std::fprintf(f, "    ],\n");
     std::fprintf(f, "    \"suite_speedup_4v1\": %.3f\n", sc.suite_speedup_4v1);
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"service_throughput\": {\n");
-    std::fprintf(f, "    \"cone_cache\": \"warm\",\n");
-    std::fprintf(f, "    \"seconds\": %.3f,\n", sv.seconds);
-    std::fprintf(f, "    \"jobs\": %d,\n", sv.jobs);
-    std::fprintf(f, "    \"completed\": %d,\n", sv.completed);
-    std::fprintf(f, "    \"pool_threads\": %d\n", sv.pool_threads);
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"preset_sweep\": {\n");
     std::fprintf(f, "    \"circuits\": %d,\n",

@@ -1,4 +1,4 @@
-// Design Compiler proxy (see DESIGN.md §4).
+// Design Compiler proxy (see docs/architecture.md, "Substitutions").
 //
 // The paper compares against Synopsys DC with `compile -area -effort high`.
 // DC is closed source; the proxy models a strong conventional flow by

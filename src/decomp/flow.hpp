@@ -10,8 +10,8 @@
 // manager, reset to a fresh state, and writes its factoring tree to a
 // private GateTape; tapes replay in supernode order into the flow's
 // hash-consing builder, which does the on-line sharing (see
-// docs/performance.md, "Deterministic replay"). Parallelism lives above this layer — across circuits in
-// flows::run_suite and across jobs in flows::SynthesisService.
+// docs/performance.md, "Deterministic replay"). Parallelism lives above
+// this layer, across the jobs of a flows::SynthesisService.
 
 #include <atomic>
 #include <chrono>

@@ -33,7 +33,7 @@ struct PartitionParams {
     /// it duplication compounds exponentially through deep datapaths.
     /// 1 = single-gate cones only (a ripple adder's generate/propagate
     /// pair), the sweet spot across the Table I suite (see
-    /// bench/ablation_mdom and EXPERIMENTS.md).
+    /// bench/ablation_mdom.cpp and docs/performance.md).
     std::uint32_t max_duplicated_gates = 1;
 };
 

@@ -7,7 +7,6 @@
 #include "aig/opt.hpp"
 #include "mapping/certify.hpp"
 #include "network/cleanup.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace bdsmaj::flows {
 
@@ -189,12 +188,12 @@ std::vector<SynthesisResult> run_flow(const net::Network& input, const std::stri
 std::vector<std::vector<SynthesisResult>> run_suite(
     const std::vector<net::Network>& inputs, const FlowOptions& options,
     const std::string& flow) {
-    std::vector<std::vector<SynthesisResult>> results(inputs.size());
-    runtime::parallel_for(inputs.size(), runtime::effective_jobs(options.jobs),
-                          [&](std::size_t i) {
-                              checkpoint(options);
-                              results[i] = run_flow(inputs[i], flow, options);
-                          });
+    std::vector<std::vector<SynthesisResult>> results;
+    results.reserve(inputs.size());
+    for (const net::Network& input : inputs) {
+        checkpoint(options);
+        results.push_back(run_flow(input, flow, options));
+    }
     return results;
 }
 

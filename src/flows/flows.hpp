@@ -7,7 +7,7 @@
 //   * BDS-PGA : same engine without the majority stage (Table I baseline)
 //   * ABC     : AIG + resyn2-style script + motif-detecting mapper
 //   * DC      : commercial-style proxy — best-of multiple recipes at high
-//               area effort (see DESIGN.md §4 for the substitution rationale)
+//               area effort (see docs/architecture.md, "Substitutions")
 
 #include <atomic>
 #include <chrono>
@@ -27,9 +27,9 @@ namespace bdsmaj::flows {
 /// CLI. from_decomposition (flows.cpp) is the one place they become
 /// decomp::DecompFlowParams.
 struct FlowOptions {
-    /// How many circuits run_suite synthesizes at once (1 = serial,
-    /// <= 0 = all hardware threads); one circuit always runs on one
-    /// thread, and the result does not depend on this.
+    /// Ignored: every flow and run_suite run on the calling thread; run
+    /// circuits concurrently as SynthesisService jobs. Kept only so
+    /// existing callers that still assign it keep compiling.
     int jobs = 1;
     /// Decomposition strategy preset for the BDS flows (see
     /// decomp::preset_catalog()); "paper" reproduces the published ladder
@@ -157,7 +157,7 @@ void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
 [[nodiscard]] SynthesisResult flow_dc(const net::Network& input);
 
 /// All four, in Table II column order, one after another on the calling
-/// thread; `options.jobs` does not apply.
+/// thread.
 [[nodiscard]] std::vector<SynthesisResult> run_all_flows(const net::Network& input,
                                                          const FlowOptions& options = {});
 
@@ -169,14 +169,12 @@ void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
                                                     const std::string& flow,
                                                     const FlowOptions& options = {});
 
-/// Batched suite synthesis: run_flow(inputs[i], flow) for every input,
-/// fanned out one circuit per runner across up to `options.jobs` runners
-/// on the shared process pool (runtime::global_pool(); 1 = serial on the
-/// calling thread, <= 0 = all hardware threads). Networks are
-/// independent, so the outputs are identical at any job count; only
-/// wall-clock changes. Cancellation and the hard deadline are checked
-/// before each circuit. This is what the Table I/II sweeps, the bench
-/// harness and SynthesisService jobs (flows/service.hpp) run.
+/// Batched suite synthesis: run_flow(inputs[i], flow) for every input, in
+/// input order on the calling thread. Cancellation and the hard deadline
+/// are checked before each circuit. This is what the Table I/II sweeps,
+/// the bench harness and SynthesisService jobs (flows/service.hpp) run;
+/// to synthesize circuits concurrently, submit them as separate service
+/// jobs.
 [[nodiscard]] std::vector<std::vector<SynthesisResult>> run_suite(
     const std::vector<net::Network>& inputs, const FlowOptions& options = {},
     const std::string& flow = "all");

@@ -6,20 +6,16 @@
 // std::future<FlowResult> back immediately. Jobs wait in one queue
 // (earliest deadline first, FIFO among deadline-less jobs); at most
 // `max_concurrent_jobs` run at once, each as one task on the shared
-// process pool (runtime::global_pool() unless a pool is injected). Inside
-// a suite job, the per-job `jobs` budget bounds how many circuits run at
-// once, so one heavy job cannot starve the queue; a single-network job
-// runs on the one pool thread that picked it up.
-//
-// Because run_suite's parallel_for is caller-participating, a job always
-// makes progress on the pool thread that runs it even when the pool is
-// saturated: admission control is the only queueing point, and there is
-// no nested-parallelism deadlock.
+// process pool (runtime::global_pool() unless a pool is injected). This
+// admission is the only place circuits run concurrently: a job runs
+// entirely on the one pool thread that picked it up, a suite job one
+// circuit after another, so a job never waits for another pool thread and
+// admission control is the only queueing point.
 //
 // Results are byte-identical to serial runs: a job computes exactly
-// run_suite(inputs, params, params.flow), which is deterministic at any
-// budget. tests/flows/service_test.cpp pins BLIF text, gate counts, and
-// simulation signatures against jobs=1 serial runs.
+// run_suite(inputs, params, params.flow), however many jobs run beside
+// it. tests/flows/service_test.cpp pins BLIF text, gate counts, and
+// simulation signatures against serial runs.
 //
 // Lifecycle: cancel(id) removes a still-queued job immediately, and
 // requests cooperative cancellation of a running one — the job's token is
@@ -64,8 +60,8 @@ enum class JobStatus {
 
 /// A job's configuration: the FlowOptions every flow entry point takes,
 /// plus which flows to run. For a job, the inherited knobs mean:
-///   * `jobs` — how many circuits of a suite job run at once (a
-///     single-network job runs on one thread). Never changes the result.
+///   * `jobs` — ignored, like FlowOptions::jobs: every job runs on one
+///     thread. Submit circuits as separate jobs to run them concurrently.
 ///   * `deadline` / `soft_budget` — absolute instants the caller fixes
 ///     before submit(), so queue wait counts against both. A job whose
 ///     deadline passes before it dispatches is shed without running; a

@@ -11,6 +11,23 @@ namespace bdsmaj::net {
 
 namespace {
 
+/// Seed of the refutation simulation; the fraiging signatures use a
+/// derived stream.
+constexpr std::uint64_t kSimSeed = 0x5eed;
+/// Signature rounds used to build candidate-equivalence classes for the
+/// SAT engine (64 patterns each; counterexample patterns from failed
+/// candidate proofs are appended as extra rounds).
+constexpr int kSignatureRounds = 4;
+/// Conflict budget per internal candidate query; exhausted candidates are
+/// skipped (never unsound).
+constexpr std::int64_t kInternalConflictLimit = 2000;
+/// Conflict budget per output miter: unbounded, because output proofs are
+/// the actual sign-off and must not silently give up.
+constexpr std::int64_t kOutputConflictLimit = 0;
+/// kAuto proves with a global BDD when the input count is at most this,
+/// and with the SAT miter sweep above it.
+constexpr std::size_t kBddInputLimit = 20;
+
 EquivalenceResult structural_mismatch(std::string reason, EquivEngine engine) {
     EquivalenceResult r;
     r.equivalent = false;
@@ -46,7 +63,6 @@ std::uint64_t hash_words(const std::vector<std::uint64_t>& words) {
 struct Fraig {
     const Network& a;
     const Network& b;
-    const CecParams& params;
     CecStats& stats;
 
     sat::Solver solver;
@@ -73,9 +89,8 @@ struct Fraig {
     /// Per-pass signatures: sig(node) = one word per simulated round.
     std::vector<std::vector<std::uint64_t>> sig_a, sig_b;
 
-    explicit Fraig(const Network& a_in, const Network& b_in, const CecParams& p,
-                   CecStats& s)
-        : a(a_in), b(b_in), params(p), stats(s) {
+    explicit Fraig(const Network& a_in, const Network& b_in, CecStats& s)
+        : a(a_in), b(b_in), stats(s) {
         lits_a.clear();
         std::vector<sat::Lit> outs_a = enc.encode(a, pi_lits, &lits_a);
         std::vector<sat::Lit> outs_b = enc.encode(b, pi_lits, &lits_b);
@@ -99,9 +114,8 @@ struct Fraig {
         std::stable_sort(schedule.begin(), schedule.end(),
                          [](const Slot& x, const Slot& y) { return x.level < y.level; });
 
-        const int rounds = std::max(1, params.signature_rounds);
-        std::mt19937_64 rng(params.seed ^ 0xf7a19ULL);
-        base_stim.resize(static_cast<std::size_t>(rounds));
+        std::mt19937_64 rng(kSimSeed ^ 0xf7a19ULL);
+        base_stim.resize(kSignatureRounds);
         for (auto& round : base_stim) {
             round.resize(a.inputs().size());
             for (auto& w : round) w = rng();
@@ -203,7 +217,7 @@ struct Fraig {
                 const sat::Lit t = enc.encode_xor(lit, e.lit);
                 ++stats.sat_calls;
                 const sat::SolveResult res =
-                    solver.solve({t}, params.internal_conflict_limit);
+                    solver.solve({t}, kInternalConflictLimit);
                 if (res == sat::SolveResult::kUnsat) {
                     (void)solver.add_clause(~t);  // cut-point: equality now forced
                     ++stats.proved_internal;
@@ -243,7 +257,7 @@ EquivalenceResult sat_equivalent(const Network& a, const Network& b,
     CecStats local_stats;
     CecStats& st = stats != nullptr ? *stats : local_stats;
 
-    Fraig fraig(a, b, params, st);
+    Fraig fraig(a, b, st);
     if (params.fraig) {
         // Learn internal cut-points until a pass stops refuting candidates
         // (each refutation adds a distinguishing pattern, so passes strictly
@@ -261,7 +275,7 @@ EquivalenceResult sat_equivalent(const Network& a, const Network& b,
             fraig.enc.encode_xor(fraig.outputs_a()[o], fraig.outputs_b()[o]);
         ++st.sat_calls;
         const sat::SolveResult res =
-            fraig.solver.solve({m}, params.output_conflict_limit);
+            fraig.solver.solve({m}, kOutputConflictLimit);
         if (res == sat::SolveResult::kSat) {
             st.conflicts = fraig.solver.stats().conflicts;
             return verified_counterexample(a, b, static_cast<int>(o),
@@ -270,9 +284,8 @@ EquivalenceResult sat_equivalent(const Network& a, const Network& b,
         }
         if (res == sat::SolveResult::kUnknown) {
             throw std::runtime_error(
-                "sat_equivalent: output miter exhausted its conflict budget "
-                "(raise output_conflict_limit; sign-off must not be silently "
-                "incomplete)");
+                "sat_equivalent: output miter came back unknown; sign-off "
+                "must not be silently incomplete");
         }
         (void)fraig.solver.add_clause(~m);  // outputs proven equal: keep as unit
     }
@@ -290,7 +303,7 @@ EquivalenceResult check_equivalent(const Network& a, const Network& b,
     // Fast refutation first: bit-parallel random simulation catches the
     // overwhelming majority of real bugs before any proof machinery runs.
     const int rounds = std::max(1, params.sim_rounds);
-    EquivalenceResult sim = random_equivalent(a, b, rounds, params.seed);
+    EquivalenceResult sim = random_equivalent(a, b, rounds, kSimSeed);
     if (!sim.equivalent) return sim;  // exact: structural or re-verified cex
     if (params.engine == EquivEngine::kSim) return sim;  // sampled, exact=false
 
@@ -301,7 +314,7 @@ EquivalenceResult check_equivalent(const Network& a, const Network& b,
             return sat_equivalent(a, b, params, stats);
         case EquivEngine::kAuto:
         default:
-            if (static_cast<int>(a.inputs().size()) <= params.bdd_input_limit) {
+            if (a.inputs().size() <= kBddInputLimit) {
                 return bdd_equivalent(a, b);
             }
             return sat_equivalent(a, b, params, stats);

@@ -23,31 +23,17 @@
 
 namespace bdsmaj::net {
 
-/// Tuning knobs for the CEC oracle. The defaults are what every flow and
-/// test uses; the bench harnesses vary `engine` and `sim_rounds`.
+/// Tuning knobs for the CEC oracle. The defaults are what every flow
+/// uses; the bench harnesses vary `engine` and `sim_rounds`, and the tests
+/// turn `fraig` off for their reference mode.
 struct CecParams {
     EquivEngine engine = EquivEngine::kAuto;
     /// Plain random-simulation refutation rounds (64 patterns each) run
     /// before any proof work.
     int sim_rounds = 64;
-    /// Signature rounds used to build candidate-equivalence classes for
-    /// the SAT engine (64 patterns each; counterexample patterns from
-    /// failed candidate proofs are appended as extra rounds).
-    int signature_rounds = 4;
-    std::uint64_t seed = 0x5eed;
-    /// kAuto proves with a global BDD when the input count is at most
-    /// this, and with the SAT miter sweep above it.
-    int bdd_input_limit = 20;
     /// Learn internal equivalences as cut-points before the output miters.
     /// Off = plain per-output miter SAT (reference mode for testing).
     bool fraig = true;
-    /// Conflict budget per internal candidate query; exhausted candidates
-    /// are skipped (never unsound). <= 0 means unbounded.
-    std::int64_t internal_conflict_limit = 2000;
-    /// Conflict budget per output miter; 0/negative = unbounded (output
-    /// proofs are the actual sign-off and must not silently give up —
-    /// exhausting a positive budget here throws).
-    std::int64_t output_conflict_limit = 0;
 };
 
 /// Observability counters filled by the SAT engine (zeros for bdd/sim).
@@ -80,7 +66,7 @@ struct CecStats {
 
 /// The equivalence sign-off, with a selectable engine. The default
 /// (kAuto) is exact at ANY input count:
-///   kAuto : random simulation, then BDD (inputs <= bdd_input_limit) or SAT.
+///   kAuto : random simulation, then BDD (at most 20 inputs) or SAT.
 ///   kBdd  : random simulation, then the BDD proof regardless of width.
 ///   kSat  : random simulation, then the SAT miter sweep.
 ///   kSim  : random simulation only — agreement is NOT exact.

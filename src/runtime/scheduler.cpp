@@ -1,14 +1,11 @@
 #include "runtime/scheduler.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
-#include <condition_variable>
 #include <cstdlib>
-#include <exception>
-#include <memory>
 #include <mutex>
 #include <string_view>
+#include <thread>
 
 namespace bdsmaj::runtime {
 
@@ -29,7 +26,8 @@ int default_global_pool_threads() noexcept {
         const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
         if (ec == std::errc{} && end == text.data() + text.size() && v > 0) return v;
     }
-    return effective_jobs(0);
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
 ThreadPool& global_pool() {
@@ -53,76 +51,5 @@ bool configure_global_pool(int threads) {
 }
 
 int global_pool_threads() { return global_pool().size(); }
-
-void parallel_for(std::size_t n, int jobs, const std::function<void(std::size_t)>& body) {
-    if (jobs <= 1 || n <= 1) {
-        for (std::size_t i = 0; i < n; ++i) body(i);
-        return;
-    }
-    ThreadPool& pool = global_pool();
-    // More runners than pool threads + the caller can never execute
-    // concurrently, so they are not submitted at all.
-    const std::size_t runners = std::min({static_cast<std::size_t>(jobs), n,
-                                          static_cast<std::size_t>(pool.size()) + 1});
-    std::atomic<std::size_t> next{0};
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-    // A body exception must not unwind through a pool thread (that would
-    // std::terminate); capture the first one and rethrow to the caller
-    // after the loop completes.
-    const std::function<void()> runner = [&] {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n) break;
-            try {
-                body(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error) first_error = std::current_exception();
-            }
-        }
-    };
-
-    // Helper bookkeeping outlives this call via shared_ptr: a helper the
-    // pool starts after the loop closed still locks the mutex, sees
-    // `closed` and returns without touching anything on this stack.
-    struct Helpers {
-        std::mutex mutex;
-        std::condition_variable done_cv;
-        int running = 0;      // helpers inside runner()
-        bool closed = false;  // set once the loop is over: no helper may start
-    };
-    // Closes the set on every exit, a throwing submit() included: revokes
-    // the helpers that have not started and waits for the running ones.
-    struct Closer {
-        std::shared_ptr<Helpers> helpers = std::make_shared<Helpers>();
-        Closer() = default;
-        Closer(const Closer&) = delete;
-        Closer& operator=(const Closer&) = delete;
-        ~Closer() {
-            std::unique_lock<std::mutex> lock(helpers->mutex);
-            helpers->closed = true;
-            helpers->done_cv.wait(lock, [this] { return helpers->running == 0; });
-        }
-    };
-    {
-        const Closer closer;
-        for (std::size_t h = 1; h < runners; ++h) {
-            pool.submit([helpers = closer.helpers, &runner] {
-                {
-                    std::lock_guard<std::mutex> lock(helpers->mutex);
-                    if (helpers->closed) return;
-                    ++helpers->running;
-                }
-                runner();
-                std::lock_guard<std::mutex> lock(helpers->mutex);
-                --helpers->running;
-                helpers->done_cv.notify_all();
-            });
-        }
-        runner();
-    }
-    if (first_error) std::rethrow_exception(first_error);
-}
 
 }  // namespace bdsmaj::runtime

@@ -4,12 +4,6 @@
 
 namespace bdsmaj::runtime {
 
-int effective_jobs(int requested) noexcept {
-    if (requested >= 1) return requested;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
 ThreadPool::ThreadPool(int threads) {
     const int n = std::max(threads, 1);
     threads_.reserve(static_cast<std::size_t>(n));

@@ -1,22 +1,19 @@
 #pragma once
-// Thread pool behind parallel suites and service jobs: one mutex-guarded
-// FIFO queue shared by every worker.
+// Thread pool behind SynthesisService jobs: one mutex-guarded FIFO queue
+// shared by every worker.
 //
-// The pool's traffic is coarse: parallel_for helper runners that pull
-// loop indices from a shared counter (so load balancing happens inside the
-// runner, not in the queue) and one task per admitted service job. A
-// single queue in submission order is all that needs; skewed loads are
-// absorbed because an idle worker takes the next queued task whoever
-// submitted it.
+// The pool's traffic is coarse: one task per admitted service job, which
+// runs the whole job on the worker that picks it up. A single queue in
+// submission order is all that needs; skewed loads are absorbed because
+// an idle worker takes the next queued task whoever submitted it.
 //
 // Determinism note: the pool schedules non-deterministically — callers
-// that need reproducible output must make tasks independent and merge
-// results in a fixed order (flows::run_suite does exactly that). Nothing
-// in this file depends on timing for correctness.
+// that need reproducible output must make tasks independent (each service
+// job synthesizes its circuits in input order on one thread). Nothing in
+// this file depends on timing for correctness.
 //
 // This header is the pool *primitive* only. The process-wide shared pool
-// (`runtime::global_pool()`) and `parallel_for`, built on it, live in
-// runtime/scheduler.hpp.
+// (`runtime::global_pool()`) lives in runtime/scheduler.hpp.
 
 #include <condition_variable>
 #include <cstddef>
@@ -27,10 +24,6 @@
 #include <vector>
 
 namespace bdsmaj::runtime {
-
-/// Resolve a jobs request: n >= 1 is taken as-is; n <= 0 means "all
-/// hardware threads" (at least 1).
-[[nodiscard]] int effective_jobs(int requested) noexcept;
 
 class ThreadPool {
 public:

@@ -189,7 +189,6 @@ TEST(ChaosService, DeepFaultSeedSweepFulfillsEveryFuture) {
         SynthesisService service(sp);
         SynthesisJobParams jp;
         jp.flow = "bdsmaj";
-        jp.jobs = 2;
         std::vector<SynthesisService::Submission> subs;
         for (int round = 0; round < 2; ++round) {
             for (const Network& input : inputs) {
@@ -275,7 +274,6 @@ TEST(ChaosService, DelayOnlyJitterChangesNothing) {
     SynthesisService service(sp);
     SynthesisJobParams jp;
     jp.flow = "bdsmaj";
-    jp.jobs = 2;
     std::vector<SynthesisService::Submission> subs;
     for (const Network& input : inputs) subs.push_back(service.submit(input, jp));
     ASSERT_TRUE(service.wait_idle_for(120000ms));

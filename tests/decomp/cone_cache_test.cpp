@@ -1,6 +1,6 @@
 // The cone memoization contract (decomp/cone_cache.hpp): caching NEVER
 // changes a result. Cache-on runs are byte-identical to cache-off runs at
-// any job count, warm runs are byte-identical to cold runs, eviction under
+// any service concurrency, warm runs are byte-identical to cold runs, eviction under
 // a tiny budget degrades performance only, and a hash collision between
 // different cones can never alias their tapes (equality always compares
 // the full canonical form). Plus the canonical-folding guarantee:
@@ -82,20 +82,32 @@ FlowRun run_flow(const Network& input, bool cone_cache,
                    r.engine_stats};
 }
 
-/// The BDS-MAJ flow over `inputs` through flows::run_suite at `jobs`, one
-/// run per circuit in input order.
-std::vector<FlowRun> suite_runs(const std::vector<Network>& inputs, bool cone_cache,
-                                int jobs) {
-    flows::FlowOptions options;
-    options.cone_cache = cone_cache;
-    options.jobs = jobs;
+/// The BDS-MAJ flow over `inputs` as one-circuit SynthesisService jobs,
+/// at most `max_concurrent_jobs` running at once on a private 4-thread
+/// pool (real concurrency even on a 1-core machine); one run per circuit
+/// in input order.
+std::vector<FlowRun> service_runs(const std::vector<Network>& inputs, bool cone_cache,
+                                  int max_concurrent_jobs) {
+    runtime::ThreadPool pool(4);
+    flows::ServiceParams sp;
+    sp.pool = &pool;
+    sp.max_concurrent_jobs = max_concurrent_jobs;
+    flows::SynthesisService service(sp);
+    flows::SynthesisJobParams jp;
+    jp.flow = "bdsmaj";
+    jp.cone_cache = cone_cache;
+    std::vector<flows::SynthesisService::Submission> subs;
+    for (const Network& input : inputs) subs.push_back(service.submit(input, jp));
     std::vector<FlowRun> out;
-    for (const auto& r : flows::run_suite(inputs, options, "bdsmaj")) {
-        const Network& net = r[0].optimized;
-        out.push_back(FlowRun{Fingerprint{net::write_blif(net), r[0].optimized_stats.total(),
-                                          r[0].optimized_stats.maj_nodes,
+    for (flows::SynthesisService::Submission& sub : subs) {
+        const flows::FlowResult r = sub.result.get();
+        EXPECT_EQ(r.status, flows::JobStatus::kCompleted);
+        const flows::SynthesisResult& res = r.results.at(0).at(0);
+        const Network& net = res.optimized;
+        out.push_back(FlowRun{Fingerprint{net::write_blif(net), res.optimized_stats.total(),
+                                          res.optimized_stats.maj_nodes,
                                           simulation_signature(net)},
-                              r[0].engine_stats});
+                              res.engine_stats});
     }
     return out;
 }
@@ -125,32 +137,33 @@ TEST(ConeCache, CacheOnEqualsCacheOffAcrossMcncSuite) {
 }
 
 TEST(ConeCache, ByteIdenticalAtAnyJobCountOnAndOff) {
-    // jobs x cache matrix through run_suite on a suite led by the most
-    // self-similar circuits: every cell must produce the same bytes, and
-    // at jobs=8 the circuits hit the shared cache concurrently.
+    // Service concurrency x cache matrix on a suite led by the most
+    // self-similar circuits: every cell must produce the bytes of a
+    // serial cache-off run, and at max_concurrent_jobs=4 the circuits hit
+    // the shared cache concurrently.
     const std::vector<std::string> names = {"C6288", "dalu", "alu2", "f51m"};
     std::vector<Network> inputs;
+    std::vector<FlowRun> baseline;
     for (const std::string& name : names) {
         inputs.push_back(benchgen::benchmark_by_name(name, /*quick=*/true));
+        baseline.push_back(run_flow(inputs.back(), /*cone_cache=*/false));
     }
-    ConeCache::instance().clear();
-    const std::vector<FlowRun> baseline = suite_runs(inputs, /*cone_cache=*/false, 1);
     for (const bool cached : {false, true}) {
-        for (const int jobs : {1, 8}) {
+        for (const int concurrent : {1, 4}) {
             ConeCache::instance().clear();
-            const std::vector<FlowRun> r = suite_runs(inputs, cached, jobs);
+            const std::vector<FlowRun> r = service_runs(inputs, cached, concurrent);
             for (std::size_t i = 0; i < inputs.size(); ++i) {
                 ASSERT_EQ(baseline[i].fp.blif, r[i].fp.blif)
-                    << names[i] << " cache=" << cached << " jobs=" << jobs;
+                    << names[i] << " cache=" << cached << " concurrent=" << concurrent;
                 EXPECT_EQ(baseline[i].fp, r[i].fp)
-                    << names[i] << " cache=" << cached << " jobs=" << jobs;
+                    << names[i] << " cache=" << cached << " concurrent=" << concurrent;
             }
         }
     }
-    // And once more WITHOUT clearing: fully warm at jobs=8.
-    const std::vector<FlowRun> warm = suite_runs(inputs, /*cone_cache=*/true, 8);
+    // And once more WITHOUT clearing: fully warm at max_concurrent_jobs=4.
+    const std::vector<FlowRun> warm = service_runs(inputs, /*cone_cache=*/true, 4);
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-        ASSERT_EQ(baseline[i].fp.blif, warm[i].fp.blif) << names[i] << " warm jobs=8";
+        ASSERT_EQ(baseline[i].fp.blif, warm[i].fp.blif) << names[i] << " warm";
         EXPECT_EQ(warm[i].stats.cone_cache_misses, 0) << names[i];
     }
 }
@@ -203,7 +216,6 @@ TEST(ConeCache, WarmCacheAcrossServiceJobsIsDeterministicAndCounted) {
     flows::SynthesisService service;
     flows::SynthesisJobParams jp;
     jp.flow = "bdsmaj";
-    jp.jobs = 2;
     jp.verify = false;
     auto first = service.submit(input, jp);
     const flows::FlowResult r1 = first.result.get();

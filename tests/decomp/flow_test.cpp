@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "flows/flows.hpp"
+#include "flows/service.hpp"
 #include "network/blif.hpp"
 #include "network/cec.hpp"
 #include "tt/truth_table.hpp"
@@ -123,10 +124,11 @@ TEST(Flow, WideNetworkRespectsPartitionBudget) {
     net.add_output("y", layer[0]);
     const DecompFlowResult r = run_bdsmaj(net);
     EXPECT_GT(r.supernode_count, 1);
-    // bdd_input_limit 0 forces the SAT engine: at 40 inputs this used to
-    // silently fall back to random simulation; now it is an exact proof.
+    // The SAT engine: at 40 inputs this used to silently fall back to
+    // random simulation; now it is an exact proof.
     const net::EquivalenceResult eq = net::check_equivalent(
-        net, r.network, net::CecParams{.sim_rounds = 256, .bdd_input_limit = 0});
+        net, r.network,
+        net::CecParams{.engine = net::EquivEngine::kSat, .sim_rounds = 256});
     EXPECT_TRUE(eq.equivalent);
     EXPECT_TRUE(eq.exact);
     EXPECT_EQ(eq.engine, net::EquivEngine::kSat);
@@ -213,19 +215,27 @@ TEST(Flow, ConvergingSiftFlowStaysEquivalent) {
 }
 
 TEST(Flow, ReorderTelemetryIsDeterministicAcrossJobCounts) {
-    // Circuits of one suite run concurrently at jobs > 1; each circuit's
-    // sift telemetry must not depend on that.
+    // The circuits run once serially and once as four concurrent service
+    // jobs (a private 4-thread pool); each circuit's sift telemetry must
+    // not depend on that.
     const std::vector<Network> inputs = {
         random_control(14, 5, 90, 0xabc), random_control(12, 4, 70, 0x123),
         random_control(16, 6, 110, 0x777), ripple_adder(6)};
-    flows::FlowOptions options;
-    options.jobs = 1;
-    const auto r1 = flows::run_suite(inputs, options, "bdsmaj");
-    options.jobs = 8;
-    const auto r8 = flows::run_suite(inputs, options, "bdsmaj");
+    flows::SynthesisJobParams jp;
+    jp.flow = "bdsmaj";
+    const auto serial = flows::run_suite(inputs, jp, jp.flow);
+    runtime::ThreadPool pool(4);
+    flows::ServiceParams sp;
+    sp.pool = &pool;
+    sp.max_concurrent_jobs = 4;
+    flows::SynthesisService service(sp);
+    std::vector<flows::SynthesisService::Submission> subs;
+    for (const Network& input : inputs) subs.push_back(service.submit(input, jp));
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const EngineStats& a = r1[i][0].engine_stats;
-        const EngineStats& b = r8[i][0].engine_stats;
+        const flows::FlowResult r = subs[i].result.get();
+        ASSERT_EQ(r.status, flows::JobStatus::kCompleted) << i;
+        const EngineStats& a = serial[i][0].engine_stats;
+        const EngineStats& b = r.results.at(0).at(0).engine_stats;
         EXPECT_EQ(a.sift_swaps, b.sift_swaps) << i;
         EXPECT_EQ(a.sift_fast_swaps, b.sift_fast_swaps) << i;
         EXPECT_EQ(a.sift_lb_aborts, b.sift_lb_aborts) << i;

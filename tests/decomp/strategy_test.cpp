@@ -17,6 +17,7 @@
 #include "decomp/cone_cache.hpp"
 #include "decomp/flow.hpp"
 #include "flows/flows.hpp"
+#include "flows/service.hpp"
 #include "mapping/mapper.hpp"
 #include "network/blif.hpp"
 #include "network/builder.hpp"
@@ -147,22 +148,30 @@ TEST(Strategy, EveryPresetPassesTheEquivalenceOracleOnMcnc) {
 
 TEST(Strategy, PresetsAreDeterministicAcrossJobCounts) {
     // Determinism is a suite property, not a paper-ladder one: the new
-    // presets must be byte-identical at any run_suite job count too.
+    // presets must be byte-identical when the circuits run as concurrent
+    // service jobs (a private 4-thread pool, four jobs at once) too.
     const std::vector<std::string> names = {"dalu", "alu2", "f51m", "C6288"};
     std::vector<Network> inputs;
     for (const std::string& name : names) {
         inputs.push_back(benchgen::benchmark_by_name(name, /*quick=*/true));
     }
+    runtime::ThreadPool pool(4);
+    flows::ServiceParams sp;
+    sp.pool = &pool;
+    sp.max_concurrent_jobs = 4;
+    flows::SynthesisService service(sp);
     for (const char* preset : {"exact-aggressive", "best-cost"}) {
-        flows::FlowOptions options;
-        options.preset = preset;
-        options.jobs = 1;
-        const auto serial = flows::run_suite(inputs, options, "bdsmaj");
-        options.jobs = 8;
-        const auto parallel = flows::run_suite(inputs, options, "bdsmaj");
+        flows::SynthesisJobParams jp;
+        jp.preset = preset;
+        jp.flow = "bdsmaj";
+        const auto serial = flows::run_suite(inputs, jp, jp.flow);
+        std::vector<flows::SynthesisService::Submission> subs;
+        for (const Network& input : inputs) subs.push_back(service.submit(input, jp));
         for (std::size_t i = 0; i < inputs.size(); ++i) {
+            const flows::FlowResult r = subs[i].result.get();
+            ASSERT_EQ(r.status, flows::JobStatus::kCompleted) << preset << " " << names[i];
             EXPECT_EQ(net::write_blif(serial[i][0].optimized),
-                      net::write_blif(parallel[i][0].optimized))
+                      net::write_blif(r.results.at(0).at(0).optimized))
                 << preset << " " << names[i];
         }
     }

@@ -16,6 +16,7 @@
 #include "decomp/flow.hpp"
 #include "dynamic_sift.hpp"
 #include "flows/flows.hpp"
+#include "flows/service.hpp"
 #include "mapping/mapper.hpp"
 #include "mdom_sweep.hpp"
 #include "network/cec.hpp"
@@ -108,13 +109,25 @@ TEST(Golden, Table2SmokeSuiteIsPinnedAndEquivalent) {
     }
     expect_table2_golden(serial, "serial");
 
-    // The same suite with four circuits in flight at once lands on the
-    // same numbers: circuit-level parallelism never changes a result.
-    flows::FlowOptions options;
-    options.jobs = 4;
-    Table2Sums parallel;
-    for (const auto& per_flow : flows::run_suite(inputs, options)) parallel.add(per_flow);
-    expect_table2_golden(parallel, "run_suite jobs=4");
+    // The same circuits as four one-circuit service jobs in flight at
+    // once land on the same numbers: running jobs concurrently never
+    // changes a result. A private 4-thread pool gives real concurrency
+    // even on a 1-core machine.
+    runtime::ThreadPool pool(4);
+    flows::ServiceParams sp;
+    sp.pool = &pool;
+    sp.max_concurrent_jobs = 4;
+    flows::SynthesisService service(sp);
+    const flows::SynthesisJobParams jp;  // all four flows
+    std::vector<flows::SynthesisService::Submission> subs;
+    for (const Network& input : inputs) subs.push_back(service.submit(input, jp));
+    Table2Sums concurrent;
+    for (flows::SynthesisService::Submission& sub : subs) {
+        const flows::FlowResult r = sub.result.get();
+        ASSERT_EQ(r.status, flows::JobStatus::kCompleted);
+        concurrent.add(r.results.at(0));
+    }
+    expect_table2_golden(concurrent, "four concurrent service jobs");
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
 #include "benchgen/arith.hpp"
@@ -162,18 +163,35 @@ TEST(SatEquivalence, MutationFuzzingCatchesSingleGateChanges) {
     EXPECT_GT(refuted, function_preserving);
 }
 
+/// The AND of `n` inputs, as a chain of two-input gates.
+Network and_chain(int n) {
+    Network net("and" + std::to_string(n));
+    NodeId acc = net.add_input("x0");
+    for (int i = 1; i < n; ++i) acc = net.add_and(acc, net.add_input("x" + std::to_string(i)));
+    net.add_output("y", acc);
+    return net;
+}
+
 TEST(CheckEquivalent, AutoDispatchesByInputCount) {
-    // 3 inputs <= bdd_input_limit: the proof comes from the BDD engine.
-    {
-        const EquivalenceResult r = check_equivalent(full_adder(), full_adder());
+    // At most 20 inputs: the proof comes from the BDD engine; above that,
+    // from the SAT engine.
+    for (const Network& net : {full_adder(), and_chain(20)}) {
+        const EquivalenceResult r = check_equivalent(net, net);
         EXPECT_TRUE(r.equivalent);
         EXPECT_TRUE(r.exact);
-        EXPECT_EQ(r.engine, EquivEngine::kBdd);
+        EXPECT_EQ(r.engine, EquivEngine::kBdd) << net.inputs().size() << " inputs";
     }
-    // Forcing the limit to 0 pushes the same pair to the SAT engine.
+    {
+        const Network net = and_chain(21);
+        const EquivalenceResult r = check_equivalent(net, net);
+        EXPECT_TRUE(r.equivalent);
+        EXPECT_TRUE(r.exact);
+        EXPECT_EQ(r.engine, EquivEngine::kSat);
+    }
+    // Asking for SAT pushes the small pair to the SAT engine.
     {
         CecParams params;
-        params.bdd_input_limit = 0;
+        params.engine = EquivEngine::kSat;
         const EquivalenceResult r = check_equivalent(full_adder(), full_adder(), params);
         EXPECT_TRUE(r.equivalent);
         EXPECT_TRUE(r.exact);

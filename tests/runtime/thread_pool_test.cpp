@@ -1,7 +1,6 @@
 // FIFO thread pool: completeness (every task runs exactly once), nested
 // submission, skewed loads, and draining the queue at destruction.
-// (parallel_for and the shared global pool are covered in
-// tests/runtime/scheduler_test.cpp.)
+// (The shared global pool is covered in tests/runtime/scheduler_test.cpp.)
 
 #include "runtime/thread_pool.hpp"
 
@@ -12,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/scheduler.hpp"
 
 namespace bdsmaj::runtime {
 namespace {
@@ -81,45 +79,6 @@ TEST(ThreadPool, DrainPolicyRunsEverythingQueuedAtDestruction) {
         // no wait_idle: the destructor drains
     }
     EXPECT_EQ(ran.load(), 200);
-}
-
-TEST(ParallelFor, CoversAllIndicesExactlyOnce) {
-    constexpr std::size_t kN = 777;
-    std::vector<std::atomic<int>> hits(kN);
-    parallel_for(kN, 4, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(ParallelFor, InlineWhenSerial) {
-    // jobs <= 1 runs on the calling thread.
-    const std::thread::id self = std::this_thread::get_id();
-    std::size_t visited = 0;
-    parallel_for(16, 1, [&](std::size_t) {
-        EXPECT_EQ(std::this_thread::get_id(), self);
-        ++visited;
-    });
-    EXPECT_EQ(visited, 16u);
-}
-
-TEST(ParallelFor, BodyExceptionRethrownOnCaller) {
-    // An exception inside a task must surface on the calling thread, not
-    // std::terminate a pool worker; remaining indices still run.
-    std::atomic<int> ran{0};
-    EXPECT_THROW(
-        parallel_for(50, 4,
-                     [&](std::size_t i) {
-                         ran.fetch_add(1);
-                         if (i == 7) throw std::runtime_error("boom");
-                     }),
-        std::runtime_error);
-    EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(EffectiveJobs, ResolvesRequests) {
-    EXPECT_EQ(effective_jobs(1), 1);
-    EXPECT_EQ(effective_jobs(7), 7);
-    EXPECT_GE(effective_jobs(0), 1) << "0 means all hardware threads";
-    EXPECT_GE(effective_jobs(-3), 1);
 }
 
 }  // namespace
