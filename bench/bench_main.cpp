@@ -418,7 +418,7 @@ std::vector<PresetEntry> bench_preset_sweep() {
         inputs.push_back(bc.network);
     }
     std::vector<PresetEntry> out;
-    for (const decomp::PresetInfo& p : decomp::preset_catalog()) {
+    for (const decomp::Preset& p : decomp::presets()) {
         PresetEntry entry;
         entry.preset = p.name;
         entry.circuits = static_cast<int>(inputs.size());

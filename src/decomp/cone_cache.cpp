@@ -356,14 +356,6 @@ void ConeCache::clear() {
     bytes_ = 0;
 }
 
-void ConeCache::reset_stats() {
-    clear();
-    std::lock_guard<std::mutex> lock(mutex_);
-    hits_ = 0;
-    misses_ = 0;
-    evictions_ = 0;
-}
-
 ConeCacheStats ConeCache::stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return ConeCacheStats{hits_, misses_, evictions_,

@@ -159,8 +159,6 @@ public:
 
     /// Drop every entry (tests, benchmarks); keeps the hit/miss counters.
     void clear();
-    /// Drop every entry and zero the counters.
-    void reset_stats();
 
     [[nodiscard]] ConeCacheStats stats() const;
 

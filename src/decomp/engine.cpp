@@ -60,18 +60,11 @@ int EngineStats::steps_for(StrategyKind kind) const noexcept {
 
 BddDecomposer::BddDecomposer(bdd::Manager& mgr, net::GateSink& sink,
                              std::vector<net::Signal> leaves, EngineParams params)
-    : mgr_(mgr), builder_(sink), leaves_(std::move(leaves)), params_(std::move(params)) {
-    config_ = preset_pipeline(params_.preset);
-    if (!params_.use_majority) {
-        config_.order.erase(std::remove(config_.order.begin(), config_.order.end(),
-                                        StrategyKind::kMajority),
-                            config_.order.end());
-    }
-    strategies_.reserve(config_.order.size());
-    for (const StrategyKind kind : config_.order) {
-        strategies_.push_back(make_strategy(kind));
-    }
-}
+    : mgr_(mgr),
+      builder_(sink),
+      leaves_(std::move(leaves)),
+      params_(std::move(params)),
+      preset_(find_preset(params_.preset)) {}
 
 Signal BddDecomposer::decompose(const Bdd& f) {
     assert(f.manager() == &mgr_);
@@ -164,26 +157,21 @@ Signal BddDecomposer::decompose_regular(Edge e) {
     StepContext ctx{mgr_, f, analysis, analysis.nodes().size(), params_, stats_};
 
     std::optional<Candidate> chosen;
-    if (config_.selection == SelectionMode::kFirstFit) {
-        for (const auto& strategy : strategies_) {
-            chosen = strategy->propose(ctx);
-            if (chosen) break;
-        }
-    } else {
-        double best_cost = 0.0;
-        for (const auto& strategy : strategies_) {
-            std::optional<Candidate> cand = strategy->propose(ctx);
-            if (!cand) continue;
-            const double c = candidate_gate_cost(*cand, ctx);
-            // Strict <: ties go to the earlier strategy in pipeline order.
-            if (!chosen || c < best_cost) {
-                best_cost = c;
-                chosen = std::move(cand);
-            }
+    double best_cost = 0.0;
+    for (const StrategyKind kind : preset_.order) {
+        if (kind == StrategyKind::kMajority && !params_.use_majority) continue;
+        std::optional<Candidate> cand = propose(kind, ctx);
+        if (!cand) continue;
+        if (preset_.selection == SelectionMode::kFirstFit) return emit(*cand);
+        const double c = candidate_gate_cost(*cand, ctx);
+        // Strict <: ties go to the earlier stage in the preset's order.
+        if (!chosen || c < best_cost) {
+            best_cost = c;
+            chosen = std::move(cand);
         }
     }
-    // Pipeline resolution guarantees ShannonMux is present and it always
-    // proposes, so a candidate always exists.
+    // Every preset's order ends in ShannonMux, which always proposes, so
+    // a candidate always exists.
     assert(chosen.has_value());
     return emit(*chosen);
 }

@@ -3,33 +3,33 @@
 // into a factoring tree emitted through any GateSink (the hash-consing
 // network builder for on-line logic sharing, SIV-C, or a worker's GateTape).
 //
-// Since the strategy refactor the engine is a pipeline driver, not a fixed
-// ladder: each recursion step computes the dominator analysis once, hands
-// it to an ordered list of pluggable DecompStrategy objects
-// (strategy.hpp), and emits the winning Candidate — first-fit for the
-// paper's ladder semantics, or lowest estimated gate count for the
-// `best-cost` preset. The stages themselves live in strategy.cpp:
+// Each recursion step computes the dominator analysis once, walks the
+// stage order of the active preset (strategy.hpp) and emits the winning
+// Candidate — first-fit for the paper's ladder semantics, or lowest
+// estimated gate count for the `best-cost` preset. The stages themselves
+// are the propose_* functions of strategy.cpp:
 //
 //   0. constants / literals terminate the recursion (engine-internal);
-//   1. ExactSmallConeStrategy  — optional: precompiled minimal structures
+//   1. propose_symmetric        — optional: totally symmetric cones as
+//      ones-counting MAJ networks (decomp/symmetric.hpp);
+//   2. propose_exact_small_cone — optional: precompiled minimal structures
 //      for cones with <= 4 support variables (decomp/exact.hpp);
-//   2. MajorityStrategy        — MAJ "on the top of the dominator nodes
+//   3. propose_majority         — MAJ "on the top of the dominator nodes
 //      search", accepted only when globally advantageous (k_global);
-//   3. SimpleDominatorStrategy — 1-, 0-, x-dominators -> AND / OR / XOR;
-//   4. GeneralizedXorStrategy  — non-disjoint XOR split when both parts
+//   4. propose_simple_dominator — 1-, 0-, x-dominators -> AND / OR / XOR;
+//   5. propose_generalized_xor  — non-disjoint XOR split when both parts
 //      shrink;
-//   5. ShannonMuxStrategy      — cofactoring on the top variable, the
+//   6. propose_shannon_mux      — cofactoring on the top variable, the
 //      guaranteed last resort.
 //
-// The pipeline is selected by EngineParams::preset (see preset_catalog()):
-// `paper` reproduces the pre-framework ladder byte-for-byte, the exact /
+// The order is selected by EngineParams::preset (see presets()): `paper`
+// reproduces the pre-framework ladder byte-for-byte, the exact /
 // symmetry / best-cost presets trade structure for gate count, and
-// use_majority = false strips the majority stage from any preset — the
-// BDS-PGA baseline of Table I is `paper` with the strip, which is exactly
-// how the flows request it. Every candidate is a valid decomposition by
+// use_majority = false skips the majority stage of any preset — the
+// BDS-PGA baseline of Table I is `paper` without it, which is exactly how
+// the flows request it. Every candidate is a valid decomposition by
 // construction, so all presets yield functionally equivalent networks.
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 
@@ -41,11 +41,10 @@
 namespace bdsmaj::decomp {
 
 struct EngineParams {
-    bool use_majority = true;  ///< false => strip the majority stage (BDS-PGA)
+    bool use_majority = true;  ///< false => skip the majority stage (BDS-PGA)
     MajDecompParams maj;
-    /// Named strategy pipeline (see preset_catalog()); resolved once per
-    /// decomposer. Unknown names throw std::invalid_argument at
-    /// construction.
+    /// Named preset (see presets()); resolved once per decomposer.
+    /// Unknown names throw std::invalid_argument at construction.
     std::string preset = "paper";
     /// Support cap for the exact cone strategy, served from the
     /// pre-enumerated NPN table (decomp/exact.hpp). Values above
@@ -120,8 +119,8 @@ struct EngineStats {
         return and_steps + or_steps + xor_steps + maj_steps + mux_steps +
                exact_steps + symmetric_steps;
     }
-    /// Steps credited to one strategy; summing over all strategies in a
-    /// pipeline yields total_steps() (tests enforce it).
+    /// Steps credited to one strategy; summing over all strategies yields
+    /// total_steps() (tests enforce it).
     [[nodiscard]] int steps_for(StrategyKind kind) const noexcept;
 };
 
@@ -141,12 +140,6 @@ public:
 
     [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
 
-    /// The resolved pipeline (after the use_majority strip), for
-    /// introspection and tests.
-    [[nodiscard]] const StrategyPipelineConfig& pipeline() const noexcept {
-        return config_;
-    }
-
 private:
     net::Signal decompose_edge(bdd::Edge e);
     net::Signal decompose_regular(bdd::Edge e);
@@ -156,8 +149,7 @@ private:
     net::GateSink& builder_;
     std::vector<net::Signal> leaves_;
     EngineParams params_;
-    StrategyPipelineConfig config_;
-    std::vector<std::unique_ptr<DecompStrategy>> strategies_;
+    const Preset& preset_;
     EngineStats stats_;
     std::unordered_map<bdd::Edge, net::Signal> memo_;  // regular edges only
     /// Keeps every memoized function referenced: a bare Edge key would dangle

@@ -127,7 +127,9 @@ DecompFlowParams degraded_stage_params(const DecompFlowParams& base, bool termin
 }  // namespace
 
 DecompFlowParams resolve_flow_params(DecompFlowParams params) {
-    params.manager.sift_symmetry = preset_sift_symmetry_default(params.engine.preset);
+    // The one preset check of a flow: it runs before partitioning, so a
+    // network without supernodes rejects an unknown name too.
+    params.manager.sift_symmetry = find_preset(params.engine.preset).sift_symmetry;
     params.engine.exact_max_support =
         std::min(params.engine.exact_max_support, kMaxExactSupport);
     return params;

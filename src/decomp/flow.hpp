@@ -55,9 +55,9 @@ struct DecompFlowParams {
     /// byte-for-byte; sift_converge trades decomposition time for smaller
     /// local BDDs and may change (equivalent) output structure.
     /// manager.sift_symmetry is not read from here: decompose_network sets
-    /// it from the preset (preset_sift_symmetry_default; off for `paper`
-    /// and the pinned baselines, on for `symmetry`/`exact-aggressive`/
-    /// `best-cost`), before the cone-cache config blob is computed.
+    /// it from the preset (Preset::sift_symmetry; off for `paper` and
+    /// `shannon`, on for `symmetry`/`exact-aggressive`/`best-cost`),
+    /// before the cone-cache config blob is computed.
     bdd::ManagerParams manager;
     /// Sift each supernode's local BDD before decomposing (paper SIV-B).
     bool reorder = true;
@@ -99,7 +99,8 @@ struct DecompFlowParams {
 /// manager.sift_symmetry set from the preset, and engine.exact_max_support
 /// clamped to kMaxExactSupport. Resolution comes before the cone-cache
 /// config blob is built, so requests that resolve alike share cache
-/// entries.
+/// entries. Throws std::invalid_argument on an unknown preset, whether or
+/// not the network has anything to decompose.
 [[nodiscard]] DecompFlowParams resolve_flow_params(DecompFlowParams params);
 
 struct DecompFlowResult {

@@ -1,29 +1,30 @@
 #pragma once
-// Pluggable decomposition strategies for the BDD engine.
+// The decomposition strategies of the BDD engine and the named presets
+// that order them.
 //
-// Every stage of the paper's priority ladder is a self-contained
-// DecompStrategy that inspects one recursion step (a function, its
-// dominator analysis) and proposes at most one scored Candidate. The
-// engine assembles strategies into an ordered pipeline:
+// Every stage of the paper's priority ladder is a plain function that
+// inspects one recursion step (a function, its dominator analysis) and
+// proposes at most one scored Candidate; propose() picks the function for
+// a StrategyKind. A preset is one row of a constant table: a stage order,
+// a selection rule and a sift-symmetry default. The engine walks the
+// order of its preset:
 //
-//   * kFirstFit   — strategies are consulted in order and the first
-//                   proposal wins: the paper's ladder semantics. The
-//                   `paper` preset reproduces the pre-framework engine
+//   * kFirstFit   — stages are consulted in order and the first proposal
+//                   wins: the paper's ladder semantics. The `paper`
+//                   preset reproduces the pre-framework engine
 //                   byte-for-byte.
-//   * kBestCost   — every strategy proposes; candidate_gate_cost()
-//                   scores all candidates by estimated gate count and the
-//                   cheapest wins (ties go to the earlier strategy in the
-//                   pipeline order).
+//   * kBestCost   — every stage proposes; candidate_gate_cost() scores
+//                   all candidates by estimated gate count and the
+//                   cheapest wins (ties go to the earlier stage in the
+//                   order).
 //
-// Pipelines are configured by named presets (preset_catalog()); the name
-// travels EngineParams -> DecompFlowParams -> flows/SynthesisService ->
-// `bdsmaj_cli --preset`. Every candidate is a valid decomposition by
-// construction, so any pipeline yields an equivalent network — presets
-// only trade gate count, structure, and runtime.
+// The preset name travels EngineParams -> DecompFlowParams ->
+// flows/SynthesisService -> `bdsmaj_cli --preset`. Every candidate is a
+// valid decomposition by construction, so any preset yields an equivalent
+// network — presets only trade gate count, structure, and runtime.
 
-#include <memory>
 #include <optional>
-#include <string>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -83,15 +84,10 @@ struct StepContext {
     EngineStats& stats;
 };
 
-class DecompStrategy {
-public:
-    virtual ~DecompStrategy() = default;
-    [[nodiscard]] virtual StrategyKind kind() const noexcept = 0;
-    [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-    /// The strategy's best candidate for ctx.f, or nullopt when the
-    /// strategy does not apply (or its internal acceptance gate rejects).
-    [[nodiscard]] virtual std::optional<Candidate> propose(StepContext& ctx) = 0;
-};
+/// The candidate of the `kind` stage for ctx.f, or nullopt when the stage
+/// does not apply (or its internal acceptance gate rejects). kShannonMux
+/// always proposes.
+[[nodiscard]] std::optional<Candidate> propose(StrategyKind kind, StepContext& ctx);
 
 /// Scores a candidate for kBestCost selection: the gates it is expected
 /// to emit. The estimate is heuristic (an operand BDD of n nodes lands
@@ -99,31 +95,24 @@ public:
 /// count is known before anything is emitted.
 [[nodiscard]] double candidate_gate_cost(const Candidate& cand, StepContext& ctx);
 
-[[nodiscard]] std::unique_ptr<DecompStrategy> make_strategy(StrategyKind kind);
-[[nodiscard]] std::string_view strategy_name(StrategyKind kind);
-
-/// An ordered strategy pipeline plus its selection rule. Resolution
-/// guarantees kShannonMux is present (appended if missing), so every
-/// pipeline terminates.
-struct StrategyPipelineConfig {
-    std::vector<StrategyKind> order;
-    SelectionMode selection = SelectionMode::kFirstFit;
+/// One named preset. Every order ends in kShannonMux, which always
+/// proposes, so every preset terminates (tests check the table).
+struct Preset {
+    std::string_view name;
+    std::string_view description;
+    std::span<const StrategyKind> order;
+    SelectionMode selection;
+    /// Symmetry-aware block sifting for the per-supernode managers.
+    /// `paper` and `shannon` keep it off so their fingerprints stay
+    /// byte-identical.
+    bool sift_symmetry;
 };
 
-struct PresetInfo {
-    std::string name;
-    std::string description;
-};
-
-/// The named presets, in catalog order. `paper` is the default and is
+/// The presets, in catalog order. `paper` is the default and is
 /// byte-identical to the pre-framework ladder.
-[[nodiscard]] const std::vector<PresetInfo>& preset_catalog();
-[[nodiscard]] bool is_known_preset(std::string_view name);
-/// Throws std::invalid_argument (listing the catalog) on unknown names.
-[[nodiscard]] StrategyPipelineConfig preset_pipeline(std::string_view name);
-/// Whether a preset turns symmetry-aware sifting on when the caller left
-/// the knob at its "preset decides" default. `paper` (and the other pinned
-/// baselines) keep it off so their fingerprints stay byte-identical.
-[[nodiscard]] bool preset_sift_symmetry_default(std::string_view name);
+[[nodiscard]] std::span<const Preset> presets();
+/// The preset called `name`. Throws std::invalid_argument (listing the
+/// catalog) on unknown names.
+[[nodiscard]] const Preset& find_preset(std::string_view name);
 
 }  // namespace bdsmaj::decomp

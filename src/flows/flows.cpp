@@ -75,6 +75,13 @@ void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
 
 namespace {
 
+/// Flow-name decoration for non-default presets ("BDS-MAJ" ->
+/// "BDS-MAJ(exact-aggressive)").
+std::string decorated_flow_name(std::string base, const std::string& preset) {
+    if (preset != "paper") base += "(" + preset + ")";
+    return base;
+}
+
 SynthesisResult from_decomposition(std::string name, const net::Network& input,
                                    bool use_majority, const FlowOptions& options) {
     const auto start = Clock::now();
@@ -141,11 +148,6 @@ SynthesisResult flow_abc(const net::Network& input) {
     result.optimize_seconds = seconds_since(start);
     result.mapped = mapping::map_network(result.optimized, default_library());
     return result;
-}
-
-std::string decorated_flow_name(std::string base, const std::string& preset) {
-    if (preset != "paper") base += "(" + preset + ")";
-    return base;
 }
 
 std::vector<SynthesisResult> run_all_flows(const net::Network& input,

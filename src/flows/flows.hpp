@@ -32,7 +32,7 @@ struct FlowOptions {
     /// existing callers that still assign it keep compiling.
     int jobs = 1;
     /// Decomposition strategy preset for the BDS flows (see
-    /// decomp::preset_catalog()); "paper" reproduces the published ladder
+    /// decomp::presets()); "paper" reproduces the published ladder
     /// byte-for-byte. ABC/DC ignore it.
     std::string preset = "paper";
     /// Per-supernode BDD manager tuning (reordering budget: sift growth
@@ -139,12 +139,6 @@ struct SynthesisResult {
 /// unverified.
 void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
                              const FlowOptions& options = {});
-
-/// Flow-name decoration for non-default presets ("BDS-MAJ" ->
-/// "BDS-MAJ(exact-aggressive)"); shared by the flows and the CLI so the
-/// two never drift.
-[[nodiscard]] std::string decorated_flow_name(std::string base,
-                                              const std::string& preset);
 
 /// The BDS flows honor every FlowOptions knob; the result depends only on
 /// the preset and the engine tuning (manager, maj, reorder,

@@ -47,35 +47,39 @@ DecompFlowResult run_preset(const Network& input, const std::string& preset,
 }
 
 TEST(Strategy, PresetCatalogAndResolution) {
-    EXPECT_TRUE(is_known_preset("paper"));
-    EXPECT_TRUE(is_known_preset("exact-aggressive"));
-    EXPECT_FALSE(is_known_preset("nope"));
-    EXPECT_THROW((void)preset_pipeline("nope"), std::invalid_argument);
+    EXPECT_EQ(find_preset("paper").name, "paper");
+    EXPECT_EQ(find_preset("exact-aggressive").name, "exact-aggressive");
+    EXPECT_THROW((void)find_preset("nope"), std::invalid_argument);
     // Retired presets: the BDS-PGA spelling of `paper` (use_majority=false
     // is the one way to ask for it) and two cost-model variants with more
     // area than `best-cost` and more delay than `paper`.
     for (const char* retired : {"bds-pga", "best-literals", "maj-depth"}) {
-        EXPECT_FALSE(is_known_preset(retired)) << retired;
-        EXPECT_THROW((void)preset_pipeline(retired), std::invalid_argument) << retired;
+        EXPECT_THROW((void)find_preset(retired), std::invalid_argument) << retired;
     }
-    EXPECT_EQ(preset_catalog().size(), 5u);
-    for (const PresetInfo& p : preset_catalog()) {
-        const StrategyPipelineConfig config = preset_pipeline(p.name);
-        ASSERT_FALSE(config.order.empty()) << p.name;
-        // Termination guarantee: Shannon is always present.
-        EXPECT_NE(std::find(config.order.begin(), config.order.end(),
-                            StrategyKind::kShannonMux),
-                  config.order.end())
-            << p.name;
+    try {
+        (void)find_preset("nope");
+    } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "unknown decomposition preset \"nope\" (known: paper, "
+                  "exact-aggressive, best-cost, symmetry, shannon)");
     }
-    // The paper preset is exactly the published ladder.
-    const StrategyPipelineConfig paper = preset_pipeline("paper");
-    ASSERT_EQ(paper.order.size(), 4u);
-    EXPECT_EQ(paper.order[0], StrategyKind::kMajority);
-    EXPECT_EQ(paper.order[1], StrategyKind::kSimpleDominator);
-    EXPECT_EQ(paper.order[2], StrategyKind::kGeneralizedXor);
-    EXPECT_EQ(paper.order[3], StrategyKind::kShannonMux);
+    ASSERT_EQ(presets().size(), 5u);
+    for (const Preset& p : presets()) {
+        EXPECT_EQ(&find_preset(p.name), &p) << p.name;
+        // Termination guarantee: every order ends in Shannon, which always
+        // proposes.
+        ASSERT_FALSE(p.order.empty()) << p.name;
+        EXPECT_EQ(p.order.back(), StrategyKind::kShannonMux) << p.name;
+    }
+    // The paper preset is exactly the published ladder, first-fit.
+    const Preset& paper = find_preset("paper");
+    EXPECT_EQ(std::vector<StrategyKind>(paper.order.begin(), paper.order.end()),
+              (std::vector<StrategyKind>{StrategyKind::kMajority,
+                                         StrategyKind::kSimpleDominator,
+                                         StrategyKind::kGeneralizedXor,
+                                         StrategyKind::kShannonMux}));
     EXPECT_EQ(paper.selection, SelectionMode::kFirstFit);
+    EXPECT_FALSE(paper.sift_symmetry);
 }
 
 TEST(Strategy, UnknownPresetThrowsAtDecomposerConstruction) {
@@ -85,6 +89,30 @@ TEST(Strategy, UnknownPresetThrowsAtDecomposerConstruction) {
     EngineParams params;
     params.preset = "definitely-not-a-preset";
     EXPECT_THROW(BddDecomposer(mgr, builder, {}, params), std::invalid_argument);
+}
+
+TEST(Strategy, UnknownPresetIsRejectedWithoutSupernodes) {
+    // A PI-passthrough network partitions into zero supernodes, so nothing
+    // ever builds a decomposer: the flow itself must reject the name.
+    Network input("passthrough");
+    input.add_output("y", input.add_input("a"));
+    for (const bool cone_cache : {true, false}) {
+        DecompFlowParams params;
+        params.engine.preset = "definitely-not-a-preset";
+        params.cone_cache = cone_cache;
+        EXPECT_THROW((void)decompose_network(input, params), std::invalid_argument)
+            << "cone_cache=" << cone_cache;
+    }
+    flows::FlowOptions options;
+    options.preset = "definitely-not-a-preset";
+    options.verify = true;
+    EXPECT_THROW((void)flows::flow_bdsmaj(input, options), std::invalid_argument);
+
+    flows::SynthesisService service;
+    flows::SynthesisJobParams jp;
+    jp.preset = "definitely-not-a-preset";
+    jp.flow = "bdsmaj";
+    EXPECT_THROW((void)service.submit(input, jp).result.get(), std::invalid_argument);
 }
 
 // Golden fingerprints of the pre-refactor monolithic engine (captured on
@@ -138,8 +166,8 @@ TEST(Strategy, PaperPresetIsByteIdenticalToPreRefactorEngine) {
 TEST(Strategy, EveryPresetPassesTheEquivalenceOracleOnMcnc) {
     for (const benchgen::BenchmarkCase& bc : benchgen::table_suite(/*quick=*/true)) {
         if (!bc.is_mcnc) continue;
-        for (const PresetInfo& p : preset_catalog()) {
-            const DecompFlowResult r = run_preset(bc.network, p.name);
+        for (const Preset& p : presets()) {
+            const DecompFlowResult r = run_preset(bc.network, std::string(p.name));
             EXPECT_TRUE(net::check_equivalent(bc.network, r.network).equivalent)
                 << bc.name << " preset " << p.name;
         }
@@ -217,9 +245,9 @@ TEST(Strategy, NpnCacheHitPathEqualsEnumerationPath) {
 }
 
 TEST(Strategy, PerStrategyStepsSumToTotalSteps) {
-    for (const PresetInfo& p : preset_catalog()) {
+    for (const Preset& p : presets()) {
         const Network input = benchgen::benchmark_by_name("alu2", /*quick=*/true);
-        const DecompFlowResult r = run_preset(input, p.name);
+        const DecompFlowResult r = run_preset(input, std::string(p.name));
         const EngineStats& e = r.engine_stats;
         int summed = 0;
         for (const StrategyKind kind :
@@ -286,22 +314,14 @@ TEST(Strategy, ExactMaxSupportAboveFourResolvesToFour) {
 TEST(Strategy, UseMajorityFalseStripsTheMajorityStage) {
     // use_majority=false on the paper preset is the BDS-PGA ladder; its
     // BLIF is pinned by PaperPresetIsByteIdenticalToPreRefactorEngine.
-    bdd::Manager mgr(2);
-    net::Network network;
-    net::HashedNetworkBuilder builder(network);
-    EngineParams params;
-    params.use_majority = false;
-    const BddDecomposer decomposer(mgr, builder, {}, params);
-    EXPECT_EQ(decomposer.pipeline().order,
-              (std::vector<StrategyKind>{StrategyKind::kSimpleDominator,
-                                         StrategyKind::kGeneralizedXor,
-                                         StrategyKind::kShannonMux}));
-
+    // On every preset the majority stage is never even consulted.
     const Network input = benchgen::benchmark_by_name("alu2", /*quick=*/true);
-    const DecompFlowResult stripped = run_preset(input, "paper", false);
-    EXPECT_GT(stripped.engine_stats.total_steps(), 0);
-    EXPECT_EQ(stripped.engine_stats.maj_steps, 0);
-    EXPECT_EQ(stripped.engine_stats.maj_attempts, 0);
+    for (const Preset& p : presets()) {
+        const DecompFlowResult stripped = run_preset(input, std::string(p.name), false);
+        EXPECT_GT(stripped.engine_stats.total_steps(), 0) << p.name;
+        EXPECT_EQ(stripped.engine_stats.maj_steps, 0) << p.name;
+        EXPECT_EQ(stripped.engine_stats.maj_attempts, 0) << p.name;
+    }
 }
 
 }  // namespace

@@ -221,7 +221,7 @@ TEST(Flows, EveryNpn4ClassThroughEveryConfiguration) {
         std::vector<net::NodeId> ins;
         for (int i = 0; i < 4; ++i) ins.push_back(input.add_input("x" + std::to_string(i)));
         input.add_output("f", input.add_sop(ins, net::Sop::isop(f), "f"));
-        for (const decomp::PresetInfo& preset : decomp::preset_catalog()) {
+        for (const decomp::Preset& preset : decomp::presets()) {
             FlowOptions options;
             options.preset = preset.name;
             for (const SynthesisResult& r :

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <exception>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 #include <type_traits>
@@ -169,8 +170,9 @@ int usage() {
 
 int list_presets() {
     std::printf("decomposition strategy presets (--preset NAME):\n");
-    for (const decomp::PresetInfo& p : decomp::preset_catalog()) {
-        std::printf("  %-18s %s\n", p.name.c_str(), p.description.c_str());
+    for (const decomp::Preset& p : decomp::presets()) {
+        std::printf("  %-18.*s %.*s\n", static_cast<int>(p.name.size()), p.name.data(),
+                    static_cast<int>(p.description.size()), p.description.data());
     }
     return 0;
 }
@@ -439,9 +441,10 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown flow %s\n", job.flow.c_str());
         return usage();
     }
-    if (!decomp::is_known_preset(job.preset)) {
-        std::fprintf(stderr, "unknown preset \"%s\"; --list-presets shows the "
-                             "catalog\n", job.preset.c_str());
+    try {
+        (void)decomp::find_preset(job.preset);
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
         return 2;
     }
     if (job.preset != "paper" && !bds) {
