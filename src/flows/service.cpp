@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "decomp/cone_cache.hpp"
@@ -15,6 +16,13 @@ namespace bdsmaj::flows {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+int admission_limit(const ServiceParams& params) {
+    if (params.max_concurrent_jobs > 0) return params.max_concurrent_jobs;
+    if (params.pool != nullptr) return params.pool->size();
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
+}
 
 }  // namespace
 
@@ -40,15 +48,17 @@ static FlowResult unstarted_result(std::uint64_t id, JobStatus status) {
 }
 
 SynthesisService::SynthesisService(const ServiceParams& params)
-    : pool_(params.pool != nullptr ? *params.pool : runtime::global_pool()),
-      max_concurrent_(params.max_concurrent_jobs > 0 ? params.max_concurrent_jobs
-                                                     : pool_.size()) {}
+    : max_concurrent_(admission_limit(params)),
+      owned_pool_(params.pool != nullptr
+                      ? nullptr
+                      : std::make_unique<runtime::ThreadPool>(max_concurrent_)),
+      pool_(params.pool != nullptr ? *params.pool : *owned_pool_) {}
 
 SynthesisService::~SynthesisService() {
     std::unique_lock<std::mutex> lock(mutex_);
     // Cancel everything still queued and request cooperative stops of the
     // running jobs, then wait for them — their pool tasks capture `this`
-    // and must not outlive it. The pool itself is untouched.
+    // and must not outlive it.
     for (const std::shared_ptr<Job>& job : queue_) {
         ++cancelled_;
         job->promise.set_value(unstarted_result(job->id, JobStatus::kCancelled));
@@ -58,6 +68,9 @@ SynthesisService::~SynthesisService() {
         job->cancel_requested.store(true, std::memory_order_relaxed);
     }
     idle_cv_.wait(lock, [this] { return inflight_ == 0; });
+    // An owned pool's workers (each may still be resolving its job's
+    // promise) are joined next, as owned_pool_ is destroyed; an injected
+    // pool is left to its owner.
 }
 
 SynthesisService::Submission SynthesisService::enqueue(
@@ -128,8 +141,6 @@ void SynthesisService::execute(const std::shared_ptr<Job>& job) {
     std::exception_ptr error;
     long networks = 0;
     long gates = 0;
-    double area = 0.0;
-    long long sym_cones = 0;
     try {
         // Chaos site: a fault here exercises the job-level containment —
         // inside the try, so the promise is still fulfilled (kFailed path)
@@ -148,8 +159,6 @@ void SynthesisService::execute(const std::shared_ptr<Job>& job) {
             for (const SynthesisResult& r : per_input) {
                 ++networks;
                 gates += r.mapped.gate_count;
-                area += r.mapped.area_um2;
-                sym_cones += r.engine_stats.symmetric_steps;
                 out.degraded_supernodes += r.engine_stats.degraded_supernodes;
             }
         }
@@ -180,8 +189,6 @@ void SynthesisService::execute(const std::shared_ptr<Job>& job) {
             ++completed_;
             networks_synthesized_ += networks;
             mapped_gates_ += gates;
-            mapped_area_um2_ += area;
-            symmetric_cones_served_ += sym_cones;
             degraded_supernodes_ += out.degraded_supernodes;
         }
         pump_locked();
@@ -255,8 +262,6 @@ ServiceStats SynthesisService::stats() const {
     s.degraded_supernodes = degraded_supernodes_;
     s.networks_synthesized = networks_synthesized_;
     s.mapped_gates = mapped_gates_;
-    s.mapped_area_um2 = mapped_area_um2_;
-    s.symmetric_cones_served = symmetric_cones_served_;
     const decomp::ConeCacheStats cone = decomp::ConeCache::instance().stats();
     s.cone_cache_hits = cone.hits;
     s.cone_cache_misses = cone.misses;

@@ -5,9 +5,9 @@
 // Callers submit jobs (one network, or a whole benchmark suite) and get a
 // std::future<FlowResult> back immediately. Jobs wait in one queue
 // (earliest deadline first, FIFO among deadline-less jobs); at most
-// `max_concurrent_jobs` run at once, each as one task on the shared
-// process pool (runtime::global_pool() unless a pool is injected). This
-// admission is the only place circuits run concurrently: a job runs
+// `max_concurrent_jobs` run at once, each as one task on the service's
+// thread pool — its own, sized to that limit, unless a pool is injected.
+// This admission is the only place circuits run concurrently: a job runs
 // entirely on the one pool thread that picked it up, a suite job one
 // circuit after another, so a job never waits for another pool thread and
 // admission control is the only queueing point.
@@ -26,8 +26,8 @@
 // jobs stay queued; running ones finish) and resume() releases it — the
 // drain/maintenance switch, also what makes cancellation deterministic to
 // test. The destructor cancels everything still queued, requests
-// cancellation of running jobs, and waits for them; the shared pool is
-// untouched and immediately reusable.
+// cancellation of running jobs, and waits for them; then it joins its own
+// pool, while an injected pool is left untouched and immediately reusable.
 
 #include <chrono>
 #include <cstdint>
@@ -41,7 +41,7 @@
 #include <vector>
 
 #include "flows/flows.hpp"
-#include "runtime/scheduler.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace bdsmaj::flows {
 
@@ -118,10 +118,6 @@ struct ServiceStats {
     long long degraded_supernodes = 0;
     long networks_synthesized = 0;  ///< flow results across completed jobs
     long mapped_gates = 0;          ///< aggregate over those results
-    double mapped_area_um2 = 0.0;
-    /// Cones served as ones-counting symmetric networks across completed
-    /// jobs (EngineStats::symmetric_steps aggregate).
-    long long symmetric_cones_served = 0;
     // Process-wide memoization snapshots (the caches outlive any one
     // service, so these count all activity since process start — the warm
     // state the NEXT job benefits from, not a per-service delta).
@@ -135,10 +131,11 @@ struct ServiceStats {
 };
 
 struct ServiceParams {
-    /// Jobs allowed to run concurrently; <= 0 means the pool thread count.
+    /// Jobs allowed to run concurrently; <= 0 means the injected pool's
+    /// thread count, or all hardware threads for an owned pool.
     int max_concurrent_jobs = 0;
-    /// Pool to run on; nullptr = runtime::global_pool(). An injected pool
-    /// must outlive the service.
+    /// Pool to run on; nullptr = a pool the service owns, with one thread
+    /// per admitted job. An injected pool must outlive the service.
     runtime::ThreadPool* pool = nullptr;
 };
 
@@ -198,6 +195,9 @@ public:
 
     [[nodiscard]] ServiceStats stats() const;
 
+    /// Worker threads of the pool the service runs on.
+    [[nodiscard]] int pool_threads() const noexcept { return pool_.size(); }
+
 private:
     struct Job;
 
@@ -206,7 +206,6 @@ private:
     void pump_locked();
     void execute(const std::shared_ptr<Job>& job);
 
-    runtime::ThreadPool& pool_;
     const int max_concurrent_;
 
     mutable std::mutex mutex_;
@@ -226,8 +225,10 @@ private:
     long long degraded_supernodes_ = 0;
     long networks_synthesized_ = 0;
     long mapped_gates_ = 0;
-    double mapped_area_um2_ = 0.0;
-    long long symmetric_cones_served_ = 0;
+    /// Null when the pool is injected. Declared last, so it is destroyed
+    /// (its workers joined) first: they run jobs that use the members above.
+    std::unique_ptr<runtime::ThreadPool> owned_pool_;
+    runtime::ThreadPool& pool_;
 };
 
 }  // namespace bdsmaj::flows

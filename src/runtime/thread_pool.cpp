@@ -35,18 +35,11 @@ void ThreadPool::worker_loop() {
         if (queue_.empty()) return;
         std::function<void()> task = std::move(queue_.front());
         queue_.pop_front();
-        ++running_;
         lock.unlock();
         task();
         task = nullptr;  // destroy captures outside the lock
         lock.lock();
-        if (--running_ == 0 && queue_.empty()) idle_cv_.notify_all();
     }
-}
-
-void ThreadPool::wait_idle() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    idle_cv_.wait(lock, [this] { return running_ == 0 && queue_.empty(); });
 }
 
 }  // namespace bdsmaj::runtime

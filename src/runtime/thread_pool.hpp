@@ -1,6 +1,6 @@
 #pragma once
 // Thread pool behind SynthesisService jobs: one mutex-guarded FIFO queue
-// shared by every worker.
+// shared by every worker. A service owns one unless it is handed a pool.
 //
 // The pool's traffic is coarse: one task per admitted service job, which
 // runs the whole job on the worker that picks it up. A single queue in
@@ -11,12 +11,8 @@
 // that need reproducible output must make tasks independent (each service
 // job synthesizes its circuits in input order on one thread). Nothing in
 // this file depends on timing for correctness.
-//
-// This header is the pool *primitive* only. The process-wide shared pool
-// (`runtime::global_pool()`) lives in runtime/scheduler.hpp.
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -40,19 +36,13 @@ public:
     /// Enqueue a task. Safe from any thread, including pool workers.
     void submit(std::function<void()> task);
 
-    /// Block until every submitted task has finished. Tasks submitted
-    /// while waiting are waited for too.
-    void wait_idle();
-
 private:
     void worker_loop();
 
     std::vector<std::thread> threads_;
     std::mutex mutex_;
     std::condition_variable work_cv_;   // workers sleep here when the queue is empty
-    std::condition_variable idle_cv_;   // wait_idle sleeps here
     std::deque<std::function<void()>> queue_;
-    std::size_t running_ = 0;           // tasks started but not yet finished
     bool stopping_ = false;
 };
 

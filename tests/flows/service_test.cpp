@@ -1,6 +1,6 @@
 // SynthesisService: concurrent submissions must be byte-identical to
-// serial runs (BLIF text, gate counts, simulation signatures), cancellation must leave the service and the
-// shared pool reusable, and the stats counters must stay consistent.
+// serial runs (BLIF text, gate counts, simulation signatures), cancellation must leave the service and its
+// pool reusable, and the stats counters must stay consistent.
 
 #include "flows/service.hpp"
 
@@ -195,7 +195,7 @@ TEST(SynthesisService, CancellationLeavesServiceAndPoolReusable) {
     EXPECT_EQ(r0.status, JobStatus::kCompleted);
     EXPECT_FALSE(service.cancel(subs[0].id)) << "finished jobs cannot be cancelled";
 
-    // The service (and the shared pool underneath) must be fully reusable.
+    // The service (and the pool underneath) must be fully reusable.
     SynthesisService::Submission again = service.submit(inputs[2], jp);
     EXPECT_EQ(again.result.get().status, JobStatus::kCompleted);
     service.wait_idle();
@@ -365,7 +365,6 @@ TEST(SynthesisService, StatsAggregateGateCounts) {
     const ServiceStats st = service.stats();
     EXPECT_EQ(st.networks_synthesized, 4);
     EXPECT_EQ(st.mapped_gates, expected_gates);
-    EXPECT_GT(st.mapped_area_um2, 0.0);
 }
 
 TEST(SynthesisService, VerifiedJobsCarryExactEquivalenceVerdicts) {

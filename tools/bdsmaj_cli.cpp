@@ -1,27 +1,30 @@
 // bdsmaj command-line synthesis tool. `bdsmaj_cli --help` prints the full
 // option reference (print_help() below); docs/cli.md is generated from it.
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <system_error>
+#include <thread>
 #include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "benchgen/suite.hpp"
 #include "decomp/cone_cache.hpp"
 #include "decomp/strategy.hpp"
-#include "flows/flows.hpp"
 #include "flows/service.hpp"
 #include "network/blif.hpp"
 #include "network/cec.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace {
 
@@ -37,26 +40,25 @@ flows::SynthesisJobParams default_job() {
 }
 
 struct Options {
-    /// Every flow knob. A single run passes it to flows::run_flow as its
-    /// FlowOptions; batch mode submits it as each job's parameters.
+    /// Every flow knob: each input is submitted as a job with these
+    /// parameters.
     flows::SynthesisJobParams job = default_job();
     std::vector<std::string> inputs;
     std::optional<std::string> out;
     std::optional<std::string> map_out;
+    std::optional<std::string> oracle;  ///< --oracle, parsed once all flags are read
     bool quick = false;
     bool quiet = false;
-    bool batch = false;
-    int pool = 0;
     int max_jobs = 0;
     int cone_cache_mb = -1;  ///< -1 = keep the library default (64 MiB)
-    /// --deadline-ms / --soft-budget-ms (<= 0 = off). Each run turns them
-    /// into absolute instants as it starts (see armed()).
+    /// --deadline-ms / --soft-budget-ms (<= 0 = off). Each job turns them
+    /// into absolute instants as it is submitted (see armed()).
     double deadline_after_ms = 0.0;
     double soft_budget_after_ms = 0.0;
 };
 
-/// `opt.job` with its deadline and soft budget counted from now: the start
-/// of a single run, or a batch job's submission (so queue wait counts).
+/// `opt.job` with its deadline and soft budget counted from now, the
+/// job's submission (so queue wait counts).
 flows::SynthesisJobParams armed(const Options& opt) {
     flows::SynthesisJobParams job = opt.job;
     const auto now = std::chrono::steady_clock::now();
@@ -93,11 +95,11 @@ void print_help(std::FILE* to) {
     std::fprintf(to,
         "bdsmaj_cli - BDS-MAJ command-line synthesis tool\n"
         "\n"
-        "usage: bdsmaj_cli [options] <input.blif | @benchmark> [more inputs in batch mode]\n"
+        "usage: bdsmaj_cli [options] <input.blif | @benchmark>...\n"
         "\n"
         "flow selection:\n"
-        "  --flow bdsmaj|bdspga|abc|dc  synthesis flow (default bdsmaj); batch\n"
-        "                               mode additionally accepts \"all\"\n"
+        "  --flow NAME                  synthesis flow: bdsmaj (default), bdspga,\n"
+        "                               abc, dc, or all (the four Table II flows)\n"
         "  --preset NAME                decomposition strategy preset for the BDS\n"
         "                               flows (default paper; see --list-presets)\n"
         "  --list-presets               print the preset catalog and exit\n"
@@ -105,7 +107,8 @@ void print_help(std::FILE* to) {
         "output:\n"
         "  --out FILE                   write the optimized network as BLIF\n"
         "  --map-out FILE               write the mapped netlist as BLIF\n"
-        "  --quiet                      only print the summary line\n"
+        "                               (--out/--map-out: one input, one flow)\n"
+        "  --quiet                      only print each result's summary line\n"
         "\n"
         "engine tuning:\n"
         "  --no-reorder                 skip per-supernode sifting\n"
@@ -130,13 +133,12 @@ void print_help(std::FILE* to) {
         "                               alone is sampled, not an exact sign-off)\n"
         "\n"
         "deadlines and graceful degradation (BDS flows):\n"
-        "  --deadline-ms MS             hard deadline, measured from the start of\n"
-        "                               the run (batch: from submission, so queue\n"
-        "                               wait counts). A single run stops at the\n"
-        "                               next checkpoint and exits with status 4;\n"
-        "                               a batch job is shed at dispatch or stopped\n"
-        "                               in flight and reports \"deadline exceeded\"\n"
-        "                               (a shed job is not a batch failure)\n"
+        "  --deadline-ms MS             hard deadline, measured from the job's\n"
+        "                               submission, so queue wait counts. The job\n"
+        "                               is shed at dispatch or stopped at its next\n"
+        "                               checkpoint and reports \"deadline exceeded\";\n"
+        "                               one input then exits with status 4, while\n"
+        "                               with several inputs it is not a failure\n"
         "  --soft-budget-ms MS          soft budget: once it expires, remaining\n"
         "                               supernodes are decomposed with cheaper\n"
         "                               settings down the degrade ladder instead\n"
@@ -145,22 +147,15 @@ void print_help(std::FILE* to) {
         "                               and the result stays equivalent (the\n"
         "                               summary counts the degraded supernodes)\n"
         "\n"
-        "batch service mode (multiple inputs through the shared process pool):\n"
-        "  --batch                      treat every positional arg as an input and\n"
-        "                               submit each as one async service job (also\n"
-        "                               implied by giving more than one input);\n"
-        "                               results print in submission order, and\n"
-        "                               every flag above applies to each job\n"
-        "  --pool N                     shared-pool thread count (otherwise the\n"
-        "                               BDSMAJ_JOBS env var / all cores)\n"
-        "  --max-jobs N                 jobs admitted concurrently (default: pool\n"
-        "                               size)\n"
-        "\n"
-        "inputs:\n"
+        "inputs and jobs (every input is one job of a synthesis service; every\n"
+        "flag above applies to each job, and results print in input order):\n"
+        "  --max-jobs N                 jobs run concurrently, one worker thread\n"
+        "                               each (default: all hardware threads; never\n"
+        "                               more than the inputs)\n"
         "  @name                        built-in generator from the paper's suite,\n"
         "                               e.g. @C6288 or \"@Div 18 bit\"; --quick uses\n"
-        "                               reduced widths; batch mode mixes @names and\n"
-        "                               BLIF files freely\n");
+        "                               reduced widths; @names and BLIF files mix\n"
+        "                               freely\n");
 }
 
 int usage() {
@@ -185,7 +180,7 @@ net::Network load_input(const std::string& name, bool quick) {
 }
 
 void print_result(const net::Network& input, const flows::SynthesisResult& result,
-                  double seconds, bool quiet) {
+                  bool quiet) {
     if (!quiet) {
         const net::NetworkStats s = result.optimized_stats;
         std::printf("flow %s on %s\n", result.flow_name.c_str(),
@@ -253,28 +248,16 @@ void print_result(const net::Network& input, const flows::SynthesisResult& resul
     }
     std::printf("%s: area=%.2fum2 gates=%d delay=%.3fns opt_time=%.3fs%s\n",
                 input.model_name().c_str(), result.mapped.area_um2,
-                result.mapped.gate_count, result.mapped.delay_ns, seconds,
+                result.mapped.gate_count, result.mapped.delay_ns, result.optimize_seconds,
                 result.equivalence ? " [verified]" : "");
 }
 
-/// Process-wide cone tape cache summary, shared by the single and batch
-/// paths.
-void print_cache_summary() {
-    const decomp::ConeCacheStats cone = decomp::ConeCache::instance().stats();
-    std::printf("caches: cone hits=%lld misses=%lld evictions=%lld entries=%lld "
-                "bytes=%lld\n",
-                cone.hits, cone.misses, cone.evictions, cone.entries, cone.bytes);
-}
-
-/// Batch service mode: every input becomes one async job on the shared
-/// scheduler; results print in submission order regardless of completion
-/// order, so the output is stable.
-int run_batch(const Options& opt) {
-    if (opt.out || opt.map_out) {
-        std::fprintf(stderr, "--out/--map-out are per-input; not available in "
-                             "batch mode\n");
-        return 2;
-    }
+/// Submits every input as one job of a synthesis service and prints the
+/// results in input order, whatever order the jobs finish in. Exit status
+/// 1 if an input cannot be read or a job fails (a failed sign-off fails
+/// its job, so nothing is written); 4 if the one input missed its
+/// deadline, while several inputs only report a missed deadline.
+int run(const Options& opt) {
     std::vector<net::Network> inputs;
     inputs.reserve(opt.inputs.size());
     for (const std::string& name : opt.inputs) {
@@ -286,159 +269,164 @@ int run_batch(const Options& opt) {
         }
     }
 
+    // --max-jobs, or every hardware thread, but no worker without an input.
+    const int wanted = opt.max_jobs > 0
+                           ? opt.max_jobs
+                           : static_cast<int>(std::thread::hardware_concurrency());
     flows::ServiceParams sp;
-    sp.max_concurrent_jobs = opt.max_jobs;
+    sp.max_concurrent_jobs = std::min(wanted, static_cast<int>(inputs.size()));
     flows::SynthesisService service(sp);
     std::vector<flows::SynthesisService::Submission> submissions;
     submissions.reserve(inputs.size());
     for (const net::Network& input : inputs) {
-        // Verification runs inside the job: a failed sign-off fails that
-        // job's future instead of handing out a wrong network.
         submissions.push_back(service.submit(input, armed(opt)));
     }
 
-    bool all_ok = true;
+    int status = 0;
+    bool sampled = false;
     for (std::size_t i = 0; i < submissions.size(); ++i) {
         try {
             const flows::FlowResult r = submissions[i].result.get();
             if (r.status == flows::JobStatus::kDeadlineExceeded) {
-                // Deliberate shedding, not a failure: the batch's exit
-                // status is unaffected (the summary line counts them).
-                std::printf("%s: deadline exceeded%s\n",
+                std::printf("%s: deadline exceeded (%s)\n",
                             inputs[i].model_name().c_str(),
                             r.start_order == flows::FlowResult::kNoStartOrder
-                                ? " (shed before start)"
-                                : " (stopped in flight)");
+                                ? "shed before start"
+                                : "stopped in flight");
+                // One input has no result at all; among several, deliberate
+                // shedding is not a failure (the summary counts it).
+                if (inputs.size() == 1) status = 4;
                 continue;
             }
-            if (r.status == flows::JobStatus::kCancelled) {
-                std::printf("%s: cancelled\n", inputs[i].model_name().c_str());
-                continue;
-            }
-            // One entry for a named flow, four for --flow all; a failed
-            // sign-off would have failed the job.
+            // One entry for a named flow, four for --flow all.
             for (const flows::SynthesisResult& sr : r.results.at(0)) {
-                print_result(inputs[i], sr, r.seconds, opt.quiet);
+                sampled = sampled || (sr.equivalence && !sr.equivalence->exact);
+                print_result(inputs[i], sr, opt.quiet);
             }
+            const flows::SynthesisResult& only = r.results[0][0];
+            if (opt.out) net::write_blif_file(only.optimized, *opt.out);
+            if (opt.map_out) net::write_blif_file(only.mapped.netlist, *opt.map_out);
         } catch (const std::exception& e) {
-            std::fprintf(stderr, "job %s failed: %s\n", opt.inputs[i].c_str(),
-                         e.what());
-            all_ok = false;
+            std::fprintf(stderr, "job %s failed: %s\n", opt.inputs[i].c_str(), e.what());
+            status = 1;
         }
     }
+    if (sampled) {
+        // Only the sim engine leaves a sampled verdict; make the weaker
+        // guarantee impossible to miss.
+        std::fprintf(stderr, "note: --oracle sim agreement is sampled, "
+                             "not an exact sign-off\n");
+    }
+    if (opt.quiet) return status;
     const flows::ServiceStats st = service.stats();
     std::printf("service: %d completed, %d failed, %ld networks, "
                 "%ld mapped gates, pool=%d threads\n",
                 st.completed, st.failed, st.networks_synthesized, st.mapped_gates,
-                runtime::global_pool_threads());
+                service.pool_threads());
     if (st.deadline_exceeded + st.degraded_supernodes > 0) {
         std::printf("resilience: %d deadline-exceeded, %lld degraded "
                     "supernodes\n",
                     st.deadline_exceeded, st.degraded_supernodes);
     }
-    print_cache_summary();
-    return all_ok ? 0 : 1;
+    std::printf("caches: cone hits=%lld misses=%lld evictions=%lld entries=%lld "
+                "bytes=%lld\n",
+                st.cone_cache_hits, st.cone_cache_misses, st.cone_cache_evictions,
+                st.cone_cache_entries, st.cone_cache_bytes);
+    return status;
 }
+
+/// A switch stores `value` into its bool when given.
+struct Switch {
+    bool* field;
+    bool value;
+};
+
+/// One command-line option: a Switch, or a field that takes the next
+/// argument as its value (a number must parse whole, see parse_number).
+struct Flag {
+    const char* name;
+    std::variant<Switch, int*, double*, std::string*, std::optional<std::string>*> target;
+    bool non_negative = false;  ///< numbers only
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
     Options opt;
     flows::SynthesisJobParams& job = opt.job;
+    constexpr bool kNonNegative = true;
+    const Flag flags[] = {
+        {"--flow", &job.flow},
+        {"--preset", &job.preset},
+        {"--out", &opt.out},
+        {"--map-out", &opt.map_out},
+        {"--quiet", Switch{&opt.quiet, true}},
+        {"--no-reorder", Switch{&job.reorder, false}},
+        {"--sift-max-growth", &job.manager.sift_max_growth},
+        {"--sift-converge", Switch{&job.manager.sift_converge, true}},
+        {"--k-local", &job.maj.k_local},
+        {"--k-global", &job.maj.k_global},
+        {"--iterations", &job.maj.max_iterations, kNonNegative},
+        {"--cone-cache-mb", &opt.cone_cache_mb, kNonNegative},
+        {"--no-cone-cache", Switch{&job.cone_cache, false}},
+        {"--no-verify", Switch{&job.verify, false}},
+        {"--oracle", &opt.oracle},
+        {"--deadline-ms", &opt.deadline_after_ms},
+        {"--soft-budget-ms", &opt.soft_budget_after_ms},
+        {"--max-jobs", &opt.max_jobs, kNonNegative},
+        {"--quick", Switch{&opt.quick, true}},
+    };
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        // Reads this flag's value into `field`; false, after saying why,
-        // when the value is missing or malformed.
-        const auto value = [&](auto& field, bool non_negative = false) {
-            const char* v = next();
-            if (v == nullptr) {
-                usage();
-                return false;
-            }
-            using T = std::remove_reference_t<decltype(field)>;
-            if constexpr (std::is_arithmetic_v<T>) {
-                if (!parse_number(v, field, non_negative)) {
-                    std::fprintf(stderr, "%s: invalid %s%s \"%s\"\n", arg.c_str(),
-                                 non_negative ? "non-negative " : "",
-                                 std::is_integral_v<T> ? "integer" : "number", v);
-                    return false;
-                }
-            } else {
-                field = v;
-            }
-            return true;
-        };
-        constexpr bool kNonNegative = true;
+        const std::string_view arg = argv[i];
         if (arg == "--help" || arg == "-h") {
             print_help(stdout);
             return 0;
-        } else if (arg == "--flow") {
-            if (!value(job.flow)) return 2;
-        } else if (arg == "--preset") {
-            if (!value(job.preset)) return 2;
-        } else if (arg == "--list-presets") {
-            return list_presets();
-        } else if (arg == "--out") {
-            if (!value(opt.out)) return 2;
-        } else if (arg == "--map-out") {
-            if (!value(opt.map_out)) return 2;
-        } else if (arg == "--no-reorder") {
-            job.reorder = false;
-        } else if (arg == "--sift-max-growth") {
-            if (!value(job.manager.sift_max_growth)) return 2;
-        } else if (arg == "--sift-converge") {
-            job.manager.sift_converge = true;
-        } else if (arg == "--k-local") {
-            if (!value(job.maj.k_local)) return 2;
-        } else if (arg == "--k-global") {
-            if (!value(job.maj.k_global)) return 2;
-        } else if (arg == "--iterations") {
-            if (!value(job.maj.max_iterations, kNonNegative)) return 2;
-        } else if (arg == "--pool") {
-            if (!value(opt.pool, kNonNegative)) return 2;
-        } else if (arg == "--max-jobs") {
-            if (!value(opt.max_jobs, kNonNegative)) return 2;
-        } else if (arg == "--cone-cache-mb") {
-            if (!value(opt.cone_cache_mb, kNonNegative)) return 2;
-        } else if (arg == "--no-cone-cache") {
-            job.cone_cache = false;
-        } else if (arg == "--deadline-ms") {
-            if (!value(opt.deadline_after_ms)) return 2;
-        } else if (arg == "--soft-budget-ms") {
-            if (!value(opt.soft_budget_after_ms)) return 2;
-        } else if (arg == "--batch") {
-            opt.batch = true;
-        } else if (arg == "--quick") {
-            opt.quick = true;
-        } else if (arg == "--no-verify") {
-            job.verify = false;
-        } else if (arg == "--oracle") {
-            std::string name;
-            if (!value(name)) return 2;
-            try {
-                job.oracle = net::parse_equiv_engine(name);
-            } catch (const std::exception& e) {
-                std::fprintf(stderr, "%s\n", e.what());
-                return usage();
-            }
-        } else if (arg == "--quiet") {
-            opt.quiet = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            return usage();
-        } else {
-            opt.inputs.push_back(arg);
         }
+        if (arg == "--list-presets") return list_presets();
+        if (arg.empty() || arg[0] != '-') {
+            opt.inputs.emplace_back(arg);
+            continue;
+        }
+        const Flag* flag = std::find_if(std::begin(flags), std::end(flags),
+                                        [arg](const Flag& f) { return arg == f.name; });
+        if (flag == std::end(flags)) {
+            std::fprintf(stderr, "unknown option %s\n", argv[i]);
+            return usage();
+        }
+        if (const Switch* sw = std::get_if<Switch>(&flag->target)) {
+            *sw->field = sw->value;
+            continue;
+        }
+        if (i + 1 == argc) return usage();
+        const char* value = argv[++i];
+        // Stores the value; false, after saying why, when it is malformed.
+        const bool stored = std::visit(
+            [&](auto target) {
+                using T = std::remove_pointer_t<decltype(target)>;
+                if constexpr (std::is_arithmetic_v<T>) {
+                    if (parse_number(value, *target, flag->non_negative)) return true;
+                    std::fprintf(stderr, "%s: invalid %s%s \"%s\"\n", flag->name,
+                                 flag->non_negative ? "non-negative " : "",
+                                 std::is_integral_v<T> ? "integer" : "number", value);
+                    return false;
+                } else if constexpr (!std::is_same_v<T, Switch>) {
+                    *target = value;
+                }
+                return true;
+            },
+            flag->target);
+        if (!stored) return 2;
     }
     if (opt.inputs.empty()) return usage();
-    const bool batch = opt.batch || opt.inputs.size() > 1;
-    const bool bds = job.flow == "bdsmaj" || job.flow == "bdspga" ||
-                     (batch && job.flow == "all");
+    const bool bds = job.flow == "bdsmaj" || job.flow == "bdspga" || job.flow == "all";
     if (!bds && job.flow != "abc" && job.flow != "dc") {
         std::fprintf(stderr, "unknown flow %s\n", job.flow.c_str());
+        return usage();
+    }
+    try {
+        if (opt.oracle) job.oracle = net::parse_equiv_engine(*opt.oracle);
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s\n", e.what());
         return usage();
     }
     try {
@@ -457,44 +445,13 @@ int main(int argc, char** argv) {
                              "BDS flows (bdsmaj/bdspga/all)\n");
         return 2;
     }
+    if ((opt.out || opt.map_out) && (opt.inputs.size() > 1 || job.flow == "all")) {
+        std::fprintf(stderr, "--out/--map-out need one input and one flow\n");
+        return 2;
+    }
     if (opt.cone_cache_mb >= 0) {
         decomp::ConeCache::instance().set_budget_bytes(
             static_cast<std::size_t>(opt.cone_cache_mb) << 20);
     }
-    if (opt.pool > 0) runtime::configure_global_pool(opt.pool);
-    if (batch) return run_batch(opt);
-
-    net::Network input;
-    try {
-        input = load_input(opt.inputs[0], opt.quick);
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "error reading input: %s\n", e.what());
-        return 1;
-    }
-
-    flows::SynthesisResult result;
-    try {
-        result = std::move(flows::run_flow(input, job.flow, armed(opt)).front());
-    } catch (const decomp::DeadlineExceeded&) {
-        std::fprintf(stderr, "%s: deadline exceeded (--deadline-ms %g); "
-                             "no result produced\n",
-                     input.model_name().c_str(), opt.deadline_after_ms);
-        return 4;
-    } catch (const std::exception& e) {
-        // A failed sign-off lands here too, before any output is written.
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
-    }
-    if (result.equivalence && !result.equivalence->exact) {
-        // Only the sim engine leaves a sampled verdict; make the weaker
-        // guarantee impossible to miss.
-        std::fprintf(stderr, "note: --oracle sim agreement is sampled, "
-                             "not an exact sign-off\n");
-    }
-    print_result(input, result, result.optimize_seconds, opt.quiet);
-    if (!opt.quiet) print_cache_summary();
-
-    if (opt.out) net::write_blif_file(result.optimized, *opt.out);
-    if (opt.map_out) net::write_blif_file(result.mapped.netlist, *opt.map_out);
-    return 0;
+    return run(opt);
 }
