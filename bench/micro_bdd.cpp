@@ -152,7 +152,8 @@ void BM_EngineDecompose(benchmark::State& state) {
         net::HashedNetworkBuilder builder(network);
         std::vector<net::Signal> leaves;
         for (int i = 0; i < vars; ++i) {
-            leaves.push_back({network.add_input("x" + std::to_string(i)), false});
+            leaves.push_back(
+                {network.add_input(std::string("x").append(std::to_string(i))), false});
         }
         decomp::BddDecomposer decomposer(mgr, builder, leaves, {});
         benchmark::DoNotOptimize(decomposer.decompose(f));

@@ -71,7 +71,7 @@ Network aig_to_network(const Aig& aig, const std::vector<std::string>& input_nam
     std::vector<Signal> value(aig.node_count(), Signal{});
     for (std::size_t i = 0; i < aig.input_count(); ++i) {
         const std::string name =
-            i < input_names.size() ? input_names[i] : "i" + std::to_string(i);
+            i < input_names.size() ? input_names[i] : std::string("i").append(std::to_string(i));
         value[aig.inputs()[i]] = Signal{out.add_input(name), false};
     }
     const auto sig = [&](Lit l) {
@@ -105,7 +105,7 @@ Network aig_to_network(const Aig& aig, const std::vector<std::string>& input_nam
     }
     for (std::size_t o = 0; o < aig.outputs().size(); ++o) {
         const std::string name =
-            o < output_names.size() ? output_names[o] : "o" + std::to_string(o);
+            o < output_names.size() ? output_names[o] : std::string("o").append(std::to_string(o));
         Signal s;
         const Lit l = aig.outputs()[o];
         if (lit_node(l) == kConstNode) {

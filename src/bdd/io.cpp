@@ -18,7 +18,7 @@ std::string Manager::to_dot(std::span<const Bdd> roots,
     for (std::size_t i = 0; i < roots.size(); ++i) {
         const Edge e = roots[i].edge();
         const std::string name =
-            i < names.size() ? names[i] : "f" + std::to_string(i);
+            i < names.size() ? names[i] : std::string("f").append(std::to_string(i));
         os << "  \"" << name << "\" [shape=plaintext];\n";
         os << "  \"" << name << "\" -> n" << edge_index(e)
            << (edge_complemented(e) ? " [style=dotted]" : "") << ";\n";

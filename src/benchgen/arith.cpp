@@ -98,7 +98,7 @@ std::vector<Bus> partial_products(Network& net, const Bus& a, const Bus& b,
 }  // namespace
 
 Network make_ripple_adder(int bits) {
-    Network net("rca" + std::to_string(bits));
+    Network net(std::string("rca").append(std::to_string(bits)));
     const Bus a = add_input_bus(net, "a", bits);
     const Bus b = add_input_bus(net, "b", bits);
     const NodeId cin = net.add_input("cin");
@@ -110,7 +110,7 @@ Network make_ripple_adder(int bits) {
 
 Network make_cla_adder(int bits) {
     // 4-bit lookahead blocks, block carries rippled through block G/P.
-    Network net("cla" + std::to_string(bits));
+    Network net(std::string("cla").append(std::to_string(bits)));
     const Bus a = add_input_bus(net, "a", bits);
     const Bus b = add_input_bus(net, "b", bits);
     NodeId carry = net.add_input("cin");
@@ -138,7 +138,7 @@ Network make_cla_adder(int bits) {
 }
 
 Network make_four_operand_adder(int bits) {
-    Network net("add4op" + std::to_string(bits));
+    Network net(std::string("add4op").append(std::to_string(bits)));
     const std::size_t width = static_cast<std::size_t>(bits) + 2;
     Bus x = zero_extend(net, add_input_bus(net, "a", bits), width);
     Bus y = zero_extend(net, add_input_bus(net, "b", bits), width);
@@ -154,7 +154,7 @@ Network make_four_operand_adder(int bits) {
 
 Network make_array_multiplier(int bits) {
     // Row-by-row carry-propagate array: the gate structure of C6288.
-    Network net("arraymult" + std::to_string(bits));
+    Network net(std::string("arraymult").append(std::to_string(bits)));
     const Bus a = add_input_bus(net, "a", bits);
     const Bus b = add_input_bus(net, "b", bits);
     const std::size_t width = 2 * static_cast<std::size_t>(bits);
@@ -170,7 +170,7 @@ Network make_array_multiplier(int bits) {
 }
 
 Network make_wallace_multiplier(int bits) {
-    Network net("wallace" + std::to_string(bits));
+    Network net(std::string("wallace").append(std::to_string(bits)));
     const Bus a = add_input_bus(net, "a", bits);
     const Bus b = add_input_bus(net, "b", bits);
     const std::size_t width = 2 * static_cast<std::size_t>(bits);
@@ -194,7 +194,7 @@ Network make_wallace_multiplier(int bits) {
 }
 
 Network make_mac(int bits) {
-    Network net("mac" + std::to_string(bits));
+    Network net(std::string("mac").append(std::to_string(bits)));
     const Bus a = add_input_bus(net, "a", bits);
     const Bus b = add_input_bus(net, "b", bits);
     // One bit wider than the product: a*b + acc reaches 2^(2*bits)+... and
@@ -249,7 +249,7 @@ void restoring_division(Network& net, const Bus& dividend, const Bus& divisor,
 }  // namespace
 
 Network make_restoring_divider(int bits) {
-    Network net("div" + std::to_string(bits));
+    Network net(std::string("div").append(std::to_string(bits)));
     const Bus n = add_input_bus(net, "n", bits);
     const Bus d = add_input_bus(net, "d", bits);
     Bus q, r;
@@ -261,7 +261,7 @@ Network make_restoring_divider(int bits) {
 
 Network make_reciprocal(int bits) {
     // floor(2^(2*bits-2) / x): constant dividend 1 << (2*bits-2), x != 0.
-    Network net("rev" + std::to_string(bits));
+    Network net(std::string("rev").append(std::to_string(bits)));
     const Bus x = add_input_bus(net, "x", bits);
     Bus dividend(2 * static_cast<std::size_t>(bits) - 1, net.add_constant(false));
     dividend.back() = net.add_constant(true);
@@ -275,7 +275,7 @@ Network make_reciprocal(int bits) {
 
 Network make_sqrt(int root_bits) {
     // Restoring square root: digit recurrence over bit pairs.
-    Network net("sqrt" + std::to_string(2 * root_bits));
+    Network net(std::string("sqrt").append(std::to_string(2 * root_bits)));
     const Bus a = add_input_bus(net, "a", 2 * root_bits);
     const std::size_t rw = static_cast<std::size_t>(root_bits) + 2;
     Bus r(rw, net.add_constant(false));

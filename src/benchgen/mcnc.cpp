@@ -41,7 +41,7 @@ Network make_alu2() {
         const NodeId logic = net.add_mux(op1, net.add_mux(op0, lxor, lor),
                                          net.add_mux(op0, land, add_out[i]));
         result.push_back(logic);
-        net.add_output("y" + std::to_string(i), logic);
+        net.add_output(std::string("y").append(std::to_string(i)), logic);
     }
     net.add_output("cout", net.add_and(carry, net.add_not(net.add_or(op0, op1))));
     // Zero flag over the selected result.
@@ -88,7 +88,7 @@ Network make_c1355() {
             match = net.add_and(match,
                                 expected ? syndrome[k] : net.add_not(syndrome[k]));
         }
-        net.add_output("o" + std::to_string(i), net.add_xor(data[i], match));
+        net.add_output(std::string("o").append(std::to_string(i)), net.add_xor(data[i], match));
     }
     return net;
 }
@@ -122,7 +122,7 @@ Network make_dalu() {
         const NodeId sel1 = net.add_or(op[(i + 5) % 10], op[(i + 7) % 10]);
         const NodeId logic = net.add_mux(sel1, net.add_mux(sel0, lxor, lor),
                                          net.add_mux(sel0, land, sum));
-        net.add_output("y" + std::to_string(i), logic);
+        net.add_output(std::string("y").append(std::to_string(i)), logic);
     }
     return net;
 }
@@ -153,7 +153,7 @@ Network make_f51m() {
     NodeId carry = net.add_constant(false);
     for (int i = 0; i < 8; ++i) {
         const NodeId ai = i < 4 ? a[i] : net.add_constant(false);
-        net.add_output("z" + std::to_string(i),
+        net.add_output(std::string("z").append(std::to_string(i)),
                        net.add_xor(net.add_xor(acc[i], ai), carry));
         carry = net.add_maj(acc[i], ai, carry);
     }
@@ -239,7 +239,7 @@ Network make_random_control(const std::string& name, int inputs, int outputs,
             }
             acc = net.add_or(acc, term);
         }
-        net.add_output("o" + std::to_string(o), acc);
+        net.add_output(std::string("o").append(std::to_string(o)), acc);
     }
     return net;
 }
@@ -289,7 +289,7 @@ Network make_bigkey() {
     // Output whitening; 197 outputs.
     for (int o = 0; o < 197; ++o) {
         const NodeId w = net.add_xor(round2[o % 128], key[(o * 7 + 13) % 100]);
-        net.add_output("o" + std::to_string(o), net.add_and(w, en));
+        net.add_output(std::string("o").append(std::to_string(o)), net.add_and(w, en));
     }
     return net;
 }

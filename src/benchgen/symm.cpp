@@ -16,7 +16,9 @@ using net::NodeId;
 std::vector<NodeId> add_inputs(Network& net, int count) {
     std::vector<NodeId> xs;
     xs.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i) xs.push_back(net.add_input("x" + std::to_string(i)));
+    for (int i = 0; i < count; ++i) {
+        xs.push_back(net.add_input(std::string("x").append(std::to_string(i))));
+    }
     return xs;
 }
 
@@ -62,7 +64,7 @@ std::vector<NodeId> count_ones(Network& net, const std::vector<NodeId>& xs) {
 
 Network make_parity_tree(int inputs) {
     assert(inputs >= 1);
-    Network net("parity" + std::to_string(inputs));
+    Network net(std::string("parity").append(std::to_string(inputs)));
     std::vector<NodeId> layer = add_inputs(net, inputs);
     // Balanced reduction: pair up, odd wire carries to the next layer.
     while (layer.size() > 1) {
@@ -79,17 +81,17 @@ Network make_parity_tree(int inputs) {
 
 Network make_ones_counter(int inputs) {
     assert(inputs >= 1);
-    Network net("count" + std::to_string(inputs));
+    Network net(std::string("count").append(std::to_string(inputs)));
     const std::vector<NodeId> count = count_ones(net, add_inputs(net, inputs));
     for (std::size_t i = 0; i < count.size(); ++i) {
-        net.add_output("c" + std::to_string(i), count[i]);
+        net.add_output(std::string("c").append(std::to_string(i)), count[i]);
     }
     return net;
 }
 
 Network make_voter(int inputs) {
     assert(inputs >= 3 && inputs % 2 == 1 && "a voter needs an odd input count");
-    Network net("voter" + std::to_string(inputs));
+    Network net(std::string("voter").append(std::to_string(inputs)));
     const std::vector<NodeId> count = count_ones(net, add_inputs(net, inputs));
     // out = [count >= threshold], threshold = inputs/2 + 1. LSB-to-MSB
     // prefix compare: ge_i answers "low i+1 count bits >= low i+1 threshold

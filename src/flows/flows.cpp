@@ -37,16 +37,12 @@ void checkpoint(const FlowOptions& options) {
 void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
                              const FlowOptions& options) {
     const auto start = Clock::now();
-    net::CecParams cec;
-    cec.engine = options.oracle;
     SignOffStats& so = result.signoff;
     const auto prove = [&](const net::Network& stage, double& stage_seconds) {
         checkpoint(options);
         const auto stage_start = Clock::now();
-        net::CecStats stats;
-        net::EquivalenceResult eq = net::check_equivalent(input, stage, cec, &stats);
+        net::EquivalenceResult eq = net::check_equivalent(input, stage, {}, &so.cec);
         stage_seconds += seconds_since(stage_start);
-        so.cec += stats;
         if (eq.engine == net::EquivEngine::kBdd) ++so.bdd_checks;
         if (eq.engine == net::EquivEngine::kSat) ++so.sat_checks;
         if (!eq.equivalent) {
@@ -57,19 +53,17 @@ void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
         result.equivalence = std::move(eq);
     };
     prove(result.optimized, so.optimized_check_seconds);
-    // input == optimized is proven; under kAuto a complete certificate
-    // extends that proof to the mapped netlist.
-    bool mapped_proven = false;
-    if (options.oracle == net::EquivEngine::kAuto) {
-        const auto stage_start = Clock::now();
-        const mapping::MappingCertificate cert =
-            mapping::certify_mapping(result.optimized, result.mapped);
-        so.mapped_check_seconds += seconds_since(stage_start);
-        so.certified_nodes += cert.certified_nodes;
-        mapped_proven = cert.complete();
-        if (!mapped_proven) ++so.certificate_fallbacks;
+    // input == optimized is proven; a complete certificate extends that
+    // proof to the mapped netlist.
+    const auto stage_start = Clock::now();
+    const mapping::MappingCertificate cert =
+        mapping::certify_mapping(result.optimized, result.mapped);
+    so.mapped_check_seconds += seconds_since(stage_start);
+    so.certified_nodes += cert.certified_nodes;
+    if (!cert.complete()) {
+        ++so.certificate_fallbacks;
+        prove(result.mapped.netlist, so.mapped_check_seconds);
     }
-    if (!mapped_proven) prove(result.mapped.netlist, so.mapped_check_seconds);
     result.verify_seconds = seconds_since(start);
 }
 

@@ -74,17 +74,15 @@ struct FlowOptions {
     /// paper -> shannon ladder instead of failing;
     /// EngineStats::degraded_supernodes counts them.
     std::optional<std::chrono::steady_clock::time_point> soft_budget;
-    /// Equivalence engine for the sign-off below. kAuto proves the mapped
-    /// netlist with the local mapping certificate (mapping/certify.hpp)
-    /// and runs a second global check only if that is inconclusive;
-    /// kBdd/kSat always run both global checks.
+    /// Ignored: the sign-off has one policy (see verify_synthesis_result).
+    /// Kept only so existing callers that still assign it keep compiling.
     net::EquivEngine oracle = net::EquivEngine::kAuto;
     /// Verify each flow's optimized network AND mapped netlist against the
     /// input before returning (all four flows, not just BDS). The mapped
     /// verdict lands in SynthesisResult::equivalence; an inequivalent
     /// result throws std::runtime_error with the counterexample. Exact at
-    /// any input width for every engine but kSim. The sign-off obeys
-    /// `cancel` and `deadline` before each global check.
+    /// any input width. The sign-off obeys `cancel` and `deadline` before
+    /// each global check.
     bool verify = false;
 };
 
@@ -129,8 +127,11 @@ struct SynthesisResult {
 [[nodiscard]] const mapping::CellLibrary& default_library();
 
 /// The sign-off behind FlowOptions::verify, exposed for callers that run
-/// flow_abc/flow_dc directly: verifies `result.optimized` and
-/// `result.mapped.netlist` against `input` with `options.oracle`, throws
+/// flow_abc/flow_dc directly. It proves `result.optimized` against `input`
+/// with net::check_equivalent, then extends that proof to
+/// `result.mapped.netlist` with the local mapping certificate
+/// (mapping/certify.hpp), and runs a second global check of the mapped
+/// netlist only if the certificate is inconclusive. It throws
 /// std::runtime_error carrying the counterexample on mismatch, and records
 /// the mapped verdict, the sign-off wall time and its SignOffStats in the
 /// result. Before each global check it stops with decomp::FlowCancelled or

@@ -24,8 +24,8 @@ constexpr std::int64_t kInternalConflictLimit = 2000;
 /// Conflict budget per output miter: unbounded, because output proofs are
 /// the actual sign-off and must not silently give up.
 constexpr std::int64_t kOutputConflictLimit = 0;
-/// kAuto proves with a global BDD when the input count is at most this,
-/// and with the SAT miter sweep above it.
+/// check_equivalent proves with a global BDD when the input count is at
+/// most this, and with the SAT miter sweep above it.
 constexpr std::size_t kBddInputLimit = 20;
 
 EquivalenceResult structural_mismatch(std::string reason, EquivEngine engine) {
@@ -91,11 +91,8 @@ struct Fraig {
 
     explicit Fraig(const Network& a_in, const Network& b_in, CecStats& s)
         : a(a_in), b(b_in), stats(s) {
-        lits_a.clear();
-        std::vector<sat::Lit> outs_a = enc.encode(a, pi_lits, &lits_a);
-        std::vector<sat::Lit> outs_b = enc.encode(b, pi_lits, &lits_b);
-        out_a_ = std::move(outs_a);
-        out_b_ = std::move(outs_b);
+        out_a_ = enc.encode(a, pi_lits, &lits_a);
+        out_b_ = enc.encode(b, pi_lits, &lits_b);
 
         order_a = a.topo_order();
         order_b = b.topo_order();
@@ -277,7 +274,7 @@ EquivalenceResult sat_equivalent(const Network& a, const Network& b,
         const sat::SolveResult res =
             fraig.solver.solve({m}, kOutputConflictLimit);
         if (res == sat::SolveResult::kSat) {
-            st.conflicts = fraig.solver.stats().conflicts;
+            st.conflicts += fraig.solver.stats().conflicts;
             return verified_counterexample(a, b, static_cast<int>(o),
                                            fraig.model_pattern(), "SAT",
                                            EquivEngine::kSat);
@@ -289,7 +286,7 @@ EquivalenceResult sat_equivalent(const Network& a, const Network& b,
         }
         (void)fraig.solver.add_clause(~m);  // outputs proven equal: keep as unit
     }
-    st.conflicts = fraig.solver.stats().conflicts;
+    st.conflicts += fraig.solver.stats().conflicts;
 
     EquivalenceResult r;
     r.equivalent = true;
@@ -305,20 +302,8 @@ EquivalenceResult check_equivalent(const Network& a, const Network& b,
     const int rounds = std::max(1, params.sim_rounds);
     EquivalenceResult sim = random_equivalent(a, b, rounds, kSimSeed);
     if (!sim.equivalent) return sim;  // exact: structural or re-verified cex
-    if (params.engine == EquivEngine::kSim) return sim;  // sampled, exact=false
-
-    switch (params.engine) {
-        case EquivEngine::kBdd:
-            return bdd_equivalent(a, b);
-        case EquivEngine::kSat:
-            return sat_equivalent(a, b, params, stats);
-        case EquivEngine::kAuto:
-        default:
-            if (a.inputs().size() <= kBddInputLimit) {
-                return bdd_equivalent(a, b);
-            }
-            return sat_equivalent(a, b, params, stats);
-    }
+    if (a.inputs().size() <= kBddInputLimit) return bdd_equivalent(a, b);
+    return sat_equivalent(a, b, params, stats);
 }
 
 }  // namespace bdsmaj::net

@@ -2,8 +2,9 @@
 // Simulation-guided combinational equivalence checking (CEC).
 //
 // The exact sign-off oracle behind check_equivalent(): bit-parallel random
-// simulation refutes cheap mismatches first; what survives is proven with
-// per-output CNF miters over the in-repo CDCL solver (sat/solver.hpp).
+// simulation refutes cheap mismatches first; what survives is proven by a
+// global BDD on narrow circuits and, above 20 inputs, with per-output CNF
+// miters over the in-repo CDCL solver (sat/solver.hpp).
 // Before touching the output miters, internal nodes of both networks are
 // grouped into candidate-equivalence classes by their simulation
 // signatures (fraiging-lite) and the candidates are discharged with
@@ -24,10 +25,9 @@
 namespace bdsmaj::net {
 
 /// Tuning knobs for the CEC oracle. The defaults are what every flow
-/// uses; the bench harnesses vary `engine` and `sim_rounds`, and the tests
-/// turn `fraig` off for their reference mode.
+/// uses; the bench harnesses vary `sim_rounds`, and the tests turn `fraig`
+/// off for their reference mode.
 struct CecParams {
-    EquivEngine engine = EquivEngine::kAuto;
     /// Plain random-simulation refutation rounds (64 patterns each) run
     /// before any proof work.
     int sim_rounds = 64;
@@ -36,7 +36,8 @@ struct CecParams {
     bool fraig = true;
 };
 
-/// Observability counters filled by the SAT engine (zeros for bdd/sim).
+/// Observability counters filled by the SAT engine (zeros for a BDD proof).
+/// Every check adds to them, so one CecStats can sum several checks.
 struct CecStats {
     std::uint64_t sim_rounds = 0;           ///< total simulation rounds run
     std::uint64_t candidate_pairs = 0;      ///< internal equalities attempted
@@ -45,32 +46,18 @@ struct CecStats {
     std::uint64_t unknown_internal = 0;     ///< ... skipped on conflict budget
     std::uint64_t sat_calls = 0;            ///< total solver queries
     std::uint64_t conflicts = 0;            ///< total solver conflicts
-
-    CecStats& operator+=(const CecStats& o) {
-        sim_rounds += o.sim_rounds;
-        candidate_pairs += o.candidate_pairs;
-        proved_internal += o.proved_internal;
-        refuted_internal += o.refuted_internal;
-        unknown_internal += o.unknown_internal;
-        sat_calls += o.sat_calls;
-        conflicts += o.conflicts;
-        return *this;
-    }
 };
 
 /// SAT miter equivalence proof (exact at any input count). Networks are
-/// matched positionally on inputs and outputs. `params.engine` is ignored.
+/// matched positionally on inputs and outputs. Counters add to `stats`.
 [[nodiscard]] EquivalenceResult sat_equivalent(const Network& a, const Network& b,
                                                const CecParams& params = {},
                                                CecStats* stats = nullptr);
 
-/// The equivalence sign-off, with a selectable engine. The default
-/// (kAuto) is exact at ANY input count:
-///   kAuto : random simulation, then BDD (at most 20 inputs) or SAT.
-///   kBdd  : random simulation, then the BDD proof regardless of width.
-///   kSat  : random simulation, then the SAT miter sweep.
-///   kSim  : random simulation only — agreement is NOT exact.
-/// Except under kSim, the returned verdict always has `exact == true`.
+/// The equivalence sign-off of every flow: random simulation refutes
+/// first, then a global BDD proves at most 20 inputs and the SAT miter
+/// sweep proves anything wider. The verdict always has `exact == true`;
+/// callers that want one engine call bdd_equivalent/sat_equivalent.
 [[nodiscard]] EquivalenceResult check_equivalent(const Network& a, const Network& b,
                                                  const CecParams& params = {},
                                                  CecStats* stats = nullptr);

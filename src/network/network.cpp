@@ -106,7 +106,7 @@ void Network::add_output(const std::string& name, NodeId driver) {
 std::string Network::node_name(NodeId id) const {
     const Node& n = nodes_.at(id);
     if (!n.name.empty()) return n.name;
-    return "n" + std::to_string(id);
+    return std::string("n").append(std::to_string(id));
 }
 
 std::optional<NodeId> Network::find_input(const std::string& name) const {

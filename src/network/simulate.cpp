@@ -16,15 +16,6 @@ const char* equiv_engine_name(EquivEngine engine) {
     return "?";
 }
 
-EquivEngine parse_equiv_engine(const std::string& name) {
-    if (name == "auto") return EquivEngine::kAuto;
-    if (name == "bdd") return EquivEngine::kBdd;
-    if (name == "sat") return EquivEngine::kSat;
-    if (name == "sim") return EquivEngine::kSim;
-    throw std::invalid_argument("unknown equivalence engine \"" + name +
-                                "\" (expected auto|bdd|sat|sim)");
-}
-
 std::string describe_counterexample(const Network& a, int output_index,
                                     const std::vector<bool>& pattern,
                                     bool value_a, bool value_b) {

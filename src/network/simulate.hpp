@@ -7,8 +7,9 @@
 //     input counts only — the global BDD of a multiplier is intrinsically
 //     exponential)
 //   * the simulation-guided SAT oracle (network/cec.hpp): CNF miters over
-//     an in-repo CDCL solver, exact at any input count — the default
-//     sign-off used by every flow, test, and bench in this repo.
+//     an in-repo CDCL solver, exact at any input count.
+// The sign-off, net::check_equivalent (network/cec.hpp), runs the first,
+// then proves with the BDD at most 20 inputs and with SAT above.
 
 #include <cstdint>
 #include <optional>
@@ -125,15 +126,13 @@ void simulate_words_into(const Network& network, const std::vector<NodeId>& orde
 [[nodiscard]] std::vector<bool> simulate(const Network& network,
                                          const std::vector<bool>& pi_values);
 
-/// Equivalence-checking engine. kAuto refutes by simulation first, then
-/// proves with a BDD on tiny input counts and the SAT miter sweep
-/// everywhere else; kSim alone never *proves* anything (exact stays
-/// false on agreement).
+/// The engine behind an equivalence verdict. kSim (random_equivalent)
+/// never *proves* agreement (exact stays false). kAuto is no engine and no
+/// verdict carries it: it is kept only so that existing callers that still
+/// assign FlowOptions::oracle keep compiling.
 enum class EquivEngine : std::uint8_t { kAuto, kBdd, kSat, kSim };
 
 [[nodiscard]] const char* equiv_engine_name(EquivEngine engine);
-/// Parse "auto" / "bdd" / "sat" / "sim"; throws std::invalid_argument.
-[[nodiscard]] EquivEngine parse_equiv_engine(const std::string& name);
 
 /// Result of an equivalence query.
 struct EquivalenceResult {
@@ -167,8 +166,8 @@ struct EquivalenceResult {
 [[nodiscard]] EquivalenceResult bdd_equivalent(const Network& a, const Network& b);
 
 /// Build the BDD of every output of `network` in `mgr`, using manager
-/// variable i for primary input i. Exposed because flows construct global
-/// BDDs for verification and for the DC-proxy collapse.
+/// variable i for primary input i. Behind bdd_equivalent; exposed for
+/// the benches and tests that build global BDDs themselves.
 [[nodiscard]] std::vector<bdd::Bdd> network_to_bdds(const Network& network,
                                                     bdd::Manager& mgr);
 

@@ -134,7 +134,7 @@ TEST(Convert, NetworkRoundTripThroughAig) {
         net::Network network;
         std::vector<net::NodeId> pool;
         for (int i = 0; i < 6; ++i) {
-            pool.push_back(network.add_input("i" + std::to_string(i)));
+            pool.push_back(network.add_input(std::string("i").append(std::to_string(i))));
         }
         for (int g = 0; g < 40; ++g) {
             const auto pick = [&] { return pool[rng() % pool.size()]; };
@@ -148,7 +148,7 @@ TEST(Convert, NetworkRoundTripThroughAig) {
             }
         }
         for (int o = 0; o < 3; ++o) {
-            network.add_output("o" + std::to_string(o),
+            network.add_output(std::string("o").append(std::to_string(o)),
                                pool[pool.size() - 1 - static_cast<std::size_t>(o)]);
         }
         const Aig aig = network_to_aig(network);
@@ -188,7 +188,9 @@ TEST(Convert, MotifDetectionCanBeDisabled) {
 TEST(Convert, SopCoversEnterFactored) {
     net::Network network;
     std::vector<net::NodeId> ins;
-    for (int i = 0; i < 4; ++i) ins.push_back(network.add_input("i" + std::to_string(i)));
+    for (int i = 0; i < 4; ++i) {
+        ins.push_back(network.add_input(std::string("i").append(std::to_string(i))));
+    }
     net::Sop cover(4);
     cover.add_pattern("11--");
     cover.add_pattern("1-1-");

@@ -33,7 +33,8 @@ TEST(EngineGc, AggressiveCollectionDoesNotAliasMemoEntries) {
         net::HashedNetworkBuilder builder(network);
         std::vector<net::Signal> leaves;
         for (int i = 0; i < n; ++i) {
-            leaves.push_back({network.add_input("x" + std::to_string(i)), false});
+            leaves.push_back(
+                {network.add_input(std::string("x").append(std::to_string(i))), false});
         }
         BddDecomposer decomposer(mgr, builder, leaves, EngineParams{});
         network.add_output("f", builder.realize(decomposer.decompose(f)));
@@ -60,7 +61,7 @@ TEST(EngineGc, ManySequentialDecompositionsShareOneManager) {
     net::HashedNetworkBuilder builder(network);
     std::vector<net::Signal> leaves;
     for (int i = 0; i < n; ++i) {
-        leaves.push_back({network.add_input("x" + std::to_string(i)), false});
+        leaves.push_back({network.add_input(std::string("x").append(std::to_string(i))), false});
     }
     BddDecomposer decomposer(mgr, builder, leaves, EngineParams{});
 
@@ -68,7 +69,7 @@ TEST(EngineGc, ManySequentialDecompositionsShareOneManager) {
     for (int k = 0; k < 8; ++k) {
         oracles.push_back(TruthTable::random(n, rng));
         const Bdd f = mgr.from_truth_table(oracles.back());
-        network.add_output("f" + std::to_string(k),
+        network.add_output(std::string("f").append(std::to_string(k)),
                            builder.realize(decomposer.decompose(f)));
     }
     for (std::uint64_t m = 0; m < (std::uint64_t{1} << n); m += 5) {

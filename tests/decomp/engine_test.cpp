@@ -28,7 +28,8 @@ DecomposedFunction decompose_to_network(Manager& mgr, const Bdd& f, int n,
     net::HashedNetworkBuilder builder(out.network);
     std::vector<Signal> leaves;
     for (int i = 0; i < n; ++i) {
-        leaves.push_back(Signal{out.network.add_input("x" + std::to_string(i)), false});
+        leaves.push_back(
+            Signal{out.network.add_input(std::string("x").append(std::to_string(i))), false});
     }
     BddDecomposer decomposer(mgr, builder, leaves, params);
     const Signal root = decomposer.decompose(f);
@@ -135,7 +136,8 @@ TEST(Engine, SharedSubfunctionsShareGatesAcrossCalls) {
     net::HashedNetworkBuilder builder(network);
     std::vector<Signal> leaves;
     for (int i = 0; i < 4; ++i) {
-        leaves.push_back(Signal{network.add_input("x" + std::to_string(i)), false});
+        leaves.push_back(
+            Signal{network.add_input(std::string("x").append(std::to_string(i))), false});
     }
     BddDecomposer decomposer(mgr, builder, leaves, EngineParams{});
     const Bdd ab = mgr.var_bdd(0) & mgr.var_bdd(1);
@@ -178,7 +180,8 @@ TEST(Engine, MemoizationServesRepeatedCalls) {
     net::HashedNetworkBuilder builder(network);
     std::vector<Signal> leaves;
     for (int i = 0; i < 4; ++i) {
-        leaves.push_back(Signal{network.add_input("x" + std::to_string(i)), false});
+        leaves.push_back(
+            Signal{network.add_input(std::string("x").append(std::to_string(i))), false});
     }
     BddDecomposer decomposer(mgr, builder, leaves, EngineParams{});
     const Bdd f = (mgr.var_bdd(0) & mgr.var_bdd(1)) | mgr.var_bdd(2);

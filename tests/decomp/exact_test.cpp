@@ -143,7 +143,8 @@ TEST(Exact, MatchAndEmitReproducesTheConeFunction) {
         net::HashedNetworkBuilder builder(network);
         std::vector<Signal> leaves;
         for (int i = 0; i < 7; ++i) {
-            leaves.push_back(Signal{network.add_input("x" + std::to_string(i)), false});
+            leaves.push_back(
+                Signal{network.add_input(std::string("x").append(std::to_string(i))), false});
         }
         const ExactStructure& structure = exact_structure(match->canonical);
         const Signal root =
@@ -175,7 +176,8 @@ TEST(Exact, SmallSupportFunctionsMatchToo) {
     net::HashedNetworkBuilder builder(network);
     std::vector<Signal> leaves;
     for (int i = 0; i < 5; ++i) {
-        leaves.push_back(Signal{network.add_input("x" + std::to_string(i)), false});
+        leaves.push_back(
+            Signal{network.add_input(std::string("x").append(std::to_string(i))), false});
     }
     const ExactStructure& structure = exact_structure(match->canonical);
     EXPECT_EQ(structure.gate_count(), 1) << "a 2-input XOR is one gate";
@@ -215,7 +217,7 @@ TEST(Exact, TapeReplayEqualsDirectEmission) {
         std::vector<Signal> direct_leaves;
         for (int i = 0; i < 4; ++i) {
             direct_leaves.push_back(
-                Signal{direct_net.add_input("x" + std::to_string(i)), false});
+                Signal{direct_net.add_input(std::string("x").append(std::to_string(i))), false});
         }
         direct_net.add_output("f", direct.realize(emit_exact_cone(
                                        *match, structure, direct, direct_leaves)));
@@ -229,7 +231,7 @@ TEST(Exact, TapeReplayEqualsDirectEmission) {
         std::vector<Signal> replay_leaves;
         for (int i = 0; i < 4; ++i) {
             replay_leaves.push_back(
-                Signal{replay_net.add_input("x" + std::to_string(i)), false});
+                Signal{replay_net.add_input(std::string("x").append(std::to_string(i))), false});
         }
         replay_net.add_output("f", replay.realize(tape.replay(replay, replay_leaves)));
 

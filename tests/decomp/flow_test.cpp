@@ -22,15 +22,19 @@ using net::Network;
 using net::NodeId;
 
 Network ripple_adder(int bits) {
-    Network net("rca" + std::to_string(bits));
+    Network net(std::string("rca").append(std::to_string(bits)));
     std::vector<NodeId> a, b;
-    for (int i = 0; i < bits; ++i) a.push_back(net.add_input("a" + std::to_string(i)));
-    for (int i = 0; i < bits; ++i) b.push_back(net.add_input("b" + std::to_string(i)));
+    for (int i = 0; i < bits; ++i) {
+        a.push_back(net.add_input(std::string("a").append(std::to_string(i))));
+    }
+    for (int i = 0; i < bits; ++i) {
+        b.push_back(net.add_input(std::string("b").append(std::to_string(i))));
+    }
     NodeId carry = net.add_input("cin");
     for (int i = 0; i < bits; ++i) {
         const NodeId sum = net.add_xor(net.add_xor(a[i], b[i]), carry);
         const NodeId next = net.add_maj(a[i], b[i], carry);
-        net.add_output("s" + std::to_string(i), sum);
+        net.add_output(std::string("s").append(std::to_string(i)), sum);
         carry = next;
     }
     net.add_output("cout", carry);
@@ -41,7 +45,9 @@ Network random_control(int inputs, int outputs, int gates, std::uint64_t seed) {
     std::mt19937_64 rng(seed);
     Network net("ctrl");
     std::vector<NodeId> pool;
-    for (int i = 0; i < inputs; ++i) pool.push_back(net.add_input("i" + std::to_string(i)));
+    for (int i = 0; i < inputs; ++i) {
+        pool.push_back(net.add_input(std::string("i").append(std::to_string(i))));
+    }
     for (int g = 0; g < gates; ++g) {
         const auto pick = [&] { return pool[rng() % pool.size()]; };
         switch (rng() % 5) {
@@ -53,7 +59,7 @@ Network random_control(int inputs, int outputs, int gates, std::uint64_t seed) {
         }
     }
     for (int o = 0; o < outputs; ++o) {
-        net.add_output("o" + std::to_string(o),
+        net.add_output(std::string("o").append(std::to_string(o)),
                        pool[pool.size() - 1 - static_cast<std::size_t>(o)]);
     }
     return net;
@@ -111,7 +117,9 @@ TEST(Flow, WideNetworkRespectsPartitionBudget) {
     std::mt19937_64 rng(42);
     Network net("wide");
     std::vector<NodeId> layer;
-    for (int i = 0; i < 40; ++i) layer.push_back(net.add_input("i" + std::to_string(i)));
+    for (int i = 0; i < 40; ++i) {
+        layer.push_back(net.add_input(std::string("i").append(std::to_string(i))));
+    }
     while (layer.size() > 1) {
         std::vector<NodeId> next;
         for (std::size_t i = 0; i + 1 < layer.size(); i += 2) {
@@ -126,9 +134,7 @@ TEST(Flow, WideNetworkRespectsPartitionBudget) {
     EXPECT_GT(r.supernode_count, 1);
     // The SAT engine: at 40 inputs this used to silently fall back to
     // random simulation; now it is an exact proof.
-    const net::EquivalenceResult eq = net::check_equivalent(
-        net, r.network,
-        net::CecParams{.engine = net::EquivEngine::kSat, .sim_rounds = 256});
+    const net::EquivalenceResult eq = net::sat_equivalent(net, r.network);
     EXPECT_TRUE(eq.equivalent);
     EXPECT_TRUE(eq.exact);
     EXPECT_EQ(eq.engine, net::EquivEngine::kSat);
@@ -164,7 +170,9 @@ TEST(Flow, StatsAreConsistent) {
 TEST(Flow, XorIntensiveCircuitKeepsXorAlphabet) {
     Network net("parity16");
     std::vector<NodeId> xs;
-    for (int i = 0; i < 16; ++i) xs.push_back(net.add_input("x" + std::to_string(i)));
+    for (int i = 0; i < 16; ++i) {
+        xs.push_back(net.add_input(std::string("x").append(std::to_string(i))));
+    }
     NodeId acc = xs[0];
     for (int i = 1; i < 16; ++i) acc = net.add_xor(acc, xs[i]);
     net.add_output("p", acc);

@@ -82,7 +82,9 @@ TEST(Partition, SupportLimitIsRespected) {
     // A wide AND tree over 32 inputs with a tight leaf budget must split.
     Network net("wide");
     std::vector<NodeId> layer;
-    for (int i = 0; i < 32; ++i) layer.push_back(net.add_input("i" + std::to_string(i)));
+    for (int i = 0; i < 32; ++i) {
+        layer.push_back(net.add_input(std::string("i").append(std::to_string(i))));
+    }
     while (layer.size() > 1) {
         std::vector<NodeId> next;
         for (std::size_t i = 0; i + 1 < layer.size(); i += 2) {

@@ -116,8 +116,8 @@ TEST(Flows, ResultMetadataIsFilled) {
 TEST(Flows, SignOffKeepsItsStats) {
     // The sign-off records which engine proved its global check (optimized
     // against the input), what the mapping certificate proved for the
-    // mapped netlist, the SAT counters and the time of each stage. auto
-    // proves narrow circuits by BDD and wide ones by SAT.
+    // mapped netlist, the SAT counters and the time of each stage. The
+    // global check proves narrow circuits by BDD and wide ones by SAT.
     FlowOptions options;
     options.verify = true;
     const SynthesisResult narrow = flow_bdsmaj(benchgen::make_ripple_adder(4), options);
@@ -148,24 +148,6 @@ TEST(Flows, SignOffKeepsItsStats) {
     EXPECT_EQ(unverified.signoff.bdd_checks + unverified.signoff.sat_checks, 0);
     EXPECT_EQ(unverified.signoff.cec.sat_calls, 0u);
     EXPECT_EQ(unverified.signoff.certified_nodes, 0);
-}
-
-TEST(Flows, ExplicitOracleRunsBothGlobalChecks) {
-    // --oracle sat|bdd stay the reference path: two global checks, no
-    // certificate.
-    FlowOptions options;
-    options.verify = true;
-    options.oracle = net::EquivEngine::kSat;
-    const SynthesisResult sat = flow_bdsmaj(benchgen::make_ripple_adder(12), options);
-    EXPECT_EQ(sat.signoff.sat_checks, 2);
-    EXPECT_EQ(sat.signoff.certified_nodes, 0);
-    EXPECT_EQ(sat.signoff.certificate_fallbacks, 0);
-    options.oracle = net::EquivEngine::kBdd;
-    const Network narrow = benchgen::make_ripple_adder(4);
-    SynthesisResult abc = flow_abc(narrow);
-    verify_synthesis_result(narrow, abc, options);
-    EXPECT_EQ(abc.signoff.bdd_checks, 2);
-    EXPECT_EQ(abc.signoff.certified_nodes, 0);
 }
 
 TEST(Flows, SignOffObeysTheDeadline) {
@@ -219,7 +201,9 @@ TEST(Flows, EveryNpn4ClassThroughEveryConfiguration) {
             4, [table](std::uint64_t m) { return ((table >> m) & 1) != 0; });
         Network input("npn");
         std::vector<net::NodeId> ins;
-        for (int i = 0; i < 4; ++i) ins.push_back(input.add_input("x" + std::to_string(i)));
+        for (int i = 0; i < 4; ++i) {
+            ins.push_back(input.add_input(std::string("x").append(std::to_string(i))));
+        }
         input.add_output("f", input.add_sop(ins, net::Sop::isop(f), "f"));
         for (const decomp::Preset& preset : decomp::presets()) {
             FlowOptions options;

@@ -369,12 +369,11 @@ TEST(SynthesisService, StatsAggregateGateCounts) {
 
 TEST(SynthesisService, VerifiedJobsCarryExactEquivalenceVerdicts) {
     // Service-side sign-off: every flow of a verify job records an exact
-    // oracle verdict (here forced through the SAT engine).
+    // oracle verdict (f51m has 8 inputs, so the global check is a BDD).
     const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
     SynthesisService service;
     SynthesisJobParams jp;
     jp.verify = true;
-    jp.oracle = net::EquivEngine::kSat;
     SynthesisService::Submission sub = service.submit(input, jp);
     const FlowResult r = sub.result.get();
     ASSERT_EQ(r.status, JobStatus::kCompleted);
@@ -384,7 +383,9 @@ TEST(SynthesisService, VerifiedJobsCarryExactEquivalenceVerdicts) {
         ASSERT_TRUE(sr.equivalence.has_value()) << sr.flow_name;
         EXPECT_TRUE(sr.equivalence->equivalent) << sr.flow_name;
         EXPECT_TRUE(sr.equivalence->exact) << sr.flow_name;
-        EXPECT_EQ(sr.equivalence->engine, net::EquivEngine::kSat) << sr.flow_name;
+        EXPECT_EQ(sr.equivalence->engine, net::EquivEngine::kBdd) << sr.flow_name;
+        EXPECT_EQ(sr.signoff.bdd_checks + sr.signoff.sat_checks,
+                  1 + sr.signoff.certificate_fallbacks) << sr.flow_name;
         EXPECT_GT(sr.verify_seconds, 0.0) << sr.flow_name;
     }
 }

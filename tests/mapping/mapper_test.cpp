@@ -143,10 +143,12 @@ TEST(Mapper, SopInputsAreMappable) {
     std::mt19937_64 rng(1501);
     Network net;
     std::vector<NodeId> ins;
-    for (int i = 0; i < 6; ++i) ins.push_back(net.add_input("i" + std::to_string(i)));
+    for (int i = 0; i < 6; ++i) {
+        ins.push_back(net.add_input(std::string("i").append(std::to_string(i))));
+    }
     for (int o = 0; o < 3; ++o) {
         const tt::TruthTable f = tt::TruthTable::random(6, rng);
-        net.add_output("o" + std::to_string(o),
+        net.add_output(std::string("o").append(std::to_string(o)),
                        net.add_sop(ins, net::Sop::isop(f), ""));
     }
     const MappedResult r = map_network(net, lib());
@@ -178,7 +180,7 @@ TEST(Timing, DelayGrowsWithDepthAndLoad) {
     const NodeId b = fanout.add_input("b");
     const NodeId g = fanout.add_xor(a, b);
     for (int i = 0; i < 6; ++i) {
-        fanout.add_output("o" + std::to_string(i), fanout.add_xor(g, b));
+        fanout.add_output(std::string("o").append(std::to_string(i)), fanout.add_xor(g, b));
     }
     const MappedResult rf = map_network(fanout, lib());
     Network single;
@@ -205,7 +207,9 @@ TEST(Mapper, RandomNetworksStayEquivalent) {
     for (int trial = 0; trial < 10; ++trial) {
         Network net;
         std::vector<NodeId> pool;
-        for (int i = 0; i < 7; ++i) pool.push_back(net.add_input("i" + std::to_string(i)));
+        for (int i = 0; i < 7; ++i) {
+            pool.push_back(net.add_input(std::string("i").append(std::to_string(i))));
+        }
         for (int g = 0; g < 50; ++g) {
             const auto pick = [&] { return pool[rng() % pool.size()]; };
             switch (rng() % 7) {
@@ -219,7 +223,7 @@ TEST(Mapper, RandomNetworksStayEquivalent) {
             }
         }
         for (int o = 0; o < 4; ++o) {
-            net.add_output("o" + std::to_string(o),
+            net.add_output(std::string("o").append(std::to_string(o)),
                            pool[pool.size() - 1 - static_cast<std::size_t>(o)]);
         }
         const MappedResult r = map_network(net, lib());

@@ -233,9 +233,11 @@ TEST(BlifRobustness, RandomByteMutationsNeverCrash) {
 TEST(Blif, RandomNetworksRoundTrip) {
     std::mt19937_64 rng(601);
     for (int trial = 0; trial < 10; ++trial) {
-        Network net("rt" + std::to_string(trial));
+        Network net(std::string("rt").append(std::to_string(trial)));
         std::vector<NodeId> pool;
-        for (int i = 0; i < 5; ++i) pool.push_back(net.add_input("i" + std::to_string(i)));
+        for (int i = 0; i < 5; ++i) {
+            pool.push_back(net.add_input(std::string("i").append(std::to_string(i))));
+        }
         for (int g = 0; g < 30; ++g) {
             const auto pick = [&] { return pool[rng() % pool.size()]; };
             const int kind = static_cast<int>(rng() % 7);
@@ -252,7 +254,8 @@ TEST(Blif, RandomNetworksRoundTrip) {
             pool.push_back(id);
         }
         for (int o = 0; o < 4; ++o) {
-            net.add_output("o" + std::to_string(o), pool[pool.size() - 1 - static_cast<std::size_t>(o)]);
+            net.add_output(std::string("o").append(std::to_string(o)),
+                           pool[pool.size() - 1 - static_cast<std::size_t>(o)]);
         }
         const Network again = parse_blif(write_blif(net));
         EXPECT_TRUE(bdd_equivalent(net, again).equivalent) << "trial " << trial;

@@ -127,7 +127,9 @@ TEST(Cleanup, RandomNetworksAreInvariantUnderCleanup) {
     for (int trial = 0; trial < 15; ++trial) {
         Network net;
         std::vector<NodeId> pool;
-        for (int i = 0; i < 6; ++i) pool.push_back(net.add_input("i" + std::to_string(i)));
+        for (int i = 0; i < 6; ++i) {
+            pool.push_back(net.add_input(std::string("i").append(std::to_string(i))));
+        }
         pool.push_back(net.add_constant(false));
         pool.push_back(net.add_constant(true));
         for (int g = 0; g < 60; ++g) {
@@ -146,7 +148,7 @@ TEST(Cleanup, RandomNetworksAreInvariantUnderCleanup) {
             }
         }
         for (int o = 0; o < 5; ++o) {
-            net.add_output("o" + std::to_string(o),
+            net.add_output(std::string("o").append(std::to_string(o)),
                            pool[pool.size() - 1 - static_cast<std::size_t>(o)]);
         }
         const Network clean = cleanup(net);

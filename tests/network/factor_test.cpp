@@ -20,7 +20,7 @@ TEST(Factor, SynthesizedSopMatchesCover) {
             Network net;
             std::vector<NodeId> ins;
             for (int i = 0; i < arity; ++i) {
-                ins.push_back(net.add_input("i" + std::to_string(i)));
+                ins.push_back(net.add_input(std::string("i").append(std::to_string(i))));
             }
             net.add_output("y", synthesize_sop(net, ins, cover));
             for (std::uint64_t m = 0; m < (std::uint64_t{1} << arity); ++m) {
@@ -71,12 +71,14 @@ TEST(Factor, FactorNetworkPreservesFunction) {
     std::mt19937_64 rng(703);
     Network net;
     std::vector<NodeId> ins;
-    for (int i = 0; i < 6; ++i) ins.push_back(net.add_input("i" + std::to_string(i)));
+    for (int i = 0; i < 6; ++i) {
+        ins.push_back(net.add_input(std::string("i").append(std::to_string(i))));
+    }
     for (int g = 0; g < 5; ++g) {
         const TruthTable f = TruthTable::random(4, rng);
         std::vector<NodeId> fanins;
         for (int k = 0; k < 4; ++k) fanins.push_back(ins[rng() % ins.size()]);
-        net.add_output("o" + std::to_string(g),
+        net.add_output(std::string("o").append(std::to_string(g)),
                        net.add_sop(fanins, Sop::isop(f), ""));
     }
     const Network factored = factor_network(net);

@@ -29,7 +29,7 @@ TEST(GateTape, ReplayMatchesDirectEmission) {
     std::vector<Signal> direct_leaves;
     for (int i = 0; i < 4; ++i) {
         direct_leaves.push_back(
-            Signal{direct_net.add_input("i" + std::to_string(i)), false});
+            Signal{direct_net.add_input(std::string("i").append(std::to_string(i))), false});
     }
     const Signal direct_root = sequence(direct, direct_leaves);
     direct_net.add_output("y", direct.realize(direct_root));
@@ -44,7 +44,7 @@ TEST(GateTape, ReplayMatchesDirectEmission) {
     std::vector<Signal> replay_leaves;
     for (int i = 0; i < 4; ++i) {
         replay_leaves.push_back(
-            Signal{replay_net.add_input("i" + std::to_string(i)), false});
+            Signal{replay_net.add_input(std::string("i").append(std::to_string(i))), false});
     }
     const Signal replay_root = tape.replay(replay, replay_leaves);
     replay_net.add_output("y", replay.realize(replay_root));

@@ -80,7 +80,7 @@ TEST(Network, NamesAreGeneratedWhenAbsent) {
     const NodeId a = net.add_input("alpha");
     const NodeId g = net.add_and(a, a);
     EXPECT_EQ(net.node_name(a), "alpha");
-    EXPECT_EQ(net.node_name(g), "n" + std::to_string(g));
+    EXPECT_EQ(net.node_name(g), std::string("n").append(std::to_string(g)));
     EXPECT_EQ(net.find_input("alpha"), a);
     EXPECT_FALSE(net.find_input("beta").has_value());
 }

@@ -155,7 +155,9 @@ TEST(Equivalence, SopNodesSimulateLikeTheirCover) {
         const tt::TruthTable f = tt::TruthTable::random(arity, rng);
         Network net;
         std::vector<NodeId> ins;
-        for (int i = 0; i < arity; ++i) ins.push_back(net.add_input("i" + std::to_string(i)));
+        for (int i = 0; i < arity; ++i) {
+            ins.push_back(net.add_input(std::string("i").append(std::to_string(i))));
+        }
         net.add_output("f", net.add_sop(ins, Sop::isop(f), "f"));
         for (std::uint64_t m = 0; m < 32; ++m) {
             std::vector<bool> values;

@@ -85,7 +85,7 @@ TEST(Cnf, RandomSopCoversMatchSimulation) {
         net::Network network;
         std::vector<net::NodeId> ins;
         for (int i = 0; i < arity; ++i) {
-            ins.push_back(network.add_input("i" + std::to_string(i)));
+            ins.push_back(network.add_input(std::string("i").append(std::to_string(i))));
         }
         network.add_output("f", network.add_sop(ins, net::Sop::isop(f), "f"));
         expect_cnf_matches_simulation(network);

@@ -24,7 +24,6 @@
 #include "decomp/strategy.hpp"
 #include "flows/service.hpp"
 #include "network/blif.hpp"
-#include "network/cec.hpp"
 
 namespace {
 
@@ -46,7 +45,6 @@ struct Options {
     std::vector<std::string> inputs;
     std::optional<std::string> out;
     std::optional<std::string> map_out;
-    std::optional<std::string> oracle;  ///< --oracle, parsed once all flags are read
     bool quick = false;
     bool quiet = false;
     int max_jobs = 0;
@@ -124,13 +122,11 @@ void print_help(std::FILE* to) {
         "  --no-cone-cache              disable cone memoization entirely\n"
         "\n"
         "verification:\n"
-        "  --no-verify                  skip the equivalence sign-off (default on)\n"
-        "  --oracle auto|bdd|sat|sim    equivalence engine for the sign-off\n"
-        "                               (default auto: one global check of the\n"
-        "                               optimized network, then the mapped\n"
-        "                               netlist is certified node by node; bdd\n"
-        "                               and sat run both checks globally; sim\n"
-        "                               alone is sampled, not an exact sign-off)\n"
+        "  --no-verify                  skip the equivalence sign-off (default on:\n"
+        "                               one exact global check of the optimized\n"
+        "                               network - BDD up to 20 inputs, SAT above -\n"
+        "                               then the mapped netlist is certified node\n"
+        "                               by node)\n"
         "\n"
         "deadlines and graceful degradation (BDS flows):\n"
         "  --deadline-ms MS             hard deadline, measured from the job's\n"
@@ -283,7 +279,6 @@ int run(const Options& opt) {
     }
 
     int status = 0;
-    bool sampled = false;
     for (std::size_t i = 0; i < submissions.size(); ++i) {
         try {
             const flows::FlowResult r = submissions[i].result.get();
@@ -300,7 +295,6 @@ int run(const Options& opt) {
             }
             // One entry for a named flow, four for --flow all.
             for (const flows::SynthesisResult& sr : r.results.at(0)) {
-                sampled = sampled || (sr.equivalence && !sr.equivalence->exact);
                 print_result(inputs[i], sr, opt.quiet);
             }
             const flows::SynthesisResult& only = r.results[0][0];
@@ -310,12 +304,6 @@ int run(const Options& opt) {
             std::fprintf(stderr, "job %s failed: %s\n", opt.inputs[i].c_str(), e.what());
             status = 1;
         }
-    }
-    if (sampled) {
-        // Only the sim engine leaves a sampled verdict; make the weaker
-        // guarantee impossible to miss.
-        std::fprintf(stderr, "note: --oracle sim agreement is sampled, "
-                             "not an exact sign-off\n");
     }
     if (opt.quiet) return status;
     const flows::ServiceStats st = service.stats();
@@ -370,7 +358,6 @@ int main(int argc, char** argv) {
         {"--cone-cache-mb", &opt.cone_cache_mb, kNonNegative},
         {"--no-cone-cache", Switch{&job.cone_cache, false}},
         {"--no-verify", Switch{&job.verify, false}},
-        {"--oracle", &opt.oracle},
         {"--deadline-ms", &opt.deadline_after_ms},
         {"--soft-budget-ms", &opt.soft_budget_after_ms},
         {"--max-jobs", &opt.max_jobs, kNonNegative},
@@ -421,12 +408,6 @@ int main(int argc, char** argv) {
     const bool bds = job.flow == "bdsmaj" || job.flow == "bdspga" || job.flow == "all";
     if (!bds && job.flow != "abc" && job.flow != "dc") {
         std::fprintf(stderr, "unknown flow %s\n", job.flow.c_str());
-        return usage();
-    }
-    try {
-        if (opt.oracle) job.oracle = net::parse_equiv_engine(*opt.oracle);
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
         return usage();
     }
     try {

@@ -62,11 +62,11 @@ echo "==> tier-1: ctest"
 (cd build && ctest --output-on-failure -j"$JOBS")
 
 echo "==> sign-off: mapping certificate completeness (full-size paper suite)"
-# Under --oracle auto the mapped netlist is proven by the local mapping
-# certificate; an inconclusive certificate falls back to a second global
-# check and still passes. A mapper change that breaks completeness would
-# therefore pass every test while giving the sign-off time back, so every
-# full-size circuit must be certified with no fallback.
+# The mapped netlist is proven by the local mapping certificate; an
+# inconclusive certificate falls back to a second global check and still
+# passes. A mapper change that breaks completeness would therefore pass
+# every test while giving the sign-off time back, so every full-size
+# circuit must be certified with no fallback.
 SIGNOFF_LOG="$TMP/signoff_paper.log"
 ./build/bdsmaj_cli --preset paper @alu2 @apex6 @bigkey @dalu @f51m @misex3 @seq \
     @vda @C1355 @C6288 "@4-Op ADD 16 bit" "@CLA 64 bit" "@Div 18 bit" \
