@@ -37,8 +37,7 @@ int main() {
             const net::NetworkStats s = r.network.stats();
             total += s.total();
             maj_nodes += s.maj_nodes;
-            if (net::check_equivalent(input, r.network, net::CecParams{.sim_rounds = 16})
-                    .equivalent) {
+            if (net::check_equivalent(input, r.network).equivalent) {
                 ++equivalent;
             }
         }

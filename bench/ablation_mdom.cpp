@@ -47,8 +47,7 @@ int main() {
             std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
                 .count();
         for (std::size_t i = 0; i < inputs.size(); ++i) {
-            if (net::check_equivalent(inputs[i], results[i], net::CecParams{.sim_rounds = 16})
-                    .equivalent) {
+            if (net::check_equivalent(inputs[i], results[i]).equivalent) {
                 ++equivalent;
             }
         }

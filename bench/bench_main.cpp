@@ -309,8 +309,7 @@ Table2Result bench_table2(bool smoke) {
         // The equivalence checks are part of the timed work; a timing of
         // a wrong result means nothing.
         for (const auto& r : flows::run_all_flows(input)) {
-            if (!net::check_equivalent(input, r.mapped.netlist, net::CecParams{.sim_rounds = 32})
-                     .equivalent) {
+            if (!net::check_equivalent(input, r.mapped.netlist).equivalent) {
                 std::abort();
             }
         }

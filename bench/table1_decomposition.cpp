@@ -45,9 +45,8 @@ int main() {
         const decomp::DecompFlowResult maj = decomp::run_bdsmaj(input);
         const decomp::DecompFlowResult pga = decomp::run_bdspga(input);
         // Sign-off: both decompositions must be functionally equivalent.
-        const net::CecParams cec{.sim_rounds = 32};
-        if (net::check_equivalent(input, maj.network, cec).equivalent &&
-            net::check_equivalent(input, pga.network, cec).equivalent) {
+        if (net::check_equivalent(input, maj.network).equivalent &&
+            net::check_equivalent(input, pga.network).equivalent) {
             ++verified;
         } else {
             std::printf("!! equivalence FAILED on %s\n", std::string(row.name).c_str());

@@ -50,8 +50,7 @@ int main() {
         const auto& dc = results[3];
         bool all_ok = true;
         for (const auto& r : results) {
-            if (!net::check_equivalent(input, r.mapped.netlist, net::CecParams{.sim_rounds = 32})
-                     .equivalent) {
+            if (!net::check_equivalent(input, r.mapped.netlist).equivalent) {
                 std::printf("!! %s: %s netlist NOT equivalent\n",
                             std::string(row.name).c_str(), r.flow_name.c_str());
                 all_ok = false;

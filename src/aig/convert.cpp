@@ -3,7 +3,9 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "aig/opt.hpp"
 #include "network/builder.hpp"
+#include "network/cleanup.hpp"
 #include "network/factor.hpp"
 
 namespace bdsmaj::aig {
@@ -116,6 +118,16 @@ Network aig_to_network(const Aig& aig, const std::vector<std::string>& input_nam
         out.add_output(name, builder.realize(s));
     }
     return out;
+}
+
+Network resyn2_network(const Network& network, int repeats,
+                       const AigToNetworkOptions& options) {
+    Aig a = network_to_aig(net::cleanup(network));
+    for (int i = 0; i < repeats; ++i) a = resyn2(a);
+    std::vector<std::string> in_names, out_names;
+    for (const NodeId id : network.inputs()) in_names.push_back(network.node(id).name);
+    for (const net::OutputPort& po : network.outputs()) out_names.push_back(po.name);
+    return net::cleanup(aig_to_network(a, in_names, out_names, options));
 }
 
 }  // namespace bdsmaj::aig

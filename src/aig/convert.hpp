@@ -29,4 +29,10 @@ struct AigToNetworkOptions {
                                           const std::vector<std::string>& output_names,
                                           const AigToNetworkOptions& options = {});
 
+/// The AIG script of the ABC and DC flows on a gate network: cleanup,
+/// network_to_aig, `repeats` x resyn2, then aig_to_network with the
+/// network's own PI/PO names, and cleanup again.
+[[nodiscard]] net::Network resyn2_network(const net::Network& network, int repeats,
+                                          const AigToNetworkOptions& options = {});
+
 }  // namespace bdsmaj::aig

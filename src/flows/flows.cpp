@@ -4,9 +4,7 @@
 #include <stdexcept>
 
 #include "aig/convert.hpp"
-#include "aig/opt.hpp"
 #include "mapping/certify.hpp"
-#include "network/cleanup.hpp"
 
 namespace bdsmaj::flows {
 
@@ -20,8 +18,8 @@ double seconds_since(Clock::time_point start) {
 
 /// Flow-boundary checkpoint: the BDS flows checkpoint internally (between
 /// supernodes), but the ABC and DC passes are not interruptible, so the
-/// token — and the hard deadline — are checked between flows and between
-/// circuits too.
+/// token — and the hard deadline — are checked before each of them and
+/// between circuits too.
 void checkpoint(const FlowOptions& options) {
     if (options.cancel != nullptr &&
         options.cancel->load(std::memory_order_relaxed)) {
@@ -125,19 +123,11 @@ SynthesisResult flow_abc(const net::Network& input) {
     const auto start = Clock::now();
     SynthesisResult result;
     result.flow_name = "ABC";
-    aig::Aig a = aig::network_to_aig(net::cleanup(input));
-    a = aig::resyn2(a);
-    std::vector<std::string> in_names, out_names;
-    for (const net::NodeId id : input.inputs()) in_names.push_back(input.node(id).name);
-    for (const net::OutputPort& po : input.outputs()) out_names.push_back(po.name);
     // The paper's point about standard mappers is that they hide XOR/MAJ
     // structure (SV-B1); the faithful ABC configuration therefore maps the
     // plain AIG without structural motif recovery. The DC proxy, modeling
     // the stronger commercial tool, keeps recovery on.
-    aig::AigToNetworkOptions map_options;
-    map_options.detect_xor_mux = false;
-    result.optimized =
-        net::cleanup(aig::aig_to_network(a, in_names, out_names, map_options));
+    result.optimized = aig::resyn2_network(input, 1, {.detect_xor_mux = false});
     result.optimized_stats = result.optimized.stats();
     result.optimize_seconds = seconds_since(start);
     result.mapped = mapping::map_network(result.optimized, default_library());
@@ -147,17 +137,8 @@ SynthesisResult flow_abc(const net::Network& input) {
 std::vector<SynthesisResult> run_all_flows(const net::Network& input,
                                            const FlowOptions& options) {
     std::vector<SynthesisResult> out;
-    out.push_back(flow_bdsmaj(input, options));
-    out.push_back(flow_bdspga(input, options));
-    checkpoint(options);
-    out.push_back(flow_abc(input));
-    checkpoint(options);
-    out.push_back(flow_dc(input));
-    if (options.verify) {
-        // The BDS flows signed off inside from_decomposition; ABC and DC
-        // take no options, so their sign-off happens here.
-        verify_synthesis_result(input, out[2], options);
-        verify_synthesis_result(input, out[3], options);
+    for (const char* flow : {"bdsmaj", "bdspga", "abc", "dc"}) {
+        out.push_back(std::move(run_flow(input, flow, options)[0]));
     }
     return out;
 }
@@ -167,16 +148,13 @@ std::vector<SynthesisResult> run_flow(const net::Network& input, const std::stri
     if (flow == "all") return run_all_flows(input, options);
     if (flow == "bdsmaj") return {flow_bdsmaj(input, options)};
     if (flow == "bdspga") return {flow_bdspga(input, options)};
-    SynthesisResult result;
-    if (flow == "abc") {
-        result = flow_abc(input);
-    } else if (flow == "dc") {
-        result = flow_dc(input);
-    } else {
+    if (flow != "abc" && flow != "dc") {
         throw std::invalid_argument("unknown flow \"" + flow + "\"");
     }
+    checkpoint(options);  // ABC and DC are not interruptible
+    SynthesisResult result = flow == "abc" ? flow_abc(input) : flow_dc(input);
     // ABC/DC take no options, so their sign-off happens here (the BDS
-    // flows sign off in from_decomposition, "all" in run_all_flows).
+    // flows sign off in from_decomposition).
     if (options.verify) verify_synthesis_result(input, result, options);
     return {std::move(result)};
 }

@@ -58,14 +58,14 @@ struct FlowOptions {
     /// knob lives on decomp::ConeCache::instance(). ABC/DC ignore it.
     bool cone_cache = true;
     /// Cooperative cancellation token, checked between supernodes inside
-    /// the BDS decomposition (decomp::FlowCancelled propagates out), at
-    /// every flow boundary in run_all_flows and between circuits in
+    /// the BDS decomposition (decomp::FlowCancelled propagates out), before
+    /// the ABC and DC flows in run_flow and between circuits in
     /// run_suite. Null = not cancellable. SynthesisService jobs must leave
     /// it null: the service owns their token (SynthesisService::cancel).
     const std::atomic<bool>* cancel = nullptr;
     /// Absolute hard deadline (DecompFlowParams::deadline semantics):
-    /// checked at the per-supernode checkpoints of the BDS flows, at every
-    /// flow boundary in run_all_flows and between circuits in run_suite;
+    /// checked at the per-supernode checkpoints of the BDS flows, before
+    /// the ABC and DC flows in run_flow and between circuits in run_suite;
     /// once passed, decomp::DeadlineExceeded propagates out. The ABC/DC
     /// passes themselves are not interruptible. Unset = no deadline.
     std::optional<std::chrono::steady_clock::time_point> deadline;
@@ -152,7 +152,7 @@ void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
 [[nodiscard]] SynthesisResult flow_dc(const net::Network& input);
 
 /// All four, in Table II column order, one after another on the calling
-/// thread.
+/// thread, each through run_flow.
 [[nodiscard]] std::vector<SynthesisResult> run_all_flows(const net::Network& input,
                                                          const FlowOptions& options = {});
 

@@ -1,10 +1,15 @@
 #include "network/cec.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <optional>
+#include <random>
+#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
+#include "network/simulate.hpp"
 #include "sat/cnf.hpp"
 
 namespace bdsmaj::net {
@@ -14,6 +19,9 @@ namespace {
 /// Seed of the refutation simulation; the fraiging signatures use a
 /// derived stream.
 constexpr std::uint64_t kSimSeed = 0x5eed;
+/// Rounds of check_equivalent's random refutation pre-pass (64 patterns
+/// each).
+constexpr int kRefutationRounds = 64;
 /// Signature rounds used to build candidate-equivalence classes for the
 /// SAT engine (64 patterns each; counterexample patterns from failed
 /// candidate proofs are appended as extra rounds).
@@ -28,13 +36,112 @@ constexpr std::int64_t kOutputConflictLimit = 0;
 /// most this, and with the SAT miter sweep above it.
 constexpr std::size_t kBddInputLimit = 20;
 
-EquivalenceResult structural_mismatch(std::string reason, EquivEngine engine) {
+/// The one I/O-shape check. Every engine matches inputs and outputs
+/// positionally, so differing counts refute without any input pattern.
+std::optional<EquivalenceResult> shape_mismatch(const Network& a, const Network& b,
+                                                EquivEngine engine) {
+    const char* reason = nullptr;
+    if (a.inputs().size() != b.inputs().size()) {
+        reason = "input counts differ";
+    } else if (a.outputs().size() != b.outputs().size()) {
+        reason = "output counts differ";
+    } else {
+        return std::nullopt;
+    }
+    EquivalenceResult r;
+    r.engine = engine;
+    r.reason = reason;
+    return r;
+}
+
+/// Human-readable description of a failing pattern (the verdict's `reason`).
+std::string describe_counterexample(const Network& a, int output_index,
+                                    const std::vector<bool>& pattern,
+                                    bool value_a, bool value_b) {
+    std::ostringstream os;
+    os << "output " << a.outputs()[static_cast<std::size_t>(output_index)].name
+       << " (index " << output_index << ") differs: a=" << (value_a ? 1 : 0)
+       << " b=" << (value_b ? 1 : 0) << " under";
+    constexpr std::size_t kMaxListed = 48;
+    for (std::size_t i = 0; i < pattern.size() && i < kMaxListed; ++i) {
+        os << ' ' << a.node(a.inputs()[i]).name << '=' << (pattern[i] ? 1 : 0);
+    }
+    if (pattern.size() > kMaxListed) {
+        os << " ... (" << pattern.size() - kMaxListed << " more)";
+    }
+    return os.str();
+}
+
+}  // namespace
+
+const char* equiv_engine_name(EquivEngine engine) {
+    switch (engine) {
+        case EquivEngine::kAuto: return "auto";
+        case EquivEngine::kBdd: return "bdd";
+        case EquivEngine::kSat: return "sat";
+        case EquivEngine::kSim: return "sim";
+    }
+    return "?";
+}
+
+EquivalenceResult verified_counterexample(const Network& a, const Network& b,
+                                          int output_index,
+                                          std::vector<bool> pattern,
+                                          const char* origin,
+                                          EquivEngine engine) {
+    // Sign the witness by single-pattern re-simulation of both networks:
+    // whatever engine produced it, the verdict the caller sees is backed
+    // by the reference simulator.
+    const std::vector<bool> va = simulate(a, pattern);
+    const std::vector<bool> vb = simulate(b, pattern);
+    const std::size_t o = static_cast<std::size_t>(output_index);
+    if (va[o] == vb[o]) {
+        throw std::logic_error(std::string("equivalence checker bug: ") + origin +
+                               " counterexample failed re-simulation");
+    }
     EquivalenceResult r;
     r.equivalent = false;
-    r.exact = true;
     r.engine = engine;
-    r.reason = std::move(reason);
+    r.failing_output = output_index;
+    r.reason = describe_counterexample(a, output_index, pattern, va[o], vb[o]);
+    r.counterexample = std::move(pattern);
     return r;
+}
+
+namespace {
+
+/// check_equivalent's refutation pre-pass: kRefutationRounds x 64 random
+/// patterns over same-shaped networks. Returns the re-verified
+/// counterexample of the first differing output, or nothing: agreement on
+/// samples proves nothing, so it issues no "equivalent" verdict.
+std::optional<EquivalenceResult> random_refutation(const Network& a, const Network& b) {
+    std::mt19937_64 rng(kSimSeed);
+    std::vector<std::uint64_t> stimulus(a.inputs().size());
+    // Hoisted out of the round loop: the topological orders and the value
+    // buffers; outputs are compared in place.
+    const std::vector<NodeId> order_a = a.topo_order();
+    const std::vector<NodeId> order_b = b.topo_order();
+    std::vector<std::uint64_t> value_a, value_b, fanin_words;
+    for (int round = 0; round < kRefutationRounds; ++round) {
+        for (auto& w : stimulus) w = rng();
+        simulate_words_into(a, order_a, stimulus, value_a, fanin_words);
+        simulate_words_into(b, order_b, stimulus, value_b, fanin_words);
+        for (std::size_t o = 0; o < a.outputs().size(); ++o) {
+            const std::uint64_t diff = value_a[a.outputs()[o].driver] ^
+                                       value_b[b.outputs()[o].driver];
+            if (diff != 0) {
+                const int bit = std::countr_zero(diff);
+                std::vector<bool> pattern(stimulus.size());
+                for (std::size_t i = 0; i < stimulus.size(); ++i) {
+                    pattern[i] = ((stimulus[i] >> bit) & 1) != 0;
+                }
+                return verified_counterexample(a, b, static_cast<int>(o),
+                                               std::move(pattern), "simulation",
+                                               EquivEngine::kSim);
+            }
+        }
+    }
+    return std::nullopt;
 }
 
 /// Topological level of every node (inputs/constants = 0). Candidate
@@ -88,6 +195,7 @@ struct Fraig {
 
     /// Per-pass signatures: sig(node) = one word per simulated round.
     std::vector<std::vector<std::uint64_t>> sig_a, sig_b;
+    std::size_t sig_rounds = 0;  ///< rounds in every signature of this pass
 
     explicit Fraig(const Network& a_in, const Network& b_in, CecStats& s)
         : a(a_in), b(b_in), stats(s) {
@@ -136,7 +244,8 @@ struct Fraig {
             }
             stim.push_back(std::move(round));
         }
-        stats.sim_rounds += stim.size();
+        sig_rounds = stim.size();
+        stats.sim_rounds += sig_rounds;
 
         sig_a.assign(a.node_count(), {});
         sig_b.assign(b.node_count(), {});
@@ -175,8 +284,7 @@ struct Fraig {
         // Seed with the constant-false function so constant nodes (and
         // nodes the stimulus proves constant) collapse onto the shared
         // constant literal.
-        const std::size_t rounds = sig_a.empty() ? sig_b[0].size() : sig_a[0].size();
-        const std::vector<std::uint64_t> zero_sig(rounds, 0);
+        const std::vector<std::uint64_t> zero_sig(sig_rounds, 0);
         const std::uint64_t zero_hash = hash_words(zero_sig);
         buckets[zero_hash].push_back(Entry{zero_hash, &zero_sig, false, enc.constant(false)});
 
@@ -243,14 +351,41 @@ private:
 
 }  // namespace
 
+EquivalenceResult bdd_equivalent(const Network& a, const Network& b) {
+    if (auto mismatch = shape_mismatch(a, b, EquivEngine::kBdd)) return *mismatch;
+    bdd::Manager mgr(static_cast<int>(a.inputs().size()));
+    const std::vector<bdd::Bdd> fa = network_to_bdds(a, mgr);
+    const std::vector<bdd::Bdd> fb = network_to_bdds(b, mgr);
+    for (std::size_t o = 0; o < fa.size(); ++o) {
+        if (!(fa[o] == fb[o])) {
+            // Walk the difference function down to a satisfying minterm:
+            // at each variable take any cofactor that stays satisfiable.
+            bdd::Bdd diff = mgr.apply_xor(fa[o], fb[o]);
+            std::vector<bool> pattern(a.inputs().size(), false);
+            for (int v = 0; v < static_cast<int>(a.inputs().size()); ++v) {
+                const bdd::Bdd lo = mgr.cofactor(diff, v, false);
+                if (!(lo == mgr.zero())) {
+                    pattern[static_cast<std::size_t>(v)] = false;
+                    diff = lo;
+                } else {
+                    pattern[static_cast<std::size_t>(v)] = true;
+                    diff = mgr.cofactor(diff, v, true);
+                }
+            }
+            return verified_counterexample(a, b, static_cast<int>(o),
+                                           std::move(pattern), "BDD",
+                                           EquivEngine::kBdd);
+        }
+    }
+    EquivalenceResult r;
+    r.equivalent = true;
+    r.engine = EquivEngine::kBdd;
+    return r;
+}
+
 EquivalenceResult sat_equivalent(const Network& a, const Network& b,
                                  const CecParams& params, CecStats* stats) {
-    if (a.inputs().size() != b.inputs().size()) {
-        return structural_mismatch("input counts differ", EquivEngine::kSat);
-    }
-    if (a.outputs().size() != b.outputs().size()) {
-        return structural_mismatch("output counts differ", EquivEngine::kSat);
-    }
+    if (auto mismatch = shape_mismatch(a, b, EquivEngine::kSat)) return *mismatch;
     CecStats local_stats;
     CecStats& st = stats != nullptr ? *stats : local_stats;
 
@@ -290,18 +425,17 @@ EquivalenceResult sat_equivalent(const Network& a, const Network& b,
 
     EquivalenceResult r;
     r.equivalent = true;
-    r.exact = true;
     r.engine = EquivEngine::kSat;
     return r;
 }
 
 EquivalenceResult check_equivalent(const Network& a, const Network& b,
                                    const CecParams& params, CecStats* stats) {
-    // Fast refutation first: bit-parallel random simulation catches the
-    // overwhelming majority of real bugs before any proof machinery runs.
-    const int rounds = std::max(1, params.sim_rounds);
-    EquivalenceResult sim = random_equivalent(a, b, rounds, kSimSeed);
-    if (!sim.equivalent) return sim;  // exact: structural or re-verified cex
+    // The I/O-shape check and the refutation pre-pass tag their verdicts
+    // kSim. Bit-parallel random simulation catches the overwhelming
+    // majority of real bugs before any proof machinery runs.
+    if (auto mismatch = shape_mismatch(a, b, EquivEngine::kSim)) return *mismatch;
+    if (auto refuted = random_refutation(a, b)) return *refuted;
     if (a.inputs().size() <= kBddInputLimit) return bdd_equivalent(a, b);
     return sat_equivalent(a, b, params, stats);
 }

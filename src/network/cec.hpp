@@ -1,7 +1,8 @@
 #pragma once
-// Simulation-guided combinational equivalence checking (CEC).
+// Combinational equivalence checking (CEC): the one module that issues
+// equivalence verdicts.
 //
-// The exact sign-off oracle behind check_equivalent(): bit-parallel random
+// check_equivalent() is the sign-off of every flow. Bit-parallel random
 // simulation refutes cheap mismatches first; what survives is proven by a
 // global BDD on narrow circuits and, above 20 inputs, with per-output CNF
 // miters over the in-repo CDCL solver (sat/solver.hpp).
@@ -14,23 +15,43 @@
 // boundary functions, so the two networks are riddled with internal
 // equivalences the signatures find.
 //
-// Every inequivalence verdict carries a concrete counterexample extracted
-// from the SAT model (or the failing simulation word) and is re-verified
-// by single-pattern simulation before it reaches the caller.
+// Every verdict is exact: a proof, an I/O-shape mismatch, or a concrete
+// counterexample (from the failing simulation word, the BDD difference or
+// the SAT model) re-verified by single-pattern simulation before it
+// reaches the caller.
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
-#include "network/simulate.hpp"
+#include "network/network.hpp"
 
 namespace bdsmaj::net {
 
-/// Tuning knobs for the CEC oracle. The defaults are what every flow
-/// uses; the bench harnesses vary `sim_rounds`, and the tests turn `fraig`
-/// off for their reference mode.
+/// The engine behind an equivalence verdict. kSim tags a refutation by
+/// check_equivalent's random pre-pass (and its I/O-shape check); kBdd and
+/// kSat tag the proofs and refutations of bdd_equivalent/sat_equivalent.
+/// kAuto is no engine and no verdict carries it: it is kept only so that
+/// existing callers that still assign FlowOptions::oracle keep compiling.
+enum class EquivEngine : std::uint8_t { kAuto, kBdd, kSat, kSim };
+
+[[nodiscard]] const char* equiv_engine_name(EquivEngine engine);
+
+/// Result of an equivalence query.
+struct EquivalenceResult {
+    bool equivalent = false;
+    /// Engine that produced the verdict (never kAuto).
+    EquivEngine engine = EquivEngine::kSim;
+    std::string reason;  // human-readable mismatch description
+    /// On inequivalence with a known witness: the failing primary-input
+    /// assignment (positionally indexed) and the differing output port.
+    std::vector<bool> counterexample;
+    int failing_output = -1;
+};
+
+/// Tuning knobs for the SAT engine. The default is what every flow uses;
+/// the tests turn `fraig` off for their reference mode.
 struct CecParams {
-    /// Plain random-simulation refutation rounds (64 patterns each) run
-    /// before any proof work.
-    int sim_rounds = 64;
     /// Learn internal equivalences as cut-points before the output miters.
     /// Off = plain per-output miter SAT (reference mode for testing).
     bool fraig = true;
@@ -48,18 +69,32 @@ struct CecStats {
     std::uint64_t conflicts = 0;            ///< total solver conflicts
 };
 
+/// Exact equivalence by building both networks' output BDDs in one manager.
+/// Practical only for narrow circuits on these benchmark classes (the
+/// multiplier BDD is exponential); inequivalence comes with a
+/// counterexample pattern extracted from the difference BDD.
+[[nodiscard]] EquivalenceResult bdd_equivalent(const Network& a, const Network& b);
+
 /// SAT miter equivalence proof (exact at any input count). Networks are
 /// matched positionally on inputs and outputs. Counters add to `stats`.
 [[nodiscard]] EquivalenceResult sat_equivalent(const Network& a, const Network& b,
                                                const CecParams& params = {},
                                                CecStats* stats = nullptr);
 
-/// The equivalence sign-off of every flow: random simulation refutes
-/// first, then a global BDD proves at most 20 inputs and the SAT miter
-/// sweep proves anything wider. The verdict always has `exact == true`;
-/// callers that want one engine call bdd_equivalent/sat_equivalent.
+/// The equivalence sign-off of every flow: 64 rounds of random simulation
+/// refute first, then a global BDD proves at most 20 inputs and the SAT
+/// miter sweep proves anything wider. Callers that want one engine call
+/// bdd_equivalent/sat_equivalent.
 [[nodiscard]] EquivalenceResult check_equivalent(const Network& a, const Network& b,
                                                  const CecParams& params = {},
                                                  CecStats* stats = nullptr);
+
+/// Shared by all engines: turn a witness pattern into a refutation
+/// verdict, re-verifying it by single-pattern simulation of both networks
+/// first (throws std::logic_error if the engine's witness does not
+/// actually distinguish them — a checker bug, never a user error).
+[[nodiscard]] EquivalenceResult verified_counterexample(
+    const Network& a, const Network& b, int output_index,
+    std::vector<bool> pattern, const char* origin, EquivEngine engine);
 
 }  // namespace bdsmaj::net

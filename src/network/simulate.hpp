@@ -1,20 +1,10 @@
 #pragma once
-// Network simulation and equivalence checking.
-//
-// Three complementary engines:
-//   * 64-way bit-parallel random simulation (fast falsification on any size)
-//   * exact equivalence through shared-manager BDD construction (tiny
-//     input counts only — the global BDD of a multiplier is intrinsically
-//     exponential)
-//   * the simulation-guided SAT oracle (network/cec.hpp): CNF miters over
-//     an in-repo CDCL solver, exact at any input count.
-// The sign-off, net::check_equivalent (network/cec.hpp), runs the first,
-// then proves with the BDD at most 20 inputs and with SAT above.
+// Network evaluation: 64-way bit-parallel simulation, single-pattern
+// simulation, and the BDD of a node or of a whole network. Equivalence
+// verdicts are issued only by network/cec.hpp, which builds its
+// refutation pre-pass, counterexample checks and BDD engine on these.
 
 #include <cstdint>
-#include <optional>
-#include <random>
-#include <string>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -114,8 +104,8 @@ template <typename FaninWord>
 
 /// Simulation core over a precomputed topological order, writing every
 /// node's 64-pattern word into a caller-owned buffer (indexed by NodeId).
-/// Multi-round callers — the random equivalence check and the SAT
-/// checker's signature rounds — hoist the order and the buffers out of
+/// Multi-round callers — the sign-off's random refutation pre-pass and the
+/// SAT checker's signature rounds — hoist the order and the buffers out of
 /// their loops. `fanin_words` is reusable SOP-evaluation scratch.
 void simulate_words_into(const Network& network, const std::vector<NodeId>& order,
                          const std::vector<std::uint64_t>& pi_words,
@@ -126,62 +116,11 @@ void simulate_words_into(const Network& network, const std::vector<NodeId>& orde
 [[nodiscard]] std::vector<bool> simulate(const Network& network,
                                          const std::vector<bool>& pi_values);
 
-/// The engine behind an equivalence verdict. kSim (random_equivalent)
-/// never *proves* agreement (exact stays false). kAuto is no engine and no
-/// verdict carries it: it is kept only so that existing callers that still
-/// assign FlowOptions::oracle keep compiling.
-enum class EquivEngine : std::uint8_t { kAuto, kBdd, kSat, kSim };
-
-[[nodiscard]] const char* equiv_engine_name(EquivEngine engine);
-
-/// Result of an equivalence query.
-struct EquivalenceResult {
-    bool equivalent = false;
-    /// True when the verdict is a proof: an exhaustive BDD/SAT argument,
-    /// or a concrete re-simulated counterexample. False means the verdict
-    /// is only sampled (random simulation agreed) — callers asserting
-    /// sign-off must check this, not just `equivalent`.
-    bool exact = false;
-    /// Engine that produced the verdict (never kAuto).
-    EquivEngine engine = EquivEngine::kSim;
-    std::string reason;  // human-readable mismatch description
-    /// On inequivalence with a known witness: the failing primary-input
-    /// assignment (positionally indexed) and the differing output port.
-    std::vector<bool> counterexample;
-    int failing_output = -1;
-};
-
-/// Random simulation with `rounds` x 64 patterns. Inputs/outputs are
-/// matched positionally; PI and PO counts must agree. A mismatch comes
-/// with a re-verified counterexample pattern (exact refutation);
-/// agreement is only sampled (exact = false).
-[[nodiscard]] EquivalenceResult random_equivalent(const Network& a,
-                                                  const Network& b, int rounds,
-                                                  std::uint64_t seed);
-
-/// Exact equivalence by building both networks' output BDDs in one manager.
-/// Practical only for tiny input counts on these benchmark classes (the
-/// multiplier BDD is exponential); inequivalence comes with a
-/// counterexample pattern extracted from the difference BDD.
-[[nodiscard]] EquivalenceResult bdd_equivalent(const Network& a, const Network& b);
-
 /// Build the BDD of every output of `network` in `mgr`, using manager
-/// variable i for primary input i. Behind bdd_equivalent; exposed for
-/// the benches and tests that build global BDDs themselves.
+/// variable i for primary input i. Behind net::bdd_equivalent
+/// (network/cec.hpp); exposed for the benches and tests that build global
+/// BDDs themselves.
 [[nodiscard]] std::vector<bdd::Bdd> network_to_bdds(const Network& network,
                                                     bdd::Manager& mgr);
-
-/// Shared by all engines: turn a witness pattern into a refutation
-/// verdict, re-verifying it by single-pattern simulation of both networks
-/// first (throws std::logic_error if the engine's witness does not
-/// actually distinguish them — a checker bug, never a user error).
-[[nodiscard]] EquivalenceResult verified_counterexample(
-    const Network& a, const Network& b, int output_index,
-    std::vector<bool> pattern, const char* origin, EquivEngine engine);
-
-/// Human-readable description of a failing pattern (used in `reason`).
-[[nodiscard]] std::string describe_counterexample(const Network& a, int output_index,
-                                                  const std::vector<bool>& pattern,
-                                                  bool value_a, bool value_b);
 
 }  // namespace bdsmaj::net

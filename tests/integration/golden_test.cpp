@@ -100,9 +100,7 @@ TEST(Golden, Table2SmokeSuiteIsPinnedAndEquivalent) {
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         const std::vector<flows::SynthesisResult> results = flows::run_all_flows(inputs[i]);
         for (const flows::SynthesisResult& r : results) {
-            EXPECT_TRUE(net::check_equivalent(inputs[i], r.mapped.netlist,
-                                              net::CecParams{.sim_rounds = 32})
-                            .equivalent)
+            EXPECT_TRUE(net::check_equivalent(inputs[i], r.mapped.netlist).equivalent)
                 << names[i] << " " << r.flow_name;
         }
         serial.add(results);
@@ -149,9 +147,7 @@ TEST(Golden, AblationMdomSweepIsPinnedAndEquivalent) {
             total_nodes += s.total();
             maj_nodes += s.maj_nodes;
             ++runs;
-            EXPECT_TRUE(net::check_equivalent(inputs[i], r.network,
-                                              net::CecParams{.sim_rounds = 16})
-                            .equivalent)
+            EXPECT_TRUE(net::check_equivalent(inputs[i], r.network).equivalent)
                 << names[i] << " then>=" << cfg.then_fanin << " else>=" << cfg.else_fanin
                 << " cap=" << cfg.cap;
         }

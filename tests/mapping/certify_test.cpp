@@ -17,6 +17,7 @@
 #include "benchgen/suite.hpp"
 #include "flows/flows.hpp"
 #include "network/cec.hpp"
+#include "network/simulate.hpp"
 
 namespace bdsmaj::mapping {
 namespace {

@@ -4,6 +4,7 @@
 
 #include <random>
 
+#include "network/cec.hpp"
 #include "network/simulate.hpp"
 
 namespace bdsmaj::net {

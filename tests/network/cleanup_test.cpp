@@ -4,7 +4,7 @@
 
 #include <random>
 
-#include "network/simulate.hpp"
+#include "network/cec.hpp"
 
 namespace bdsmaj::net {
 namespace {

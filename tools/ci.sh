@@ -18,7 +18,9 @@
 #
 # The debug stage builds the tier-1 test targets with
 # -DCMAKE_BUILD_TYPE=Debug in its own tree and runs the whole tier-1 suite
-# with asserts enabled (the chaos tests run in the chaos stage).
+# with asserts enabled (the chaos tests run in the chaos stage). It is
+# skipped when the tier-1 build is itself Debug, which already ran that
+# suite with asserts enabled.
 #
 # The chaos stage rebuilds the core with the deterministic fault-injection
 # hooks compiled in (-DBDSMAJ_FAULT_INJECT=ON) under AddressSanitizer and
@@ -84,18 +86,23 @@ if grep ' sign-off: ' "$SIGNOFF_LOG" | grep -v ' certificate-fallbacks=0 '; then
     exit 1
 fi
 
-echo "==> debug: the tier-1 suite with asserts enabled"
-# Separate Debug build tree (asserts on): the tier-1 build is Release, so
-# without this stage no local gate ever runs the library's asserts. Every
-# tier-1 test runs; only the chaos binary is neither built nor run here
-# (the chaos stage below builds it with the fault hooks compiled in), so
-# its label and its not-built placeholder test are excluded.
-cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug \
-      -DBDSMAJ_BUILD_BENCH=OFF -DBDSMAJ_BUILD_EXAMPLES=OFF \
-      ${EXTRA_CMAKE_ARGS[@]+"${EXTRA_CMAKE_ARGS[@]}"} >/dev/null
-cmake --build build-debug -j"$JOBS" --target bdsmaj_tests bdsmaj_cli gen_exact_table
-(cd build-debug && ctest -LE chaos -E '^bdsmaj_chaos_tests_NOT_BUILT$' \
-                         --output-on-failure -j"$JOBS")
+if [[ "$BUILD_TYPE" == "Debug" ]]; then
+    echo "==> debug stage skipped (the tier-1 build is Debug: its ctest already ran with asserts enabled)"
+else
+    echo "==> debug: the tier-1 suite with asserts enabled"
+    # Separate Debug build tree (asserts on): the tier-1 build is Release,
+    # so without this stage no local gate ever runs the library's asserts.
+    # Every tier-1 test runs; only the chaos binary is neither built nor
+    # run here (the chaos stage below builds it with the fault hooks
+    # compiled in), so its label and its not-built placeholder test are
+    # excluded.
+    cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug \
+          -DBDSMAJ_BUILD_BENCH=OFF -DBDSMAJ_BUILD_EXAMPLES=OFF \
+          ${EXTRA_CMAKE_ARGS[@]+"${EXTRA_CMAKE_ARGS[@]}"} >/dev/null
+    cmake --build build-debug -j"$JOBS" --target bdsmaj_tests bdsmaj_cli gen_exact_table
+    (cd build-debug && ctest -LE chaos -E '^bdsmaj_chaos_tests_NOT_BUILT$' \
+                             --output-on-failure -j"$JOBS")
+fi
 
 if [[ "${BDSMAJ_CI_SKIP_CHAOS:-0}" != "0" ]]; then
     echo "==> chaos stage skipped (BDSMAJ_CI_SKIP_CHAOS)"
