@@ -1,7 +1,6 @@
 #include "decomp/flow.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -224,12 +223,8 @@ DecompFlowResult decompose_network(const Network& input, const DecompFlowParams&
     DecompFlowResult result;
     std::vector<Signal> leaf_signals;
     for (const Supernode& sn : supernodes) {
-        // Per-supernode checkpoint: cancellation, then the hard deadline.
-        // With no deadline configured this costs one branch — no clock read.
-        if (params.cancel != nullptr &&
-            params.cancel->load(std::memory_order_relaxed)) {
-            throw FlowCancelled();
-        }
+        // Per-supernode checkpoint: the hard deadline. With no deadline
+        // configured this costs one branch — no clock read.
         if (params.deadline &&
             std::chrono::steady_clock::now() >= *params.deadline) {
             throw DeadlineExceeded();

@@ -13,7 +13,6 @@
 // docs/performance.md, "Deterministic replay"). Parallelism lives above
 // this layer, across the jobs of a flows::SynthesisService.
 
-#include <atomic>
 #include <chrono>
 #include <optional>
 #include <stdexcept>
@@ -23,13 +22,6 @@
 #include "network/network.hpp"
 
 namespace bdsmaj::decomp {
-
-/// Thrown by decompose_network when its cancellation token fires; the
-/// synthesis service maps it to JobStatus::kCancelled (not a failure).
-class FlowCancelled : public std::runtime_error {
-public:
-    FlowCancelled() : std::runtime_error("synthesis flow cancelled") {}
-};
 
 /// Thrown by decompose_network at a per-supernode checkpoint once
 /// DecompFlowParams::deadline has passed; the synthesis service maps it to
@@ -72,14 +64,10 @@ struct DecompFlowParams {
     /// Ignored: decompose_network always runs on the calling thread. Kept
     /// only so existing callers that still assign it keep compiling.
     int jobs = 1;
-    /// Cooperative cancellation token. When non-null and set (by any
-    /// thread), decompose_network stops at the next per-supernode
-    /// checkpoint — before decomposing another supernode — and throws
-    /// FlowCancelled. Null = not cancellable.
-    const std::atomic<bool>* cancel = nullptr;
-    /// Absolute hard deadline. Checked at the same per-supernode
-    /// checkpoints as `cancel`; once passed, decompose_network throws
-    /// DeadlineExceeded. Unset = no deadline (and no clock reads).
+    /// Absolute hard deadline, checked at each per-supernode checkpoint —
+    /// before decomposing another supernode; once passed,
+    /// decompose_network throws DeadlineExceeded. Unset = no deadline (and
+    /// no clock reads).
     std::optional<std::chrono::steady_clock::time_point> deadline;
     /// Absolute soft budget. Once passed, remaining supernodes are
     /// decomposed on the degrade ladder instead of the requested

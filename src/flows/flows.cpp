@@ -18,13 +18,8 @@ double seconds_since(Clock::time_point start) {
 
 /// Flow-boundary checkpoint: the BDS flows checkpoint internally (between
 /// supernodes), but the ABC and DC passes are not interruptible, so the
-/// token — and the hard deadline — are checked before each of them and
-/// between circuits too.
+/// hard deadline is checked before each of them and between circuits too.
 void checkpoint(const FlowOptions& options) {
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {
-        throw decomp::FlowCancelled();
-    }
     if (options.deadline && Clock::now() >= *options.deadline) {
         throw decomp::DeadlineExceeded();
     }
@@ -87,7 +82,6 @@ SynthesisResult from_decomposition(std::string name, const net::Network& input,
     params.manager = options.manager;
     params.reorder = options.reorder;
     params.cone_cache = options.cone_cache;
-    params.cancel = options.cancel;
     params.deadline = options.deadline;
     params.soft_budget = options.soft_budget;
     decomp::DecompFlowResult d = decomp::decompose_network(input, params);

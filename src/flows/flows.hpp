@@ -9,7 +9,6 @@
 //   * DC      : commercial-style proxy — best-of multiple recipes at high
 //               area effort (see docs/architecture.md, "Substitutions")
 
-#include <atomic>
 #include <chrono>
 #include <optional>
 #include <string>
@@ -57,12 +56,6 @@ struct FlowOptions {
     /// re-decomposing. Results are byte-identical either way; the budget
     /// knob lives on decomp::ConeCache::instance(). ABC/DC ignore it.
     bool cone_cache = true;
-    /// Cooperative cancellation token, checked between supernodes inside
-    /// the BDS decomposition (decomp::FlowCancelled propagates out), before
-    /// the ABC and DC flows in run_flow and between circuits in
-    /// run_suite. Null = not cancellable. SynthesisService jobs must leave
-    /// it null: the service owns their token (SynthesisService::cancel).
-    const std::atomic<bool>* cancel = nullptr;
     /// Absolute hard deadline (DecompFlowParams::deadline semantics):
     /// checked at the per-supernode checkpoints of the BDS flows, before
     /// the ABC and DC flows in run_flow and between circuits in run_suite;
@@ -81,8 +74,8 @@ struct FlowOptions {
     /// input before returning (all four flows, not just BDS). The mapped
     /// verdict lands in SynthesisResult::equivalence; an inequivalent
     /// result throws std::runtime_error with the counterexample. Exact at
-    /// any input width. The sign-off obeys `cancel` and `deadline` before
-    /// each global check.
+    /// any input width. The sign-off obeys `deadline` before each global
+    /// check.
     bool verify = false;
 };
 
@@ -134,9 +127,8 @@ struct SynthesisResult {
 /// netlist only if the certificate is inconclusive. It throws
 /// std::runtime_error carrying the counterexample on mismatch, and records
 /// the mapped verdict, the sign-off wall time and its SignOffStats in the
-/// result. Before each global check it stops with decomp::FlowCancelled or
-/// decomp::DeadlineExceeded if `options.cancel` is set or
-/// `options.deadline` has passed, so a result is never returned
+/// result. Before each global check it stops with decomp::DeadlineExceeded
+/// if `options.deadline` has passed, so a result is never returned
 /// unverified.
 void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
                              const FlowOptions& options = {});
@@ -165,8 +157,8 @@ void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
                                                     const FlowOptions& options = {});
 
 /// Batched suite synthesis: run_flow(inputs[i], flow) for every input, in
-/// input order on the calling thread. Cancellation and the hard deadline
-/// are checked before each circuit. This is what the Table I/II sweeps,
+/// input order on the calling thread. The hard deadline is checked before
+/// each circuit. This is what the Table I/II sweeps,
 /// the bench harness and SynthesisService jobs (flows/service.hpp) run;
 /// to synthesize circuits concurrently, submit them as separate service
 /// jobs.

@@ -3,41 +3,30 @@
 // the synthesis flows — the serving shape of the BDS-MAJ pipeline.
 //
 // Callers submit jobs (one network, or a whole benchmark suite) and get a
-// std::future<FlowResult> back immediately. Jobs wait in one queue
-// (earliest deadline first, FIFO among deadline-less jobs); at most
-// `max_concurrent_jobs` run at once, each as one task on the service's
-// thread pool — its own, sized to that limit, unless a pool is injected.
-// This admission is the only place circuits run concurrently: a job runs
-// entirely on the one pool thread that picked it up, a suite job one
-// circuit after another, so a job never waits for another pool thread and
-// admission control is the only queueing point.
+// std::future<FlowResult> back immediately; every future resolves. Jobs
+// wait in one FIFO queue; at most `max_concurrent_jobs` run at once, each
+// as one task on the service's thread pool — its own, sized to that limit,
+// unless a pool is injected. This admission is the only place circuits run
+// concurrently: a job runs entirely on the one pool thread that picked it
+// up, a suite job one circuit after another, so a job never waits for
+// another pool thread and admission control is the only queueing point.
 //
 // Results are byte-identical to serial runs: a job computes exactly
 // run_suite(inputs, params, params.flow), however many jobs run beside
 // it. tests/flows/service_test.cpp pins BLIF text, gate counts, and
 // simulation signatures against serial runs.
 //
-// Lifecycle: cancel(id) removes a still-queued job immediately, and
-// requests cooperative cancellation of a running one — the job's token is
-// set and the flow stops at its next checkpoint (between supernodes
-// inside a BDS decomposition, between the flows of an "all" job, between
-// circuits in a suite; the ABC/DC passes themselves are not
-// interruptible); either way the future yields status kCancelled. pause() holds admission (queued
-// jobs stay queued; running ones finish) and resume() releases it — the
-// drain/maintenance switch, also what makes cancellation deterministic to
-// test. The destructor cancels everything still queued, requests
-// cancellation of running jobs, and waits for them; then it joins its own
-// pool, while an injected pool is left untouched and immediately reusable.
+// The destructor drains: it waits until every queued job has run and
+// every running one has finished, then joins its own pool, while an
+// injected pool is left untouched and immediately reusable.
 
-#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <condition_variable>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "flows/flows.hpp"
@@ -46,15 +35,11 @@
 namespace bdsmaj::flows {
 
 enum class JobStatus {
-    kQueued,
-    kRunning,
     kCompleted,
-    kCancelled,
-    kFailed,
-    /// Terminal: the job missed its deadline — shed at dispatch time
-    /// (never ran; start_order is kNoStartOrder) or stopped at an in-flight
-    /// checkpoint once the deadline passed. Not a failure: the future
-    /// yields a FlowResult, not an exception.
+    /// The job missed its deadline — shed at dispatch time (never ran;
+    /// start_order is kNoStartOrder) or stopped at an in-flight checkpoint
+    /// once the deadline passed. Not a failure: the future yields a
+    /// FlowResult, not an exception.
     kDeadlineExceeded,
 };
 
@@ -64,19 +49,14 @@ enum class JobStatus {
 ///     thread. Submit circuits as separate jobs to run them concurrently.
 ///   * `deadline` / `soft_budget` — absolute instants the caller fixes
 ///     before submit(), so queue wait counts against both. A job whose
-///     deadline passes before it dispatches is shed without running; a
-///     running one stops at its next flow checkpoint; either way the
-///     future yields kDeadlineExceeded. Jobs with deadlines dispatch
-///     earliest-deadline-first ahead of deadline-less jobs (which stay
-///     FIFO among themselves). An expired soft budget degrades the
-///     remaining supernodes instead, and FlowResult::degraded_supernodes
-///     counts them.
-///   * `verify` — a failed sign-off fails the job (status kFailed, the
-///     error on the future): the service never hands out an unverified
-///     wrong network.
-///   * `cancel` — must stay null. The service owns each job's token
-///     (see cancel()); a job that brings its own fails with
-///     std::invalid_argument, as do unknown flows and presets.
+///     deadline passes before it reaches the front of the queue is shed
+///     without running; a running one stops at its next flow checkpoint;
+///     either way the future yields kDeadlineExceeded. An expired soft
+///     budget degrades the remaining supernodes instead, and
+///     FlowResult::degraded_supernodes counts them.
+///   * `verify` — a failed sign-off fails the job (the error on the
+///     future): the service never hands out an unverified wrong network.
+/// Unknown flows and presets fail the job with std::invalid_argument.
 struct SynthesisJobParams : FlowOptions {
     /// "all" (the four Table II flows), or one of "bdsmaj", "bdspga",
     /// "abc", "dc" (see run_flow).
@@ -85,11 +65,12 @@ struct SynthesisJobParams : FlowOptions {
 
 struct FlowResult {
     std::uint64_t job_id = 0;
-    /// kCompleted, kCancelled, or kDeadlineExceeded (failures surface as
-    /// the future's exception instead).
+    /// kCompleted or kDeadlineExceeded (failures surface as the future's
+    /// exception instead).
     JobStatus status = JobStatus::kCompleted;
     /// Per input, the requested flows in Table II column order ("all") or
-    /// the single requested flow. Empty for cancelled/shed jobs.
+    /// the single requested flow. Empty for jobs that missed their
+    /// deadline.
     std::vector<std::vector<SynthesisResult>> results;
     /// Supernodes served by a degrade-ladder stage (soft budget expired or
     /// a resource guard tripped), aggregated over `results`. 0 whenever no
@@ -97,8 +78,8 @@ struct FlowResult {
     long long degraded_supernodes = 0;
     double seconds = 0.0;  ///< wall time of the job body (not queue wait)
     /// 0-based dispatch sequence across the service lifetime: the order
-    /// jobs actually started running (what the EDF queue decides).
-    /// Meaningless (kNoStartOrder) for jobs cancelled while queued.
+    /// jobs actually started running (submission order, as the queue is
+    /// FIFO). kNoStartOrder for jobs shed at dispatch.
     std::uint64_t start_order = kNoStartOrder;
 
     static constexpr std::uint64_t kNoStartOrder = ~std::uint64_t{0};
@@ -108,7 +89,6 @@ struct ServiceStats {
     int queued = 0;      ///< not yet running
     int running = 0;
     int completed = 0;
-    int cancelled = 0;   ///< queued removals + cooperatively stopped runs
     int failed = 0;
     /// Jobs shed at dispatch or stopped in flight because their deadline
     /// passed (terminal status kDeadlineExceeded).
@@ -149,12 +129,14 @@ public:
     };
 
     explicit SynthesisService(const ServiceParams& params = {});
+    /// Drains: runs every queued job and waits for the running ones.
     ~SynthesisService();
     SynthesisService(const SynthesisService&) = delete;
     SynthesisService& operator=(const SynthesisService&) = delete;
 
     /// Queue one network. FIFO admission; the future is fulfilled when the
-    /// job completes (or is cancelled), or carries the job's exception.
+    /// job completes or misses its deadline, or carries the job's
+    /// exception.
     [[nodiscard]] Submission submit(net::Network input,
                                     const SynthesisJobParams& params = {});
 
@@ -162,36 +144,6 @@ public:
     /// the flows of inputs[i], identical to a serial run over the suite.
     [[nodiscard]] Submission submit_suite(std::vector<net::Network> inputs,
                                           const SynthesisJobParams& params = {});
-
-    /// Cancel a job. Still-queued jobs are removed immediately (their
-    /// future yields status kCancelled at once). Running jobs get their
-    /// cancellation token set and stop cooperatively at the next flow
-    /// checkpoint — the future then yields kCancelled, unless the job
-    /// outraced the request and completed. Returns false only when the
-    /// job is already finished or unknown.
-    bool cancel(JobId id);
-
-    /// Hold admission: running jobs finish, queued jobs stay queued until
-    /// resume(). Idempotent.
-    void pause();
-    void resume();
-
-    /// Block until no job is queued or running.
-    ///
-    /// Paused-wait contract: with admission paused and jobs still queued,
-    /// nothing will ever dispatch them, so this blocks until some other
-    /// thread calls resume() (or cancels every queued job). A paused,
-    /// non-empty service with no such thread makes wait_idle() wait
-    /// forever by design — use wait_idle_for() when that is a reachable
-    /// state.
-    void wait_idle();
-
-    /// Bounded wait_idle(): returns true once no job is queued or running,
-    /// false if the timeout expires first. This is the chaos-suite (and
-    /// shutdown-watchdog) primitive: under fault injection or a paused
-    /// queue, "did the service drain within T" is a checkable property
-    /// where wait_idle() would hang.
-    [[nodiscard]] bool wait_idle_for(std::chrono::milliseconds timeout);
 
     [[nodiscard]] ServiceStats stats() const;
 
@@ -211,15 +163,10 @@ private:
     mutable std::mutex mutex_;
     std::condition_variable idle_cv_;
     std::deque<std::shared_ptr<Job>> queue_;
-    /// Running jobs by id, for cooperative cancellation of in-flight work.
-    std::unordered_map<JobId, std::shared_ptr<Job>> running_jobs_;
     JobId next_id_ = 0;
     std::uint64_t next_start_order_ = 0;
-    int running_ = 0;
-    int inflight_ = 0;  ///< dispatched pool tasks still touching `this`
-    bool paused_ = false;
+    int running_ = 0;  ///< dispatched pool tasks still touching `this`
     int completed_ = 0;
-    int cancelled_ = 0;
     int failed_ = 0;
     int deadline_exceeded_ = 0;
     long long degraded_supernodes_ = 0;

@@ -13,9 +13,9 @@
 //
 // Sites deliberately sit on both sides of every containment boundary the
 // service claims to have: a worker task entry (the job-level catch-all), a
-// cone-cache insert (shared-state mutation), a SAT solve (deep inside a
-// strategy), and BDD manager node allocation (the same throw path as
-// ManagerParams::max_live_nodes).
+// cone-cache insert (shared-state mutation), a SAT solve (the sign-off's
+// miter above 20 inputs), and BDD manager node allocation (the same throw
+// path as ManagerParams::max_live_nodes).
 
 #include <atomic>
 #include <chrono>
@@ -39,8 +39,8 @@ inline constexpr int kFaultSiteCount = 4;
 
 /// Thrown by an armed injector. Deliberately NOT derived from the
 /// recoverable bdd::ResourceExhausted: the degrade ladder must not absorb
-/// an injected fault, it has to surface as a kFailed job whose error names
-/// the site (that asymmetry is itself under test).
+/// an injected fault, it has to fail its job, with an error that names the
+/// site (that asymmetry is itself under test).
 class InjectedFault : public std::runtime_error {
 public:
     InjectedFault(FaultSite site, std::uint64_t hit);
@@ -69,8 +69,8 @@ struct FaultPlan {
 };
 
 /// Process-wide injector. arm()/disarm() must not race instrumented code:
-/// the chaos tests arm before submitting work and disarm after wait_idle,
-/// which is the supported discipline.
+/// the chaos tests arm before submitting work and disarm once every job's
+/// future is ready, which is the supported discipline.
 class FaultInjector {
 public:
     static FaultInjector& instance();

@@ -2,13 +2,12 @@
 // deadlines are shed without running, tight soft budgets degrade supernodes
 // down the ladder instead of failing (and the result still verifies),
 // resource guards (max_live_nodes / sift_max_swaps) cost one cone a retry
-// instead of the whole job, EDF ordering governs dispatch,
-// and wait_idle_for() bounds the paused-queue wait that wait_idle() cannot.
+// instead of the whole job, and deadlines never reorder the FIFO queue.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <thread>
+#include <future>
 #include <vector>
 
 #include "benchgen/suite.hpp"
@@ -34,14 +33,11 @@ Network tiny_adder() {
 
 TEST(Robustness, ImpossibleDeadlineIsShedWithoutRunning) {
     SynthesisService service;
-    service.pause();
     SynthesisJobParams jp;
-    jp.deadline = Clock::now() + 1ms;
+    jp.deadline = Clock::now() - 1ms;
+    // The deadline has passed before the job reaches the front of the
+    // queue: the dispatcher must shed it instead of starting it.
     SynthesisService::Submission sub = service.submit(tiny_adder(), jp);
-    // Hold admission past the deadline, then release: the dispatcher must
-    // shed the job instead of starting it.
-    std::this_thread::sleep_for(30ms);
-    service.resume();
     const FlowResult r = sub.result.get();
     EXPECT_EQ(r.status, JobStatus::kDeadlineExceeded);
     EXPECT_EQ(r.start_order, FlowResult::kNoStartOrder) << "job must never run";
@@ -156,13 +152,17 @@ TEST(Robustness, ShannonPresetStandsAloneAndIsEquivalent) {
     EXPECT_EQ(r.engine_stats.degraded_supernodes, 0);
 }
 
-TEST(Robustness, EarliestDeadlineFirstWithinLane) {
+TEST(Robustness, MixedDeadlinesDispatchInSubmissionOrder) {
+    // The queue is FIFO: deadlines decide whether a job is shed, never
+    // when it runs. A task holding the one pool thread queues every job
+    // before the first one can start.
     runtime::ThreadPool pool(1);
+    std::promise<void> gate;
+    pool.submit([opened = gate.get_future().share()] { opened.wait(); });
     ServiceParams sp;
     sp.pool = &pool;
     sp.max_concurrent_jobs = 1;
     SynthesisService service(sp);
-    service.pause();
 
     const Network input = tiny_adder();
     SynthesisJobParams none;  // no deadline
@@ -172,46 +172,17 @@ TEST(Robustness, EarliestDeadlineFirstWithinLane) {
     SynthesisJobParams soon = none;
     soon.deadline = Clock::now() + 30s;
 
-    SynthesisService::Submission a = service.submit(input, none);
-    SynthesisService::Submission b = service.submit(input, late);
-    SynthesisService::Submission c = service.submit(input, soon);
-    SynthesisService::Submission d = service.submit(input, none);
-    EXPECT_EQ(service.stats().queued, 4);
-    service.resume();
-
-    const FlowResult ra = a.result.get();
-    const FlowResult rb = b.result.get();
-    const FlowResult rc = c.result.get();
-    const FlowResult rd = d.result.get();
-    for (const FlowResult* r : {&ra, &rb, &rc, &rd}) {
-        ASSERT_EQ(r->status, JobStatus::kCompleted);
+    std::vector<SynthesisService::Submission> subs;
+    for (const SynthesisJobParams* jp : {&none, &late, &soon, &none}) {
+        subs.push_back(service.submit(input, *jp));
     }
-    // EDF: the 30 s deadline dispatches first, then the 60 s one; the
-    // deadline-less jobs go last even though one was submitted first, and
-    // keep their submission (FIFO) order among themselves.
-    EXPECT_EQ(rc.start_order, 0u);
-    EXPECT_EQ(rb.start_order, 1u);
-    EXPECT_EQ(ra.start_order, 2u);
-    EXPECT_EQ(rd.start_order, 3u);
-}
-
-TEST(Robustness, WaitIdleForBoundsThePausedQueueWait) {
-    SynthesisService service;
-    service.pause();
-    SynthesisJobParams jp;
-    jp.flow = "bdsmaj";
-    SynthesisService::Submission sub = service.submit(tiny_adder(), jp);
-    // Paused with a queued job: wait_idle() would block forever here (the
-    // documented contract); the bounded form reports "not idle" instead.
-    EXPECT_FALSE(service.wait_idle_for(50ms));
-    service.resume();
-    EXPECT_TRUE(service.wait_idle_for(60000ms));
-    EXPECT_EQ(sub.result.get().status, JobStatus::kCompleted);
-}
-
-TEST(Robustness, WaitIdleForOnIdleServiceReturnsImmediately) {
-    SynthesisService service;
-    EXPECT_TRUE(service.wait_idle_for(0ms));
+    EXPECT_EQ(service.stats().queued, 3);
+    gate.set_value();
+    for (std::size_t i = 0; i < subs.size(); ++i) {
+        const FlowResult r = subs[i].result.get();
+        ASSERT_EQ(r.status, JobStatus::kCompleted) << "job " << i;
+        EXPECT_EQ(r.start_order, i) << "job " << i;
+    }
 }
 
 }  // namespace

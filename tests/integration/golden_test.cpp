@@ -192,6 +192,48 @@ TEST(Golden, PaperPresetMcncSweepIsPinned) {
 }
 
 // ---------------------------------------------------------------------------
+// Every preset's mapped quality: BDS-MAJ over the 17 quick circuits,
+// unverified (the sign-off changes no netlist). A preset whose totals move
+// synthesizes something else. Delays compare at the area tolerance.
+// ---------------------------------------------------------------------------
+
+struct PresetQualityGolden {
+    const char* preset;
+    double area_um2;
+    long gates;
+    double delay_ns;
+};
+
+constexpr PresetQualityGolden kPresetQuality[] = {
+    {"paper", 1350.765, 8022, 19.189},
+    {"exact-aggressive", 1338.935, 7872, 19.3115},
+    {"best-cost", 1334.515, 7869, 19.274},
+    {"symmetry", 1340.755, 7879, 19.405},
+    {"shannon", 2090.075, 15381, 33.3265},
+};
+
+TEST(Golden, PresetQualityTotalsArePinned) {
+    const std::vector<Network> inputs = quick_circuits(benchgen::benchmark_names());
+    ASSERT_EQ(inputs.size(), 17u);
+    for (const PresetQualityGolden& g : kPresetQuality) {
+        flows::FlowOptions options;
+        options.preset = g.preset;
+        double area = 0;
+        long gates = 0;
+        double delay = 0;
+        for (const Network& input : inputs) {
+            const mapping::MappedResult& mapped = flows::flow_bdsmaj(input, options).mapped;
+            area += mapped.area_um2;
+            gates += mapped.gate_count;
+            delay += mapped.delay_ns;
+        }
+        EXPECT_NEAR(area, g.area_um2, kAreaTolerance) << g.preset;
+        EXPECT_EQ(gates, g.gates) << g.preset;
+        EXPECT_NEAR(delay, g.delay_ns, kAreaTolerance) << g.preset;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Reordering: the node count one sift of the global output BDDs reaches
 // fingerprints the final variable order. Faster reordering must not move
 // it, and the interaction/lower-bound machinery must keep avoiding most of

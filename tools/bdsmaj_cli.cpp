@@ -49,7 +49,7 @@ struct Options {
     bool quiet = false;
     int max_jobs = 0;
     int cone_cache_mb = -1;  ///< -1 = keep the library default (64 MiB)
-    /// --deadline-ms / --soft-budget-ms (<= 0 = off). Each job turns them
+    /// --deadline-ms / --soft-budget-ms (0 = off). Each job turns them
     /// into absolute instants as it is submitted (see armed()).
     double deadline_after_ms = 0.0;
     double soft_budget_after_ms = 0.0;
@@ -128,20 +128,22 @@ void print_help(std::FILE* to) {
         "                               then the mapped netlist is certified node\n"
         "                               by node)\n"
         "\n"
-        "deadlines and graceful degradation (BDS flows):\n"
-        "  --deadline-ms MS             hard deadline, measured from the job's\n"
-        "                               submission, so queue wait counts. The job\n"
-        "                               is shed at dispatch or stopped at its next\n"
-        "                               checkpoint and reports \"deadline exceeded\";\n"
-        "                               one input then exits with status 4, while\n"
-        "                               with several inputs it is not a failure\n"
-        "  --soft-budget-ms MS          soft budget: once it expires, remaining\n"
-        "                               supernodes are decomposed with cheaper\n"
-        "                               settings down the degrade ladder instead\n"
-        "                               of failing (paper with clamped sifting,\n"
-        "                               then plain shannon) - the run completes\n"
-        "                               and the result stays equivalent (the\n"
-        "                               summary counts the degraded supernodes)\n"
+        "deadlines and graceful degradation:\n"
+        "  --deadline-ms MS             hard deadline for any flow, measured from\n"
+        "                               the job's submission, so queue wait counts.\n"
+        "                               The job is shed at dispatch or stopped at\n"
+        "                               its next checkpoint and reports \"deadline\n"
+        "                               exceeded\"; one input then exits with status\n"
+        "                               4, while with several inputs it is not a\n"
+        "                               failure\n"
+        "  --soft-budget-ms MS          soft budget (BDS flows): once it expires,\n"
+        "                               remaining supernodes are decomposed with\n"
+        "                               cheaper settings down the degrade ladder\n"
+        "                               instead of failing (paper with clamped\n"
+        "                               sifting, then plain shannon) - the run\n"
+        "                               completes and the result stays equivalent\n"
+        "                               (the summary counts the degraded\n"
+        "                               supernodes)\n"
         "\n"
         "inputs and jobs (every input is one job of a synthesis service; every\n"
         "flag above applies to each job, and results print in input order):\n"
@@ -358,8 +360,8 @@ int main(int argc, char** argv) {
         {"--cone-cache-mb", &opt.cone_cache_mb, kNonNegative},
         {"--no-cone-cache", Switch{&job.cone_cache, false}},
         {"--no-verify", Switch{&job.verify, false}},
-        {"--deadline-ms", &opt.deadline_after_ms},
-        {"--soft-budget-ms", &opt.soft_budget_after_ms},
+        {"--deadline-ms", &opt.deadline_after_ms, kNonNegative},
+        {"--soft-budget-ms", &opt.soft_budget_after_ms, kNonNegative},
         {"--max-jobs", &opt.max_jobs, kNonNegative},
         {"--quick", Switch{&opt.quick, true}},
     };
@@ -421,9 +423,9 @@ int main(int argc, char** argv) {
                              "(bdsmaj/bdspga/all)\n");
         return 2;
     }
-    if ((opt.deadline_after_ms > 0 || opt.soft_budget_after_ms > 0) && !bds) {
-        std::fprintf(stderr, "--deadline-ms/--soft-budget-ms only apply to the "
-                             "BDS flows (bdsmaj/bdspga/all)\n");
+    if (opt.soft_budget_after_ms > 0 && !bds) {
+        std::fprintf(stderr, "--soft-budget-ms only applies to the BDS flows "
+                             "(bdsmaj/bdspga/all)\n");
         return 2;
     }
     if ((opt.out || opt.map_out) && (opt.inputs.size() > 1 || job.flow == "all")) {
