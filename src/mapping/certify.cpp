@@ -126,36 +126,58 @@ MappingCertificate certify_mapping(const Network& source, const MappedResult& ma
         if (complement[image.node] != net::kNoNode) check.bind(complement[image.node], ~w);
     };
 
-    std::vector<char> proven(source.node_count(), 0);
+    // Per source node: kUnproven, kImaged (its image is proven), or proven
+    // constant. A constant needs no image: readers take it by value.
+    enum : char { kUnproven, kImaged, kConst0, kConst1 };
+    std::vector<char> proven(source.node_count(), kUnproven);
+    const auto const_word = [&](NodeId id) -> std::uint64_t {
+        return proven[id] == kConst1 ? ~std::uint64_t{0} : 0;
+    };
     for (std::size_t i = 0; i < source.inputs().size(); ++i) {
         const NodeId id = source.inputs()[i];
-        proven[id] = mapped.node_map[id] == Signal{netlist.inputs()[i], false};
-        if (!proven[id]) ++cert.inconclusive;
+        if (mapped.node_map[id] == Signal{netlist.inputs()[i], false}) {
+            proven[id] = kImaged;
+        } else {
+            ++cert.inconclusive;
+        }
     }
+    std::uint64_t fanin_word[kMaxFanins] = {};
     std::vector<std::uint64_t> scratch;
     for (const NodeId id : source.topo_order()) {
         const net::Node& n = source.node(id);
         if (n.kind == GateKind::kInput) continue;
         const Signal image = mapped.node_map[id];
-        bool ok = in_netlist(image.node) && n.fanins.size() <= kMaxFanins;
+        bool ok = n.fanins.size() <= kMaxFanins;
         for (std::size_t k = 0; ok && k < n.fanins.size(); ++k) {
-            ok = proven[n.fanins[k]] != 0;
+            ok = proven[n.fanins[k]] != kUnproven;
         }
         if (ok) {
             check.reset();
             for (std::size_t k = 0; k < n.fanins.size(); ++k) {
-                bind_image(mapped.node_map[n.fanins[k]], kVar[k]);
+                const NodeId f = n.fanins[k];
+                if (proven[f] == kImaged) {
+                    fanin_word[k] = kVar[k];
+                    bind_image(mapped.node_map[f], kVar[k]);
+                } else {
+                    fanin_word[k] = const_word(f);
+                }
             }
             const std::uint64_t expected = net::eval_node_word(
-                n, [](std::size_t k) { return kVar[k]; }, scratch);
-            ok = check.eval(image.node);
-            if (ok) {
-                const std::uint64_t got =
-                    image.complemented ? ~check.word(image.node) : check.word(image.node);
-                ok = ((got ^ expected) & check.care()) == 0;
+                n, [&](std::size_t k) { return fanin_word[k]; }, scratch);
+            if ((expected & check.care()) == 0) {
+                proven[id] = kConst0;
+            } else if ((~expected & check.care()) == 0) {
+                proven[id] = kConst1;
+            } else {
+                ok = in_netlist(image.node) && check.eval(image.node);
+                if (ok) {
+                    const std::uint64_t got = image.complemented ? ~check.word(image.node)
+                                                                 : check.word(image.node);
+                    ok = ((got ^ expected) & check.care()) == 0;
+                }
+                if (ok) proven[id] = kImaged;
             }
         }
-        proven[id] = ok;
         if (ok) {
             ++cert.certified_nodes;
         } else {
@@ -165,11 +187,16 @@ MappingCertificate certify_mapping(const Network& source, const MappedResult& ma
     for (std::size_t o = 0; o < source.outputs().size(); ++o) {
         const NodeId driver = source.outputs()[o].driver;
         const NodeId cell = netlist.outputs()[o].driver;
-        bool ok = proven[driver] != 0 && in_netlist(cell);
+        bool ok = proven[driver] != kUnproven && in_netlist(cell);
         if (ok) {
             check.reset();
-            bind_image(mapped.node_map[driver], kVar[0]);
-            ok = check.eval(cell) && ((check.word(cell) ^ kVar[0]) & check.care()) == 0;
+            std::uint64_t want = kVar[0];
+            if (proven[driver] == kImaged) {
+                bind_image(mapped.node_map[driver], kVar[0]);
+            } else {
+                want = const_word(driver);
+            }
+            ok = check.eval(cell) && ((check.word(cell) ^ want) & check.care()) == 0;
         }
         if (!ok) ++cert.inconclusive;
     }

@@ -12,13 +12,16 @@
 // image over those bindings for all 2^k fanin values in one 64-bit word,
 // and compares the result with v's own gate function. The cone walk stops
 // at bound nodes and constants. Reaching any other primary input, a cone
-// over the size budget, or a mismatch leaves v inconclusive. Inputs match
-// by position, and each output's netlist driver is checked the same way
-// against its source driver's image. By induction over the topological
-// order, a complete certificate proves the netlist equivalent to the
-// source. The mapper, cleanup and factor_network only propose the
-// correspondence; none of them is trusted (docs/architecture.md,
-// "Mapping certificate").
+// over the size budget, or a mismatch leaves v inconclusive. A fanin
+// proven constant is read by value instead of bound, and a v whose gate
+// function is constant on the consistent fanin values is proven constant
+// without an image, so logic that cleanup folded away stays checkable.
+// Inputs match by position, and each output's netlist driver is checked
+// the same way against its source driver's image, or against the constant
+// its driver was proven to be. By induction over the topological order, a
+// complete certificate proves the netlist equivalent to the source. The
+// mapper and cleanup only propose the correspondence; neither is trusted
+// (docs/architecture.md, "Mapping certificate").
 
 #include "mapping/mapper.hpp"
 #include "network/network.hpp"
@@ -26,7 +29,8 @@
 namespace bdsmaj::mapping {
 
 struct MappingCertificate {
-    /// Source gates and constants proven equal to their images.
+    /// Source gates and constants proven equal to their images or proven
+    /// constant.
     int certified_nodes = 0;
     /// Source nodes and outputs the local check could not prove.
     int inconclusive = 0;

@@ -9,10 +9,14 @@
 // this builder, and equal subtrees — within or across supernodes — unify.
 //
 // Local simplification rules (constant folding, duplicate-input collapse,
-// MAJ self-duality normalization, MUX degeneration) fire during build, so
-// clients never create foldable gates.
+// MAJ self-duality normalization, MUX degeneration) fire in the build_*
+// calls, so those never create foldable gates. hashed_gate() applies no
+// rule: the technology mapper folds first and then emits library cells
+// through it.
 
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "network/gate_sink.hpp"
 #include "network/network.hpp"
@@ -41,14 +45,22 @@ public:
     /// Hash-consed SOP node over realized fanins.
     [[nodiscard]] Signal build_sop(const std::vector<Signal>& fanins, const Sop& sop);
 
+    /// The gate `kind` over `fanins` (sorted when `kind` is commutative),
+    /// hash-consed but not simplified: callers fold constants and
+    /// duplicate fanins themselves.
+    Signal hashed_gate(GateKind kind, std::vector<NodeId> fanins);
+
     /// Materialize the polarity: emits (and caches) a NOT gate if needed.
     NodeId realize(Signal s);
     /// The node realize() emitted for the complement of `node`, or kNoNode.
     [[nodiscard]] NodeId realized_complement(NodeId node) const;
+    /// Every complement realize() emitted, as (node, complement) pairs in
+    /// ascending node order.
+    [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> complements() const {
+        return {inverter_cache_.begin(), inverter_cache_.end()};
+    }
 
 private:
-    Signal hashed_gate(GateKind kind, std::vector<NodeId> fanins);
-
     Network& net_;
     std::map<std::pair<GateKind, std::vector<NodeId>>, NodeId> gate_cache_;
     std::map<std::pair<std::vector<NodeId>, std::string>, NodeId> sop_cache_;

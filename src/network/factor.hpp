@@ -1,10 +1,11 @@
 #pragma once
 // Algebraic factoring: rewrite SOP covers as AND/OR/NOT gate trees.
 //
-// BDS keeps decomposition results in factoring trees and periodically
-// re-expresses covers in factored form; the AIG refactor pass and the
-// BLIF-ingest path also need covers as gate logic. The divisor search is
-// the classical "quick factor": divide by the most frequent literal.
+// factor_generic walks a cover's factored form and emits it through
+// caller-supplied callbacks, so one walk serves every consumer: the AIG
+// conversion and refactor pass build AIG literals, and the technology
+// mapper builds library cells. The divisor search is the classical
+// "quick factor": divide by the most frequent literal.
 
 #include <cassert>
 #include <vector>
@@ -98,21 +99,4 @@ auto factor_generic(std::vector<Cube> cubes, const MakeLit& make_lit,
 }
 
 }  // namespace detail
-
-
-/// Number of literals in the factored form of `sop` (a proxy for the gate
-/// cost of the cover, used by refactoring gain functions).
-[[nodiscard]] int factored_literal_count(const Sop& sop);
-
-/// Synthesize `sop` over `fanins` into `net` as a tree of AND/OR/NOT
-/// gates; returns the root node.
-NodeId synthesize_sop(Network& net, const std::vector<NodeId>& fanins, const Sop& sop);
-
-/// Replace every SOP node of `in` with factored gates; structured gates
-/// pass through unchanged. When `node_map` is given it receives, for each
-/// node of `in`, the node of the result that computes it (kNoNode for
-/// nodes outside every output cone).
-[[nodiscard]] Network factor_network(const Network& in,
-                                     std::vector<NodeId>* node_map = nullptr);
-
 }  // namespace bdsmaj::net

@@ -273,12 +273,15 @@ TEST(ChaosService, DelayOnlyJitterChangesNothing) {
         baseline.push_back(
             net::write_blif(flows::flow_bdsmaj(input).optimized));
     }
+    // The baselines warmed the cone cache; cold jobs insert under jitter.
+    decomp::ConeCache::instance().clear();
     FaultPlan plan;
     plan.delay_rate = 1.0;  // every masked hit delays: the jitter is certain
     plan.delay = 200us;
-    plan.site_mask = site_bit(FaultSite::kWorkerTaskEntry) |
-                     site_bit(FaultSite::kConeCacheInsert) |
-                     site_bit(FaultSite::kSatSolve);
+    const FaultSite masked[] = {FaultSite::kWorkerTaskEntry, FaultSite::kConeCacheInsert,
+                                FaultSite::kSatSolve};
+    plan.site_mask = 0;
+    for (const FaultSite site : masked) plan.site_mask |= site_bit(site);
     ArmGuard guard(plan);
 
     runtime::ThreadPool pool(4);
@@ -288,6 +291,7 @@ TEST(ChaosService, DelayOnlyJitterChangesNothing) {
     SynthesisService service(sp);
     SynthesisJobParams jp;
     jp.flow = "bdsmaj";
+    jp.verify = true;  // C1355 (41 inputs) reaches the sign-off's SAT miter
     std::vector<SynthesisService::Submission> subs;
     for (const Network& input : inputs) subs.push_back(service.submit(input, jp));
     for (std::size_t i = 0; i < subs.size(); ++i) {
@@ -297,11 +301,11 @@ TEST(ChaosService, DelayOnlyJitterChangesNothing) {
         ASSERT_EQ(r.status, JobStatus::kCompleted);
         EXPECT_EQ(net::write_blif(r.results[0][0].optimized), baseline[i]);
     }
-    EXPECT_GT(FaultInjector::instance().delayed(FaultSite::kConeCacheInsert) +
-                  FaultInjector::instance().delayed(FaultSite::kSatSolve) +
-                  FaultInjector::instance().delayed(FaultSite::kWorkerTaskEntry),
-              0u)
-        << "the jitter plan never fired — the test proved nothing";
+    for (const FaultSite site : masked) {
+        // A site the jobs never reach is jittered in vain.
+        EXPECT_GT(FaultInjector::instance().delayed(site), 0u)
+            << "site " << runtime::fault_site_name(site) << " never delayed";
+    }
 }
 
 TEST(ChaosService, ServiceStaysUsableAfterAChaosEpisode) {

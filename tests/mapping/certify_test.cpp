@@ -1,7 +1,8 @@
 // The local mapping certificate (mapping/certify.hpp) against the global
 // equivalence checker: it must prove every mapping the four flows produce
-// on the quick suite and the small arithmetic generators, agree with the
-// global verdict there, and never accept a mapping broken on purpose.
+// on the quick suite and the small arithmetic generators, and the mapping
+// of each raw input, agree with the global verdict there, and never accept
+// a mapping broken on purpose.
 
 #include "mapping/certify.hpp"
 
@@ -65,6 +66,13 @@ TEST_P(CertificateCrossCheck, ProvesEveryFlowAndAgreesWithGlobalCec) {
         const net::EquivalenceResult eq = net::check_equivalent(input, r.mapped.netlist);
         EXPECT_TRUE(eq.equivalent) << r.flow_name << ": " << eq.reason;
     }
+    // Mapped raw, the input still holds logic that cleanup folds to
+    // constants (MAJ(x, 0, 0), AND(a, !a), source constants); the
+    // certificate proves it constant instead of giving up above it.
+    const MappingCertificate raw =
+        certify_mapping(input, map_network(input, flows::default_library()));
+    EXPECT_TRUE(raw.complete()) << "raw: " << raw.inconclusive << " inconclusive";
+    EXPECT_GT(raw.certified_nodes, 0) << "raw";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -143,22 +151,34 @@ std::vector<MappedResult> mutants(const MappedResult& mapped, int per_kind) {
 TEST(Certificate, RefutesUnsoundMappings) {
     struct Subject {
         Network input;
-        const char* flow;
+        const char* flow;  ///< nullptr: map the raw input, constants and all
     };
     const std::vector<Subject> subjects = {
         {benchgen::make_ripple_adder(6), "bdsmaj"},
         {benchgen::make_wallace_multiplier(4), "bdsmaj"},
         {benchgen::make_wallace_multiplier(4), "abc"},
         {benchgen::benchmark_by_name("f51m", /*quick=*/true), "dc"},
+        {benchgen::make_wallace_multiplier(4), nullptr},
+        {benchgen::make_array_multiplier(6), nullptr},
+        {benchgen::make_sqrt(8), nullptr},
+        {benchgen::benchmark_by_name("vda", /*quick=*/true), nullptr},
     };
     int refuted = 0;
     for (const Subject& s : subjects) {
-        const flows::SynthesisResult base = flows::run_flow(s.input, s.flow).front();
-        ASSERT_TRUE(certify_mapping(base.optimized, base.mapped).complete()) << s.flow;
+        flows::SynthesisResult base;
+        if (s.flow != nullptr) {
+            base = flows::run_flow(s.input, s.flow).front();
+        } else {
+            base.flow_name = "raw";
+            base.optimized = s.input;
+            base.mapped = map_network(s.input, flows::default_library());
+        }
+        ASSERT_TRUE(certify_mapping(base.optimized, base.mapped).complete())
+            << base.flow_name;
         const std::vector<MappedResult> variants = mutants(base.mapped, 12);
-        ASSERT_GE(variants.size(), 12u) << s.flow;
+        ASSERT_GE(variants.size(), 12u) << base.flow_name;
         for (std::size_t v = 0; v < variants.size(); ++v) {
-            const std::string where = std::string(s.flow) + " " +
+            const std::string where = base.flow_name + " " +
                                       s.input.model_name() + " mutant " + std::to_string(v);
             EXPECT_FALSE(certify_mapping(base.optimized, variants[v]).complete()) << where;
             flows::SynthesisResult result = base;

@@ -154,6 +154,28 @@ TEST(Mapper, SopInputsAreMappable) {
     const MappedResult r = map_network(net, lib());
     EXPECT_TRUE(is_library_netlist(r.netlist));
     EXPECT_TRUE(net::check_equivalent(net, r.netlist).equivalent);
+
+    // Covers of arity 1-7 over the leading inputs, and the two constant
+    // covers: the mapper factors each one straight into cells.
+    Network covers;
+    std::vector<NodeId> pins;
+    for (int i = 0; i < 7; ++i) {
+        pins.push_back(covers.add_input(std::string("i").append(std::to_string(i))));
+    }
+    for (int arity : {1, 2, 3, 5, 7}) {
+        for (int trial = 0; trial < 10; ++trial) {
+            const tt::TruthTable f = tt::TruthTable::random(arity, rng);
+            const std::vector<NodeId> fanins(pins.begin(), pins.begin() + arity);
+            const std::string name = std::string("a").append(std::to_string(arity))
+                                         .append("t").append(std::to_string(trial));
+            covers.add_output(name, covers.add_sop(fanins, net::Sop::isop(f), ""));
+        }
+    }
+    covers.add_output("zero", covers.add_sop({}, net::Sop(0), ""));
+    covers.add_output("one", covers.add_sop({}, net::Sop::constant(true, 0), ""));
+    const MappedResult rc = map_network(covers, lib());
+    EXPECT_TRUE(is_library_netlist(rc.netlist));
+    EXPECT_TRUE(net::check_equivalent(covers, rc.netlist).equivalent);
 }
 
 TEST(Timing, DelayGrowsWithDepthAndLoad) {

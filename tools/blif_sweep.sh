@@ -6,9 +6,10 @@
 #   tools/blif_sweep.sh CLI OUTDIR [flags...]
 #
 # Runs the 17 suite circuits at quick widths under every preset of
-# `CLI --list-presets` and both BDS flows (--flow bdsmaj|bdspga), plus the
-# 17 full-size circuits under --preset paper, all with --no-verify: with
-# the five-preset catalog that is 187 runs and 374 files. Extra flags
+# `CLI --list-presets` and both BDS flows (--flow bdsmaj|bdspga), then
+# through the ABC and DC baselines (--flow abc|dc), plus the 17 full-size
+# circuits under --preset paper, all with --no-verify: with the
+# five-preset catalog that is 221 runs and 442 files. Extra flags
 # (e.g. --no-cone-cache) are passed to every run. OUTDIR is created if
 # missing; existing files in it are overwritten. Exits non-zero on the
 # first failing run. docs/performance.md ("Byte-identity sweep") has the
@@ -47,6 +48,9 @@ for circuit in "${CIRCUITS[@]}"; do
             run "quick.$name.$preset.$flow" --quick --preset "$preset" \
                 --flow "$flow" "$@" "@$circuit"
         done
+    done
+    for flow in abc dc; do
+        run "quick.$name.$flow" --quick --flow "$flow" "$@" "@$circuit"
     done
     run "full.$name.paper.bdsmaj" --preset paper --flow bdsmaj "$@" "@$circuit"
 done
