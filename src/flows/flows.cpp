@@ -38,6 +38,7 @@ void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
         stage_seconds += seconds_since(stage_start);
         if (eq.engine == net::EquivEngine::kBdd) ++so.bdd_checks;
         if (eq.engine == net::EquivEngine::kSat) ++so.sat_checks;
+        if (eq.engine == net::EquivEngine::kExhaustive) ++so.exhaustive_checks;
         if (!eq.equivalent) {
             throw std::runtime_error(
                 result.flow_name + ": verification failed (engine " +

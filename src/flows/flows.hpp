@@ -86,6 +86,8 @@ struct FlowOptions {
 struct SignOffStats {
     int bdd_checks = 0;
     int sat_checks = 0;
+    /// Global checks proven by exhaustive simulation of all input patterns.
+    int exhaustive_checks = 0;
     net::CecStats cec;
     /// Optimized-network nodes the mapping certificate proved.
     int certified_nodes = 0;

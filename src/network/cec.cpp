@@ -32,9 +32,21 @@ constexpr std::int64_t kInternalConflictLimit = 2000;
 /// Conflict budget per output miter: unbounded, because output proofs are
 /// the actual sign-off and must not silently give up.
 constexpr std::int64_t kOutputConflictLimit = 0;
-/// check_equivalent proves with a global BDD when the input count is at
-/// most this, and with the SAT miter sweep above it.
+/// check_equivalent proves by exhaustive simulation or a guarded global
+/// BDD when the input count is at most this, and with the SAT miter sweep
+/// above it.
 constexpr std::size_t kBddInputLimit = 20;
+/// Up to this many inputs check_equivalent skips the pre-pass and proves
+/// by exhaustive simulation: 2^12 patterns are 64 words, no more than the
+/// pre-pass's own kRefutationRounds.
+constexpr std::size_t kExhaustiveInputLimit = 12;
+/// Node cap of check_equivalent's global BDD (12 < n <= 20 inputs). It is
+/// ManagerParams::max_live_nodes, which bounds every node allocated while
+/// the output BDDs are built: live nodes plus dead ones not yet collected
+/// (the manager collects only above 2^14 dead nodes, so none are here).
+/// Narrow control logic is proven under it; XOR/MAJ-heavy datapath BDDs
+/// trip it within milliseconds and go to exhaustive simulation instead.
+constexpr std::size_t kBddNodeGuard = std::size_t{1} << 13;
 
 /// The one I/O-shape check. Every engine matches inputs and outputs
 /// positionally, so differing counts refute without any input pattern.
@@ -80,6 +92,7 @@ const char* equiv_engine_name(EquivEngine engine) {
         case EquivEngine::kBdd: return "bdd";
         case EquivEngine::kSat: return "sat";
         case EquivEngine::kSim: return "sim";
+        case EquivEngine::kExhaustive: return "exhaustive";
     }
     return "?";
 }
@@ -110,6 +123,45 @@ EquivalenceResult verified_counterexample(const Network& a, const Network& b,
 
 namespace {
 
+/// Word-parallel simulation of two same-shaped networks on shared
+/// stimulus words. The topological orders and the value buffers are
+/// hoisted out of the callers' word loops; outputs are compared in place.
+class PairSimulator {
+public:
+    PairSimulator(const Network& a, const Network& b)
+        : a_(a), b_(b), order_a_(a.topo_order()), order_b_(b.topo_order()) {}
+
+    /// Simulate one word of 64 patterns (`stimulus[i]` drives input i).
+    /// Returns the re-verified counterexample of the first differing
+    /// output, read off the stimulus at the lowest differing bit, or
+    /// nothing when every output agrees on all 64 patterns.
+    std::optional<EquivalenceResult> refute(const std::vector<std::uint64_t>& stimulus,
+                                            const char* origin, EquivEngine engine) {
+        simulate_words_into(a_, order_a_, stimulus, value_a_, fanin_words_);
+        simulate_words_into(b_, order_b_, stimulus, value_b_, fanin_words_);
+        for (std::size_t o = 0; o < a_.outputs().size(); ++o) {
+            const std::uint64_t diff = value_a_[a_.outputs()[o].driver] ^
+                                       value_b_[b_.outputs()[o].driver];
+            if (diff != 0) {
+                const int bit = std::countr_zero(diff);
+                std::vector<bool> pattern(stimulus.size());
+                for (std::size_t i = 0; i < stimulus.size(); ++i) {
+                    pattern[i] = ((stimulus[i] >> bit) & 1) != 0;
+                }
+                return verified_counterexample(a_, b_, static_cast<int>(o),
+                                               std::move(pattern), origin, engine);
+            }
+        }
+        return std::nullopt;
+    }
+
+private:
+    const Network& a_;
+    const Network& b_;
+    const std::vector<NodeId> order_a_, order_b_;
+    std::vector<std::uint64_t> value_a_, value_b_, fanin_words_;
+};
+
 /// check_equivalent's refutation pre-pass: kRefutationRounds x 64 random
 /// patterns over same-shaped networks. Returns the re-verified
 /// counterexample of the first differing output, or nothing: agreement on
@@ -117,31 +169,46 @@ namespace {
 std::optional<EquivalenceResult> random_refutation(const Network& a, const Network& b) {
     std::mt19937_64 rng(kSimSeed);
     std::vector<std::uint64_t> stimulus(a.inputs().size());
-    // Hoisted out of the round loop: the topological orders and the value
-    // buffers; outputs are compared in place.
-    const std::vector<NodeId> order_a = a.topo_order();
-    const std::vector<NodeId> order_b = b.topo_order();
-    std::vector<std::uint64_t> value_a, value_b, fanin_words;
+    PairSimulator sim(a, b);
     for (int round = 0; round < kRefutationRounds; ++round) {
         for (auto& w : stimulus) w = rng();
-        simulate_words_into(a, order_a, stimulus, value_a, fanin_words);
-        simulate_words_into(b, order_b, stimulus, value_b, fanin_words);
-        for (std::size_t o = 0; o < a.outputs().size(); ++o) {
-            const std::uint64_t diff = value_a[a.outputs()[o].driver] ^
-                                       value_b[b.outputs()[o].driver];
-            if (diff != 0) {
-                const int bit = std::countr_zero(diff);
-                std::vector<bool> pattern(stimulus.size());
-                for (std::size_t i = 0; i < stimulus.size(); ++i) {
-                    pattern[i] = ((stimulus[i] >> bit) & 1) != 0;
-                }
-                return verified_counterexample(a, b, static_cast<int>(o),
-                                               std::move(pattern), "simulation",
-                                               EquivEngine::kSim);
-            }
+        if (auto refuted = sim.refute(stimulus, "simulation", EquivEngine::kSim)) {
+            return refuted;
         }
     }
     return std::nullopt;
+}
+
+/// The exhaustive engine: all 2^n patterns of same-shaped networks with
+/// n <= kBddInputLimit inputs, 64 to a word. Inputs 0-5 take the six
+/// variable words (bit k of input i's word is bit i of k); input i >= 6 is
+/// all-ones or zero by bit i - 6 of the chunk index, so a mismatch's
+/// pattern, read off the stimulus at its bit, is the one that chunk and
+/// bit index name. Below 6 inputs the one word repeats the 2^n patterns.
+/// Exact both ways: agreement on every pattern is a proof, and a mismatch
+/// is a re-verified counterexample.
+EquivalenceResult exhaustive_equivalent(const Network& a, const Network& b) {
+    static constexpr std::uint64_t kVarWords[6] = {
+        0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
+        0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL};
+    const std::size_t n = a.inputs().size();
+    std::vector<std::uint64_t> stimulus(n);
+    for (std::size_t i = 0; i < n && i < 6; ++i) stimulus[i] = kVarWords[i];
+    const std::uint64_t chunks = n > 6 ? std::uint64_t{1} << (n - 6) : 1;
+    PairSimulator sim(a, b);
+    for (std::uint64_t chunk = 0; chunk < chunks; ++chunk) {
+        for (std::size_t i = 6; i < n; ++i) {
+            stimulus[i] = ((chunk >> (i - 6)) & 1) != 0 ? ~std::uint64_t{0} : 0;
+        }
+        if (auto refuted = sim.refute(stimulus, "exhaustive simulation",
+                                      EquivEngine::kExhaustive)) {
+            return *refuted;
+        }
+    }
+    EquivalenceResult r;
+    r.equivalent = true;
+    r.engine = EquivEngine::kExhaustive;
+    return r;
 }
 
 /// Topological level of every node (inputs/constants = 0). Candidate
@@ -349,11 +416,14 @@ private:
     std::vector<sat::Lit> out_a_, out_b_;
 };
 
-}  // namespace
-
-EquivalenceResult bdd_equivalent(const Network& a, const Network& b) {
-    if (auto mismatch = shape_mismatch(a, b, EquivEngine::kBdd)) return *mismatch;
-    bdd::Manager mgr(static_cast<int>(a.inputs().size()));
+/// The BDD engine on same-shaped networks: both networks' output BDDs in
+/// one manager built with `params`. A node cap there throws
+/// bdd::ResourceExhausted, and the poisoned manager dies with this frame.
+/// Inequivalence comes with a counterexample walked out of the difference
+/// BDD.
+EquivalenceResult guarded_bdd_equivalent(const Network& a, const Network& b,
+                                         const bdd::ManagerParams& params) {
+    bdd::Manager mgr(static_cast<int>(a.inputs().size()), params);
     const std::vector<bdd::Bdd> fa = network_to_bdds(a, mgr);
     const std::vector<bdd::Bdd> fb = network_to_bdds(b, mgr);
     for (std::size_t o = 0; o < fa.size(); ++o) {
@@ -381,6 +451,13 @@ EquivalenceResult bdd_equivalent(const Network& a, const Network& b) {
     r.equivalent = true;
     r.engine = EquivEngine::kBdd;
     return r;
+}
+
+}  // namespace
+
+EquivalenceResult bdd_equivalent(const Network& a, const Network& b) {
+    if (auto mismatch = shape_mismatch(a, b, EquivEngine::kBdd)) return *mismatch;
+    return guarded_bdd_equivalent(a, b, {});
 }
 
 EquivalenceResult sat_equivalent(const Network& a, const Network& b,
@@ -433,11 +510,20 @@ EquivalenceResult check_equivalent(const Network& a, const Network& b,
                                    const CecParams& params, CecStats* stats) {
     // The I/O-shape check and the refutation pre-pass tag their verdicts
     // kSim. Bit-parallel random simulation catches the overwhelming
-    // majority of real bugs before any proof machinery runs.
+    // majority of real bugs before any proof machinery runs; up to
+    // kExhaustiveInputLimit inputs the exhaustive proof is no more work.
     if (auto mismatch = shape_mismatch(a, b, EquivEngine::kSim)) return *mismatch;
+    const std::size_t inputs = a.inputs().size();
+    if (inputs <= kExhaustiveInputLimit) return exhaustive_equivalent(a, b);
     if (auto refuted = random_refutation(a, b)) return *refuted;
-    if (a.inputs().size() <= kBddInputLimit) return bdd_equivalent(a, b);
-    return sat_equivalent(a, b, params, stats);
+    if (inputs > kBddInputLimit) return sat_equivalent(a, b, params, stats);
+    bdd::ManagerParams guarded;
+    guarded.max_live_nodes = kBddNodeGuard;
+    try {
+        return guarded_bdd_equivalent(a, b, guarded);
+    } catch (const bdd::ResourceExhausted&) {
+        return exhaustive_equivalent(a, b);
+    }
 }
 
 }  // namespace bdsmaj::net

@@ -2,10 +2,15 @@
 // Combinational equivalence checking (CEC): the one module that issues
 // equivalence verdicts.
 //
-// check_equivalent() is the sign-off of every flow. Bit-parallel random
-// simulation refutes cheap mismatches first; what survives is proven by a
-// global BDD on narrow circuits and, above 20 inputs, with per-output CNF
-// miters over the in-repo CDCL solver (sat/solver.hpp).
+// check_equivalent() is the sign-off of every flow. Up to 12 inputs it
+// simulates all 2^n input patterns, 64 to a word (exhaustive simulation,
+// which is a proof). Wider circuits go through bit-parallel random
+// simulation first, which refutes cheap mismatches. Up to 20 inputs, what
+// survives is proven by a global BDD under a cap on allocated nodes. Narrow
+// control logic finishes under the guard; XOR/MAJ datapath BDDs trip it
+// and are proven by exhaustive simulation instead. Above 20 inputs the
+// proof uses per-output CNF miters over the in-repo CDCL solver
+// (sat/solver.hpp).
 // Before touching the output miters, internal nodes of both networks are
 // grouped into candidate-equivalence classes by their simulation
 // signatures (fraiging-lite) and the candidates are discharged with
@@ -30,10 +35,12 @@ namespace bdsmaj::net {
 
 /// The engine behind an equivalence verdict. kSim tags a refutation by
 /// check_equivalent's random pre-pass (and its I/O-shape check); kBdd and
-/// kSat tag the proofs and refutations of bdd_equivalent/sat_equivalent.
+/// kSat tag the proofs and refutations of the global BDD and the SAT
+/// miters; kExhaustive tags those of check_equivalent's exhaustive
+/// simulation of all 2^n input patterns.
 /// kAuto is no engine and no verdict carries it: it is kept only so that
 /// existing callers that still assign FlowOptions::oracle keep compiling.
-enum class EquivEngine : std::uint8_t { kAuto, kBdd, kSat, kSim };
+enum class EquivEngine : std::uint8_t { kAuto, kBdd, kSat, kSim, kExhaustive };
 
 [[nodiscard]] const char* equiv_engine_name(EquivEngine engine);
 
@@ -57,7 +64,8 @@ struct CecParams {
     bool fraig = true;
 };
 
-/// Observability counters filled by the SAT engine (zeros for a BDD proof).
+/// Observability counters filled by the SAT engine (zeros for a BDD or
+/// exhaustive proof).
 /// Every check adds to them, so one CecStats can sum several checks.
 struct CecStats {
     std::uint64_t sim_rounds = 0;           ///< total simulation rounds run
@@ -69,10 +77,11 @@ struct CecStats {
     std::uint64_t conflicts = 0;            ///< total solver conflicts
 };
 
-/// Exact equivalence by building both networks' output BDDs in one manager.
-/// Practical only for narrow circuits on these benchmark classes (the
-/// multiplier BDD is exponential); inequivalence comes with a
-/// counterexample pattern extracted from the difference BDD.
+/// Exact equivalence by building both networks' output BDDs in one
+/// manager, with no node guard. Practical only for narrow circuits on
+/// these benchmark classes (the multiplier BDD is exponential);
+/// inequivalence comes with a counterexample pattern extracted from the
+/// difference BDD. check_equivalent runs the same engine under a guard.
 [[nodiscard]] EquivalenceResult bdd_equivalent(const Network& a, const Network& b);
 
 /// SAT miter equivalence proof (exact at any input count). Networks are
@@ -81,10 +90,14 @@ struct CecStats {
                                                const CecParams& params = {},
                                                CecStats* stats = nullptr);
 
-/// The equivalence sign-off of every flow: 64 rounds of random simulation
-/// refute first, then a global BDD proves at most 20 inputs and the SAT
-/// miter sweep proves anything wider. Callers that want one engine call
-/// bdd_equivalent/sat_equivalent.
+/// The equivalence sign-off of every flow. The input count alone picks
+/// the engine:
+///  - n <= 12: exhaustive simulation of all 2^n patterns (kExhaustive);
+///  - 12 < n <= 20: 64 rounds of random simulation refute first, then a
+///    global BDD capped at 2^13 allocated nodes proves (kBdd); a cap trip
+///    sends the check to exhaustive simulation (kExhaustive);
+///  - n > 20: the random pre-pass, then the SAT miter sweep (kSat).
+/// Callers that want one engine call bdd_equivalent/sat_equivalent.
 [[nodiscard]] EquivalenceResult check_equivalent(const Network& a, const Network& b,
                                                  const CecParams& params = {},
                                                  CecStats* stats = nullptr);

@@ -117,11 +117,13 @@ TEST(Flows, SignOffKeepsItsStats) {
     // The sign-off records which engine proved its global check (optimized
     // against the input), what the mapping certificate proved for the
     // mapped netlist, the SAT counters and the time of each stage. The
-    // global check proves narrow circuits by BDD and wide ones by SAT.
+    // global check proves circuits of at most 12 inputs by exhaustive
+    // simulation, narrow control logic by BDD and wide circuits by SAT.
     FlowOptions options;
     options.verify = true;
     const SynthesisResult narrow = flow_bdsmaj(benchgen::make_ripple_adder(4), options);
-    EXPECT_EQ(narrow.signoff.bdd_checks, 1);
+    EXPECT_EQ(narrow.signoff.exhaustive_checks, 1);
+    EXPECT_EQ(narrow.signoff.bdd_checks, 0);
     EXPECT_EQ(narrow.signoff.sat_checks, 0);
     EXPECT_EQ(narrow.signoff.cec.sat_calls, 0u);
     EXPECT_GT(narrow.signoff.certified_nodes, 0);
@@ -131,6 +133,7 @@ TEST(Flows, SignOffKeepsItsStats) {
     const SynthesisResult r = flow_bdsmaj(wide, options);
     EXPECT_EQ(r.signoff.bdd_checks, 0);
     EXPECT_EQ(r.signoff.sat_checks, 1);
+    EXPECT_EQ(r.signoff.exhaustive_checks, 0);
     EXPECT_GT(r.signoff.certified_nodes, 0);
     EXPECT_EQ(r.signoff.certificate_fallbacks, 0);
     // At least the per-output miters of the one global check went to the
@@ -144,7 +147,9 @@ TEST(Flows, SignOffKeepsItsStats) {
 
     // No sign-off, no stats.
     const SynthesisResult unverified = flow_bdsmaj(wide, FlowOptions{});
-    EXPECT_EQ(unverified.signoff.bdd_checks + unverified.signoff.sat_checks, 0);
+    EXPECT_EQ(unverified.signoff.bdd_checks + unverified.signoff.sat_checks +
+                  unverified.signoff.exhaustive_checks,
+              0);
     EXPECT_EQ(unverified.signoff.cec.sat_calls, 0u);
     EXPECT_EQ(unverified.signoff.certified_nodes, 0);
 }

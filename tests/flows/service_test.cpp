@@ -264,7 +264,8 @@ TEST(SynthesisService, StatsAggregateGateCounts) {
 
 TEST(SynthesisService, VerifiedJobsCarryExactEquivalenceVerdicts) {
     // Service-side sign-off: every flow of a verify job records an exact
-    // oracle verdict (f51m has 8 inputs, so the global check is a BDD).
+    // oracle verdict (f51m has 8 inputs, so the global check is exhaustive
+    // simulation).
     const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
     SynthesisService service;
     SynthesisJobParams jp;
@@ -277,8 +278,9 @@ TEST(SynthesisService, VerifiedJobsCarryExactEquivalenceVerdicts) {
     for (const SynthesisResult& sr : r.results[0]) {
         ASSERT_TRUE(sr.equivalence.has_value()) << sr.flow_name;
         EXPECT_TRUE(sr.equivalence->equivalent) << sr.flow_name;
-        EXPECT_EQ(sr.equivalence->engine, net::EquivEngine::kBdd) << sr.flow_name;
-        EXPECT_EQ(sr.signoff.bdd_checks + sr.signoff.sat_checks,
+        EXPECT_EQ(sr.equivalence->engine, net::EquivEngine::kExhaustive) << sr.flow_name;
+        EXPECT_EQ(sr.signoff.bdd_checks + sr.signoff.sat_checks +
+                      sr.signoff.exhaustive_checks,
                   1 + sr.signoff.certificate_fallbacks) << sr.flow_name;
         EXPECT_GT(sr.verify_seconds, 0.0) << sr.flow_name;
     }

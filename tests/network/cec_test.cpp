@@ -8,6 +8,7 @@
 
 #include "benchgen/arith.hpp"
 #include "benchgen/mcnc.hpp"
+#include "benchgen/suite.hpp"
 #include "decomp/flow.hpp"
 #include "network/simulate.hpp"
 
@@ -197,13 +198,33 @@ Network and_chain(int n) {
 }
 
 TEST(CheckEquivalent, AutoDispatchesByInputCount) {
-    // At most 20 inputs: the proof comes from the BDD engine; above that,
-    // from the SAT engine.
-    for (const Network& net : {full_adder(), and_chain(20)}) {
+    // At most 12 inputs: exhaustive simulation proves, with no pre-pass.
+    for (const Network& net : {full_adder(), and_chain(12)}) {
         const EquivalenceResult r = check_equivalent(net, net);
         EXPECT_TRUE(r.equivalent);
-        EXPECT_EQ(r.engine, EquivEngine::kBdd) << net.inputs().size() << " inputs";
+        EXPECT_EQ(r.engine, EquivEngine::kExhaustive) << net.inputs().size() << " inputs";
     }
+    // 13 to 20 inputs: narrow control logic is proven by the guarded
+    // global BDD...
+    for (const Network& net :
+         {and_chain(13), benchgen::make_vda() /* 17 inputs */,
+          benchgen::make_random_control("rctl", 18, 12, 8, /*seed=*/0x5eed),
+          and_chain(20)}) {
+        const EquivalenceResult r = check_equivalent(net, decomp::run_bdsmaj(net).network);
+        EXPECT_TRUE(r.equivalent);
+        EXPECT_EQ(r.engine, EquivEngine::kBdd) << net.model_name();
+    }
+    // ... while a 20-input multiplier trips the node guard, and exhaustive
+    // simulation proves it instead (a BDD verdict would read kBdd).
+    {
+        const Network wallace = benchgen::make_wallace_multiplier(10);
+        ASSERT_EQ(wallace.inputs().size(), 20u);
+        const EquivalenceResult r =
+            check_equivalent(wallace, decomp::run_bdsmaj(wallace).network);
+        EXPECT_TRUE(r.equivalent);
+        EXPECT_EQ(r.engine, EquivEngine::kExhaustive);
+    }
+    // Above 20 inputs: SAT.
     {
         const Network net = and_chain(21);
         const EquivalenceResult r = check_equivalent(net, net);
@@ -228,11 +249,12 @@ TEST(CheckEquivalent, WideCircuitsGetExactSatSignOffNotRandomDowngrade) {
     const EquivalenceResult r = check_equivalent(wide, d.network);
     EXPECT_TRUE(r.equivalent);
     EXPECT_EQ(r.engine, EquivEngine::kSat);
-    // And a small circuit still picks BDD under the same defaults.
+    // A 16-input multiplier trips the BDD's node guard under the same
+    // defaults and gets an exact exhaustive proof.
     const decomp::DecompFlowResult ds = decomp::run_bdsmaj(input);
     const EquivalenceResult rs = check_equivalent(input, ds.network);
     EXPECT_TRUE(rs.equivalent);
-    EXPECT_EQ(rs.engine, EquivEngine::kBdd);
+    EXPECT_EQ(rs.engine, EquivEngine::kExhaustive);
     // Where both engines are tractable, the SAT proof is exact and agrees
     // with the BDD verdict.
     const EquivalenceResult sat = sat_equivalent(input, ds.network);
@@ -275,6 +297,7 @@ TEST(CheckEquivalent, EngineNamesRoundTrip) {
     EXPECT_STREQ(equiv_engine_name(EquivEngine::kBdd), "bdd");
     EXPECT_STREQ(equiv_engine_name(EquivEngine::kSat), "sat");
     EXPECT_STREQ(equiv_engine_name(EquivEngine::kSim), "sim");
+    EXPECT_STREQ(equiv_engine_name(EquivEngine::kExhaustive), "exhaustive");
 }
 
 TEST(CheckEquivalent, BddRefutationCarriesCounterexampleToo) {
@@ -295,6 +318,239 @@ TEST(CheckEquivalent, BddRefutationCarriesCounterexampleToo) {
     ASSERT_EQ(r.counterexample.size(), 2u);
     EXPECT_EQ(r.failing_output, 0);
     EXPECT_NE(simulate(a, r.counterexample)[0], simulate(b, r.counterexample)[0]);
+}
+
+/// Expect `r` to be an exhaustive-simulation refutation whose
+/// counterexample really distinguishes `a` and `b` at the failing output.
+void expect_exhaustive_refutation(const Network& a, const Network& b,
+                                  const EquivalenceResult& r) {
+    ASSERT_FALSE(r.equivalent);
+    EXPECT_EQ(r.engine, EquivEngine::kExhaustive);
+    ASSERT_GE(r.failing_output, 0);
+    ASSERT_EQ(r.counterexample.size(), a.inputs().size());
+    const std::size_t o = static_cast<std::size_t>(r.failing_output);
+    EXPECT_NE(simulate(a, r.counterexample)[o], simulate(b, r.counterexample)[o]);
+}
+
+/// Complement the first output driver of `net` whose kind has a dual
+/// (AND <-> NAND, OR <-> NOR, XOR <-> XNOR); returns its output index.
+int complement_an_output(Network& net) {
+    for (std::size_t o = 0; o < net.outputs().size(); ++o) {
+        Node& driver = net.node(net.outputs()[o].driver);
+        switch (driver.kind) {
+            case GateKind::kAnd: driver.kind = GateKind::kNand; break;
+            case GateKind::kNand: driver.kind = GateKind::kAnd; break;
+            case GateKind::kOr: driver.kind = GateKind::kNor; break;
+            case GateKind::kNor: driver.kind = GateKind::kOr; break;
+            case GateKind::kXor: driver.kind = GateKind::kXnor; break;
+            case GateKind::kXnor: driver.kind = GateKind::kXor; break;
+            default: continue;
+        }
+        return static_cast<int>(o);
+    }
+    return -1;
+}
+
+TEST(ExhaustiveEquivalence, AgreesWithBddOnQuickSuiteAndArithGrid) {
+    // Every circuit of at most 20 inputs from the quick suite and the
+    // arithmetic grid, against its decomposition and against that
+    // decomposition with one output complemented: check_equivalent's
+    // verdict (exhaustive up to 12 inputs or after a guard trip, BDD
+    // otherwise) must equal the unguarded BDD's.
+    std::vector<Network> circuits;
+    for (const benchgen::BenchmarkCase& bc : benchgen::table_suite(/*quick=*/true)) {
+        circuits.push_back(bc.network);
+    }
+    for (const int w : {8, 10}) {
+        circuits.push_back(benchgen::make_array_multiplier(w));
+        circuits.push_back(benchgen::make_wallace_multiplier(w));
+    }
+    circuits.push_back(benchgen::make_restoring_divider(8));
+    for (const int r : {4, 5, 6, 7, 8, 9}) circuits.push_back(benchgen::make_sqrt(r));
+    for (const int w : {8, 10, 12}) circuits.push_back(benchgen::make_reciprocal(w));
+    circuits.push_back(benchgen::make_cla_adder(8));
+    circuits.push_back(benchgen::make_four_operand_adder(4));
+    int exhaustive = 0, bdd = 0, refuted = 0;
+    for (const Network& input : circuits) {
+        if (input.inputs().size() > 20) continue;
+        const Network optimized = decomp::run_bdsmaj(input).network;
+        const EquivalenceResult proof = check_equivalent(input, optimized);
+        EXPECT_TRUE(proof.equivalent) << input.model_name() << ": " << proof.reason;
+        EXPECT_EQ(proof.equivalent, bdd_equivalent(input, optimized).equivalent)
+            << input.model_name();
+        if (proof.engine == EquivEngine::kExhaustive) {
+            ++exhaustive;
+        } else if (proof.engine == EquivEngine::kBdd) {
+            ++bdd;
+        }
+
+        Network mutated = optimized;
+        if (complement_an_output(mutated) < 0) continue;
+        const EquivalenceResult r = check_equivalent(input, mutated);
+        ASSERT_EQ(r.equivalent, bdd_equivalent(input, mutated).equivalent)
+            << input.model_name();
+        if (!r.equivalent) {
+            ++refuted;
+            const std::size_t o = static_cast<std::size_t>(r.failing_output);
+            EXPECT_NE(simulate(input, r.counterexample)[o],
+                      simulate(mutated, r.counterexample)[o])
+                << input.model_name();
+        }
+    }
+    // Both proof engines of the narrow dispatch took part.
+    EXPECT_GT(exhaustive, 10);
+    EXPECT_GT(bdd, 0);
+    EXPECT_GT(refuted, 10);
+}
+
+/// The AND (output 0) and the XOR (output 1) of `n` inputs; with n = 0
+/// they are the constants 1 and 0. `de_morgan` builds the AND as the
+/// complement of an OR of complements.
+Network and_xor(int n, bool de_morgan) {
+    Network net(std::string("andxor").append(std::to_string(n)));
+    std::vector<NodeId> x;
+    for (int i = 0; i < n; ++i) {
+        x.push_back(net.add_input(std::string("x").append(std::to_string(i))));
+    }
+    NodeId all = de_morgan ? net.add_constant(false) : net.add_constant(true);
+    NodeId parity = net.add_constant(false);
+    for (const NodeId xi : x) {
+        all = de_morgan ? net.add_or(all, net.add_not(xi)) : net.add_and(all, xi);
+        parity = net.add_xor(parity, xi);
+    }
+    net.add_output("all", de_morgan ? net.add_not(all) : all);
+    net.add_output("parity", parity);
+    return net;
+}
+
+TEST(ExhaustiveEquivalence, WordAndChunkBoundaries) {
+    // 0 and 1 inputs repeat their patterns across the word, 5 and 6 fill
+    // half and all of one word, 7 needs a second chunk.
+    for (const int n : {0, 1, 5, 6, 7}) {
+        const Network a = and_xor(n, false);
+        const EquivalenceResult proof = check_equivalent(a, and_xor(n, true));
+        EXPECT_TRUE(proof.equivalent) << n << " inputs";
+        EXPECT_EQ(proof.engine, EquivEngine::kExhaustive) << n << " inputs";
+
+        // The AND replaced by constant 0: the all-ones pattern is its only
+        // witness, the last bit of the last chunk.
+        Network b = a;
+        b.node(b.outputs()[0].driver).kind = GateKind::kConst0;
+        b.node(b.outputs()[0].driver).fanins.clear();
+        const EquivalenceResult r = check_equivalent(a, b);
+        expect_exhaustive_refutation(a, b, r);
+        EXPECT_EQ(r.failing_output, 0) << n << " inputs";
+        EXPECT_EQ(r.counterexample, std::vector<bool>(static_cast<std::size_t>(n), true))
+            << n << " inputs";
+    }
+}
+
+TEST(ExhaustiveEquivalence, RefutesAFlippedGate) {
+    // Every AND <-> OR or XOR <-> XNOR flip of a decomposed f51m (8
+    // inputs): the exhaustive verdict equals the BDD's, and each
+    // function-changing flip is refuted with a re-simulated witness.
+    const Network input = benchgen::make_f51m();
+    const Network optimized = decomp::run_bdsmaj(input).network;
+    int refuted = 0;
+    for (std::size_t id = 0; id < optimized.node_count(); ++id) {
+        Network mutated = optimized;
+        Node& node = mutated.node(static_cast<NodeId>(id));
+        switch (node.kind) {
+            case GateKind::kAnd: node.kind = GateKind::kOr; break;
+            case GateKind::kOr: node.kind = GateKind::kAnd; break;
+            case GateKind::kXor: node.kind = GateKind::kXnor; break;
+            case GateKind::kXnor: node.kind = GateKind::kXor; break;
+            default: continue;
+        }
+        const EquivalenceResult r = check_equivalent(input, mutated);
+        ASSERT_EQ(r.equivalent, bdd_equivalent(input, mutated).equivalent) << "node " << id;
+        if (r.equivalent) continue;
+        ++refuted;
+        expect_exhaustive_refutation(input, mutated, r);
+    }
+    EXPECT_GT(refuted, 10);
+}
+
+/// Copy of `src` in which operand `k` of the MAJ node `maj` reads its
+/// complement: M(x, y, z) becomes M(x', y, z). Axiom Omega.I only allows
+/// complementing all three operands together with the output, so this is
+/// an unsound inverter-propagation rewrite.
+Network complement_maj_operand(const Network& src, NodeId maj, std::size_t k) {
+    Network out(src.model_name());
+    std::vector<NodeId> map(src.node_count());
+    for (std::size_t id = 0; id < src.node_count(); ++id) {
+        const Node& n = src.node(static_cast<NodeId>(id));
+        std::vector<NodeId> fanins;
+        for (const NodeId f : n.fanins) fanins.push_back(map[f]);
+        if (id == maj) fanins[k] = out.add_not(fanins[k]);
+        switch (n.kind) {
+            case GateKind::kInput: map[id] = out.add_input(n.name); break;
+            case GateKind::kSop: map[id] = out.add_sop(fanins, n.sop); break;
+            default: map[id] = out.add_gate(n.kind, fanins); break;
+        }
+    }
+    for (const OutputPort& po : src.outputs()) out.add_output(po.name, map[po.driver]);
+    return out;
+}
+
+TEST(ExhaustiveEquivalence, RefutesAnUnsoundInverterPropagation) {
+    // Each operand of each MAJ node of a decomposed 4-bit ripple adder (9
+    // inputs) in turn reads its complement.
+    const Network input = benchgen::make_ripple_adder(4);
+    const Network optimized = decomp::run_bdsmaj(input).network;
+    int refuted = 0;
+    for (std::size_t id = 0; id < optimized.node_count(); ++id) {
+        if (optimized.node(static_cast<NodeId>(id)).kind != GateKind::kMaj) continue;
+        for (std::size_t k = 0; k < 3; ++k) {
+            const Network mutated =
+                complement_maj_operand(optimized, static_cast<NodeId>(id), k);
+            const EquivalenceResult r = check_equivalent(input, mutated);
+            ASSERT_EQ(r.equivalent, bdd_equivalent(input, mutated).equivalent)
+                << "node " << id << " operand " << k;
+            if (r.equivalent) continue;
+            ++refuted;
+            expect_exhaustive_refutation(input, mutated, r);
+        }
+    }
+    EXPECT_GT(refuted, 0);
+}
+
+TEST(ExhaustiveEquivalence, WitnessOnlyInLaterChunks) {
+    // f = x9 AND x11 AND NOT x6 over 12 inputs, against constant 0: every
+    // witness sets inputs 9 and 11, so the first one found sits in chunk
+    // 0b101000 at bit 0, and the chunk index must map back to inputs 6-11.
+    Network a("later_chunk");
+    std::vector<NodeId> x;
+    for (int i = 0; i < 12; ++i) {
+        x.push_back(a.add_input(std::string("x").append(std::to_string(i))));
+    }
+    a.add_output("f", a.add_and(a.add_and(x[9], x[11]), a.add_not(x[6])));
+    Network b = a;
+    b.node(b.outputs()[0].driver).kind = GateKind::kConst0;
+    b.node(b.outputs()[0].driver).fanins.clear();
+    const EquivalenceResult r = check_equivalent(a, b);
+    expect_exhaustive_refutation(a, b, r);
+    std::vector<bool> expected(12, false);
+    expected[9] = expected[11] = true;
+    EXPECT_EQ(r.counterexample, expected);
+}
+
+TEST(ExhaustiveEquivalence, RefutesAfterAGuardTripWhatThePrePassMisses) {
+    // An 8x8 multiplier (16 inputs, trips the BDD's node guard) with an
+    // extra output: the AND of all inputs, against constant 0. The only
+    // witness is the all-ones pattern, which the 4096 random pre-pass
+    // patterns miss, so the refutation comes from exhaustive simulation.
+    Network a = benchgen::make_wallace_multiplier(8);
+    ASSERT_EQ(a.inputs().size(), 16u);
+    Network b = a;
+    NodeId all = a.inputs()[0];
+    for (std::size_t i = 1; i < a.inputs().size(); ++i) all = a.add_and(all, a.inputs()[i]);
+    a.add_output("all", all);
+    b.add_output("all", b.add_constant(false));
+    const EquivalenceResult r = check_equivalent(a, b);
+    expect_exhaustive_refutation(a, b, r);
+    EXPECT_EQ(r.failing_output, static_cast<int>(a.outputs().size()) - 1);
+    EXPECT_EQ(r.counterexample, std::vector<bool>(16, true));
 }
 
 }  // namespace

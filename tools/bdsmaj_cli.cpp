@@ -124,9 +124,11 @@ void print_help(std::FILE* to) {
         "verification:\n"
         "  --no-verify                  skip the equivalence sign-off (default on:\n"
         "                               one exact global check of the optimized\n"
-        "                               network - BDD up to 20 inputs, SAT above -\n"
-        "                               then the mapped netlist is certified node\n"
-        "                               by node)\n"
+        "                               network - exhaustive simulation up to 12\n"
+        "                               inputs, a node-guarded BDD up to 20 with\n"
+        "                               exhaustive simulation when the guard\n"
+        "                               trips, SAT above - then the mapped\n"
+        "                               netlist is certified node by node)\n"
         "\n"
         "deadlines and graceful degradation:\n"
         "  --deadline-ms MS             hard deadline for any flow, measured from\n"
@@ -232,11 +234,12 @@ void print_result(const net::Network& input, const flows::SynthesisResult& resul
         // certificate unless it fell back to a global check).
         if (result.equivalence) {
             const flows::SignOffStats& so = result.signoff;
-            std::printf("  sign-off: bdd-checks=%d sat-checks=%d sat-calls=%llu "
+            std::printf("  sign-off: bdd-checks=%d sat-checks=%d "
+                        "exhaustive-checks=%d sat-calls=%llu "
                         "conflicts=%llu certified-nodes=%d "
                         "certificate-fallbacks=%d optimized-check=%.3fs "
                         "mapped-check=%.3fs time=%.3fs\n",
-                        so.bdd_checks, so.sat_checks,
+                        so.bdd_checks, so.sat_checks, so.exhaustive_checks,
                         static_cast<unsigned long long>(so.cec.sat_calls),
                         static_cast<unsigned long long>(so.cec.conflicts),
                         so.certified_nodes, so.certificate_fallbacks,

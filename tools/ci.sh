@@ -14,7 +14,10 @@
 #
 # The sign-off stage runs the full-size paper suite through bdsmaj_cli
 # and fails if the mapping certificate falls back to a global check on any
-# circuit.
+# circuit, or if Rev (1/X) 19 bit is not proven by exhaustive simulation
+# (its unbounded global BDD took over a minute). It prints the 17
+# sign-offs' total time and, in a Release build with the bench stage on,
+# fails if that total passes 20 s.
 #
 # The debug stage builds the tier-1 test targets with
 # -DCMAKE_BUILD_TYPE=Debug in its own tree and runs the whole tier-1 suite
@@ -63,7 +66,7 @@ cmake --build build -j"$JOBS"
 echo "==> tier-1: ctest"
 (cd build && ctest --output-on-failure -j"$JOBS")
 
-echo "==> sign-off: mapping certificate completeness (full-size paper suite)"
+echo "==> sign-off: certificate completeness, Rev-19 engine and total time (full-size paper suite)"
 # The mapped netlist is proven by the local mapping certificate; an
 # inconclusive certificate falls back to a second global check and still
 # passes. A mapper change that breaks completeness would therefore pass
@@ -82,6 +85,31 @@ fi
 if grep ' sign-off: ' "$SIGNOFF_LOG" | grep -v ' certificate-fallbacks=0 '; then
     echo "SIGN-OFF: the mapping certificate fell back to a global check on the"
     echo "circuits above; the mapper no longer yields a complete certificate"
+    echo "(see $SIGNOFF_LOG)."
+    exit 1
+fi
+# Rev (1/X) 19 bit is a datapath circuit whose unbounded global BDD took
+# over a minute; the dispatch must trip the BDD node guard on it and prove
+# it by exhaustive simulation. This check reads engine counts, not times,
+# so it holds on any build and runner.
+REV_SIGNOFF=$(awk '/^flow .* on rev19$/ { rev = 1 } rev && / sign-off: / { print; exit }' "$SIGNOFF_LOG")
+if [[ "$REV_SIGNOFF" != *" bdd-checks=0 "* || "$REV_SIGNOFF" != *" exhaustive-checks=1 "* ]]; then
+    echo "SIGN-OFF: Rev (1/X) 19 bit was not proven by exhaustive simulation"
+    echo "alone (want bdd-checks=0 exhaustive-checks=1): ${REV_SIGNOFF:-no sign-off line}"
+    echo "(see $SIGNOFF_LOG)."
+    exit 1
+fi
+SIGNOFF_TOTAL=$(grep ' sign-off: ' "$SIGNOFF_LOG" |
+    sed -E 's/.* time=([0-9.]+)s.*/\1/' |
+    awk '{ total += $1 } END { printf "%.3f", total }')
+echo "sign-off total time: ${SIGNOFF_TOTAL}s over $SIGNOFFS circuits"
+# The total is about 5 s in a Release build on a 4-thread machine. Like the
+# bench gate, the 20 s limit applies only where such times mean something:
+# a Release build with the bench stage on (a Debug build, or a shared
+# runner that sets BDSMAJ_CI_SKIP_BENCH, only prints the total).
+if [[ "$BUILD_TYPE" == "Release" && "${BDSMAJ_CI_SKIP_BENCH:-0}" == "0" ]] &&
+   awk -v t="$SIGNOFF_TOTAL" 'BEGIN { exit !(t > 20) }'; then
+    echo "SIGN-OFF: the 17 sign-offs took ${SIGNOFF_TOTAL}s, more than 20s"
     echo "(see $SIGNOFF_LOG)."
     exit 1
 fi
